@@ -50,6 +50,15 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+def split_power(n: int, p: int) -> tuple[int, int]:
+    """(e, m) with n = p^e * m and p not dividing m, for n >= 1."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     small = []

@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from .arith import divisors, factorize, is_prime, primes_upto, require_prime
+from .arith import divisors, factorize, is_prime, primes_upto, require_prime, split_power
 from .core import FiniteGroup, quotient_is_elementary_abelian_2
-from .errors import GroupError, NotSolvable, PrimesNotDistinct, TrivialGroup
+from .errors import CheckFailed, GroupError, NotSolvable, PrimesNotDistinct, TrivialGroup
 from .lattice import SubgroupLattice
 
 
@@ -72,10 +72,11 @@ def lemma_2_1(g: FiniteGroup, h, lattice: SubgroupLattice) -> BoundReport:
         and quotient_is_elementary_abelian_2(g, h)
     )
     report = _make_report("lemma_2_1", computed, limit, condition)
-    assert report.equality == condition, (
-        f"equality characterization failed for {g.name}, |H|={d}: "
-        f"degree {computed}, limit {limit}, condition {condition}"
-    )
+    if report.equality != condition:
+        raise CheckFailed(
+            f"equality characterization failed for {g.name}, |H|={d}: "
+            f"degree {computed}, limit {limit}, condition {condition}"
+        )
     return report
 
 
@@ -121,17 +122,9 @@ def newton_d(g: FiniteGroup, lattice: SubgroupLattice, p: int) -> tuple[BoundRep
     require_prime(p)
     if g.order % p != 0:
         raise GroupError(f"{p} does not divide |{g.name}| = {g.order}")
-    k = 0
-    n = g.order
-    while n % p == 0:
-        n //= p
-        k += 1
+    k, _ = split_power(g.order, p)
     residual = lattice.o_p(p)
-    index = g.order // residual.order
-    r = 0
-    while index % p == 0:
-        index //= p
-        r += 1
+    r, _ = split_power(g.order // residual.order, p)
     computed = len(lattice.max_p(p))
     main_limit = Fraction(p ** r - 1, p - 1) + Fraction(p ** (k - r + 1) - p, p - 1)
     reports = [_make_report("newton_d_main", computed, main_limit)]
@@ -205,7 +198,8 @@ def candidate_orders(n: int) -> CandidateOrders:
     targets = {1, 2, n}
     if n % 2 == 0:
         targets.add(n // 2)
-    assert allowed <= targets, f"candidate divisors {sorted(allowed)} escape {sorted(targets)} for n={n}"
+    if not allowed <= targets:
+        raise CheckFailed(f"candidate divisors {sorted(allowed)} escape {sorted(targets)} for n={n}")
     return CandidateOrders(n=n, small_case=False, divisors=allowed)
 
 

@@ -23,7 +23,7 @@ from .core import (
     coset_indices,
     sylow_p_elements_form_subgroup,
 )
-from .errors import GroupTooLarge, TrivialGroup
+from .errors import CheckFailed, GroupTooLarge, TrivialGroup
 from .families import (
     CatalogEntry,
     alternating,
@@ -193,7 +193,11 @@ def _is_generalized_dihedral(g: FiniteGroup) -> bool:
         for known, kv in list(coords.items()):
             prod = labels[rows[reps[c]][reps[known]]]
             coords[prod] = vec ^ kv
-    assert dim == rank and len(coords) == quotient_size
+    if dim != rank or len(coords) != quotient_size:
+        raise CheckFailed(
+            f"{g.name}: quotient by <squares, commutators> got {len(coords)} of "
+            f"{quotient_size} cosets at dimension {dim}, expected {rank}"
+        )
     coord_of = np.array([coords[c] for c in labels], dtype=np.int64)
     table = g.table
     inv = np.array(g.inverses, dtype=np.int32)

@@ -35,7 +35,7 @@ from .classify import (
     verify_wall,
 )
 from .core import DEFAULT_CONSTRUCTION_CAP, dumps_group, read_group
-from .errors import GroupError, InputError, UsageError
+from .errors import CheckFailed, GroupError, InputError, UsageError
 from .families import (
     abelian,
     alternating,
@@ -342,7 +342,7 @@ def _run_verify(args) -> int:
     for n in range(12, max_order + 1):
         try:
             result = candidate_orders(n)
-        except AssertionError as exc:
+        except CheckFailed as exc:
             violations.append([n, str(exc)])
             continue
         if result.small_case:
@@ -383,6 +383,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GroupError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except CheckFailed as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

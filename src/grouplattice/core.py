@@ -16,8 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import is_prime, split_power
 from .errors import (
+    CheckFailed,
     GroupError,
     GroupTooLarge,
     NoIdentity,
@@ -95,7 +96,7 @@ class FiniteGroup:
         self.table = arr
         self.order = n
         self.name = name
-        self._lattice_cache: dict = {}
+        self._lattice = None  # the SubgroupLattice, once built
 
     @staticmethod
     def _validate_and_normalize(arr: np.ndarray, n: int) -> np.ndarray:
@@ -202,7 +203,8 @@ class FiniteGroup:
         total = 0
         for p, cnt in counts.items():
             # each subgroup of order p contributes exactly p-1 elements
-            assert cnt % (p - 1) == 0, (p, cnt)
+            if cnt % (p - 1):
+                raise CheckFailed(f"{cnt} elements of order {p} is not a multiple of {p - 1}")
             total += cnt // (p - 1)
         return total
 
@@ -585,12 +587,7 @@ def sylow_p_elements_form_subgroup(g: FiniteGroup, p: int) -> Optional[Subgroup]
     When that set is product-closed it is the unique (hence normal) Sylow
     p-subgroup; otherwise returns None.
     """
-    elems = []
-    for x, k in enumerate(g.element_orders):
-        while k % p == 0:
-            k //= p
-        if k == 1:
-            elems.append(x)
+    elems = [x for x, k in enumerate(g.element_orders) if split_power(k, p)[1] == 1]
     e = np.array(elems, dtype=np.int32)
     member = np.zeros(g.order, dtype=bool)
     member[e] = True
@@ -616,9 +613,12 @@ def dumps_group(g: FiniteGroup) -> str:
 
 
 def loads_group(text: str) -> FiniteGroup:
+    """Parse the canonical text form. Types are strict: the name is a
+    string, the order a positive int, the table a list of order rows, each
+    a list of order ints in 0..order-1 (no bools, floats or strings)."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GroupError(f"malformed group file: {exc}") from exc
     if not isinstance(obj, dict):
         raise GroupError("group file must hold a single object")
@@ -626,9 +626,20 @@ def loads_group(text: str) -> FiniteGroup:
         if key not in obj:
             raise GroupError(f"group file missing field {key!r}")
     name, order, table = obj["name"], obj["order"], obj["table"]
-    if not isinstance(table, list) or len(table) != order:
-        raise GroupError(f"order field {order} does not match table size {len(table) if isinstance(table, list) else '?'}")
-    return from_cayley_table(table, name=str(name))
+    if type(name) is not str:
+        raise GroupError(f"name field must be a string, got {name!r:.40}")
+    if type(order) is not int or order < 1:
+        raise GroupError(f"order field must be a positive integer, got {order!r:.40}")
+    if type(table) is not list or len(table) != order:
+        raise GroupError(f"order field {order} does not match table size {len(table) if type(table) is list else '?'}")
+    for r, row in enumerate(table):
+        if type(row) is not list or len(row) != order:
+            raise GroupError(f"table row {r} is not a list of {order} entries: {row!r:.40}")
+        # C-speed screen first; the witness search runs only on a bad row
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= order:
+            c, v = next((c, v) for c, v in enumerate(row) if type(v) is not int or not 0 <= v < order)
+            raise GroupError(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{order - 1}")
+    return from_cayley_table(table, name=name)
 
 
 def write_group(g: FiniteGroup, path) -> None:
@@ -638,4 +649,8 @@ def write_group(g: FiniteGroup, path) -> None:
 
 def read_group(path) -> FiniteGroup:
     with open(path, "r", encoding="ascii") as fh:
-        return loads_group(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GroupError(f"group file is not ASCII text: {exc}") from exc
+    return loads_group(text)

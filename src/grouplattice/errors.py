@@ -70,6 +70,12 @@ class NotPrime(GroupError):
     """A prime parameter is not prime."""
 
 
+class CheckFailed(Exception):
+    """A checked mathematical statement or internal invariant does not hold:
+    a counterexample or a bug, never bad input. Raised explicitly, so the
+    check also runs under python -O."""
+
+
 class UsageError(Exception):
     """Bad command-line arguments: unknown command, wrong arity, bad flag."""
 

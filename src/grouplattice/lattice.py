@@ -1,22 +1,36 @@
 """Subgroup enumeration and the covering graph of the subgroup order.
 
 Vertices are all subgroups; edges join H < K with nothing strictly
-between. Enumeration walks a frontier: each known subgroup is extended
-by one cyclic subgroup of prime-power order at a time, which reaches
-every subgroup because any proper H < K <= G extends by an element of
-prime-power order in K outside H.
+between. One walk builds both, following covers up from the trivial
+subgroup (Neubueser's cyclic extension method, kept to covers). X holds
+one generator of each cyclic subgroup of prime-power order > 1.
+
+Cover rule: the upper covers of H are the minimal members, under the
+mask test l & k == l, of C(H) = {<H, x> : x in X \\ H}. If K covers H,
+any y in K \\ H has a prime-power part (a power of y) outside H, which
+generates <x> for some x in X; so x is in K \\ H and <H, x> = K. A
+minimal M in C(H) contains a cover of H, which is in C(H), so it is M.
+Every subgroup tops a chain of covers, so the walk reaches it.
+
+Two rules skip closures while C(H) is built:
+(a) if [<H, x> : H] is prime, <H, x> is a cover, and every generator in
+    it gives that same cover;
+(b) each y in the double coset HxH has <H, y> = <H, x>: y = h1 x h2 is
+    in <H, x>, and x = h1^-1 y h2^-1 is in <H, y>. So a generator whose
+    cyclic subgroup has a generator in HxH is skipped.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
+from .arith import factorize, is_prime, split_power
 from .core import FiniteGroup, Subgroup, extend_closure
 from .errors import GroupError, GroupTooLarge
 
 DEFAULT_LATTICE_CAP = 256
+DEFAULT_MAX_SUBGROUPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -33,22 +47,24 @@ class SubgroupLattice:
     """The covering graph of all subgroups of one finite group.
 
     Subgroups are sorted by (order, membership bitset); index 0 is the
-    trivial subgroup and the last index is the whole group.
+    trivial subgroup and the last index is the whole group. upper[i] and
+    lower[i] list, ascending, the subgroups covering and covered by
+    subgroup i. closures counts the subgroup closures the walk computed.
     """
 
-    def __init__(self, parent: FiniteGroup, subgroups: list[Subgroup], leq: np.ndarray):
+    def __init__(self, parent: FiniteGroup, subgroups, upper, closures: int):
         self.parent = parent
         self.subgroups: tuple[Subgroup, ...] = tuple(subgroups)
-        self.leq = leq  # leq[i, j] True iff subgroup i <= subgroup j
-        strict = leq & ~np.eye(len(subgroups), dtype=bool)
-        leq_f = strict.astype(np.float32)
-        # i covered by j iff i < j and no k with i < k < j
-        self.cover = strict & ((leq_f @ leq_f) == 0)
+        self.upper: tuple[tuple[int, ...], ...] = tuple(upper)
+        lower: list[list[int]] = [[] for _ in self.upper]
+        for i, above in enumerate(self.upper):
+            for j in above:
+                lower[j].append(i)
+        self.lower = tuple(map(tuple, lower))
+        self.edge_count = sum(map(len, self.upper))
+        self.closures = closures
         self._index = {s.mask: i for i, s in enumerate(self.subgroups)}
-        up = self.cover.sum(axis=1)
-        down = self.cover.sum(axis=0)
-        self._up = tuple(int(v) for v in up)
-        self._down = tuple(int(v) for v in down)
+        self._up, self._down = tuple(map(len, self.upper)), tuple(map(len, self.lower))
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -60,12 +76,7 @@ class SubgroupLattice:
 
     @property
     def covers(self) -> list[tuple[int, int]]:
-        lower, upper = np.nonzero(self.cover)
-        return sorted(zip(map(int, lower), map(int, upper)))
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.cover.sum())
+        return [(i, j) for i, above in enumerate(self.upper) for j in above]
 
     def degree(self, h) -> int:
         i = h if isinstance(h, int) else self.index_of(h)
@@ -77,73 +88,48 @@ class SubgroupLattice:
 
     def max_degree(self) -> tuple[Subgroup, int]:
         """The vertex of largest degree; ties broken by smallest order,
-        then smallest membership bitset."""
+        then smallest membership bitset (index order, hence -i)."""
         best = max(range(len(self.subgroups)), key=lambda i: (self._up[i] + self._down[i], -i))
-        # index order is (order, mask) ascending, so -i prefers earlier vertices
         return self.subgroups[best], self._up[best] + self._down[best]
 
     def atoms(self) -> list[Subgroup]:
-        return [self.subgroups[i] for i in np.nonzero(self.cover[0])[0]]
+        return [self.subgroups[j] for j in self.upper[0]]
 
     def maximal_subgroups(self) -> list[Subgroup]:
-        top = len(self.subgroups) - 1
-        return [self.subgroups[i] for i in np.nonzero(self.cover[:, top])[0]]
+        return [self.subgroups[i] for i in self.lower[-1]]
 
     def max_p(self, p: int) -> list[Subgroup]:
         """Maximal subgroups of index a power of p."""
-        n = self.parent.order
-        out = []
-        for h in self.maximal_subgroups():
-            index = n // h.order
-            while index % p == 0:
-                index //= p
-            if index == 1:
-                out.append(h)
-        return out
+        return [h for h in self.maximal_subgroups() if split_power(h.index, p)[1] == 1]
 
     def frattini(self) -> Subgroup:
-        maxes = self.maximal_subgroups()
-        if not maxes:
-            return self.subgroups[-1]
         mask = self.subgroups[-1].mask
-        for h in maxes:
+        for h in self.maximal_subgroups():
             mask &= h.mask
         return self.subgroups[self._index[mask]]
 
     def o_p(self, p: int) -> Subgroup:
         """Smallest normal subgroup whose index is a power of p, as the
         intersection of all normal subgroups of p-power index."""
-        n = self.parent.order
         mask = self.subgroups[-1].mask
         for s in self.subgroups:
-            index = n // s.order
-            while index % p == 0:
-                index //= p
-            if index == 1 and s.is_normal:
+            if split_power(s.index, p)[1] == 1 and s.is_normal:
                 mask &= s.mask
         if mask not in self._index:
             raise GroupError(f"normal p-power-index intersection is not a vertex for p={p}")
         result = self.subgroups[self._index[mask]]
-        index = n // result.order
-        while index % p == 0:
-            index //= p
-        if index != 1:
-            raise GroupError(f"intersection has index {n // result.order}, not a power of {p}")
+        if split_power(result.index, p)[1] != 1:
+            raise GroupError(f"intersection has index {result.index}, not a power of {p}")
         return result
 
     def interval_atoms(self, h: Subgroup) -> list[Subgroup]:
         """Subgroups covering h, i.e. the atoms of the interval [h, G]."""
-        i = self.index_of(h)
-        return [self.subgroups[j] for j in np.nonzero(self.cover[i])[0]]
+        return [self.subgroups[j] for j in self.upper[self.index_of(h)]]
 
     def export_dot(self) -> str:
-        lines = [f'digraph "{self.parent.name}" {{', "  rankdir=BT;"]
-        for i, s in enumerate(self.subgroups):
-            lines.append(f'  n{i} [label="{s.order}"];')
-        for i, j in self.covers:
-            lines.append(f"  n{i} -> n{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        nodes = [f'  n{i} [label="{s.order}"];' for i, s in enumerate(self.subgroups)]
+        edges = [f"  n{i} -> n{j};" for i, j in self.covers]
+        return "\n".join([f'digraph "{self.parent.name}" {{', "  rankdir=BT;", *nodes, *edges, "}"]) + "\n"
 
     def report(self) -> dict:
         profile = self.degree_profile()
@@ -160,69 +146,78 @@ class SubgroupLattice:
         }
 
 
-def _cyclic_prime_power_generators(g: FiniteGroup) -> list[int]:
-    """One generator per cyclic subgroup of prime-power order > 1, the
-    smallest element index generating it."""
-    seen: set[int] = set()
+def _cyclic_prime_power_generators(g: FiniteGroup) -> list[tuple[int, int]]:
+    """(x, same) for one x per cyclic subgroup of prime-power order > 1:
+    x is the smallest element generating it, same the mask of all that do."""
+    claimed = 0
     out = []
-    rows = g._rows
     for x in range(1, g.order):
-        o = g.element_orders[x]
-        p = min(k for k in range(2, o + 1) if o % k == 0)
-        q = p
-        while o % (q * p) == 0:
-            q *= p
-        if o != q:
+        primes = factorize(g.element_orders[x])
+        if claimed >> x & 1 or len(primes) != 1:
             continue
-        mask = 1
-        y = x
-        while not mask >> y & 1:
-            mask |= 1 << y
-            y = rows[y][x]
-        if mask in seen:
-            continue
-        seen.add(mask)
-        out.append(x)
+        (p,) = primes
+        same, y, k = 0, x, 1
+        while y:  # y = x^k generates <x> iff p does not divide k
+            if k % p:
+                same |= 1 << y
+            y, k = g._rows[y][x], k + 1
+        claimed |= same
+        out.append((x, same))
     return out
 
 
-def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_LATTICE_CAP) -> SubgroupLattice:
-    """Enumerate every subgroup of g and build its covering graph."""
-    if g.order > cap:
-        raise GroupTooLarge(
-            f"{g.name} has order {g.order}, over the lattice cap {cap}"
-        )
-    cached = g._lattice_cache.get(cap)
-    if cached is not None:
-        return cached
+def _double_coset(rows, h_elems, x: int) -> int:
+    """Mask of HxH, swept one right coset H*w at a time."""
+    mask = 0
+    for h in h_elems:
+        w = rows[x][h]
+        if not mask >> w & 1:
+            for k in h_elems:
+                mask |= 1 << rows[k][w]
+    return mask
+
+
+def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
     rows = g._rows
     gens = _cyclic_prime_power_generators(g)
-    trivial = 1
-    seen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {trivial: ((0,), ())}
-    frontier = [trivial]
-    full = (1 << g.order) - 1
-    while frontier:
-        mask = frontier.pop()
-        elems, basis = seen[mask]
-        if mask == full:
-            continue
-        for x in gens:
-            if mask >> x & 1:
+    found = {1: 0}  # mask -> discovery number; the FIFO queue visits in that order
+    queue = deque([(1, (0,), ())])  # (mask, elements, generators) of subgroups to visit
+    upper: list[list[int]] = []  # discovery number -> those of its upper covers
+    closures = 0
+    while queue:
+        mask, elems, basis = queue.popleft()
+        skip = mask  # H, then each cover of rule (a) and double coset of rule (b)
+        candidates: dict[int, tuple[tuple[int, ...], int]] = {}
+        for x, same in gens:
+            if skip & same:
                 continue
-            new_mask, new_elems = extend_closure(rows, mask, elems, basis, x)
-            if new_mask not in seen:
-                seen[new_mask] = (elems + new_elems, basis + (x,))
-                frontier.append(new_mask)
-    order_of = {mask: len(elems) for mask, (elems, _) in seen.items()}
-    masks = sorted(seen, key=lambda m: (order_of[m], m))
-    subgroups = [Subgroup(g, m) for m in masks]
-    orders = np.array([s.order for s in subgroups], dtype=np.int64)
-    k = len(subgroups)
-    member = np.zeros((k, g.order), dtype=np.float32)
-    for i, s in enumerate(subgroups):
-        member[i, list(s.elements)] = 1.0
-    common = member @ member.T  # common[i, j] = |H_i & H_j|, exact in f32
-    leq = common == orders[:, None].astype(np.float32)
-    lattice = SubgroupLattice(g, subgroups, leq)
-    g._lattice_cache[cap] = lattice
-    return lattice
+            k_mask, new = extend_closure(rows, mask, elems, basis, x)
+            closures += 1
+            skip |= k_mask if is_prime(len(new) // len(elems) + 1) else _double_coset(rows, elems, x)
+            candidates.setdefault(k_mask, (new, x))
+        covers: list[int] = []
+        for k_mask in sorted(candidates, key=lambda m: len(candidates[m][0])):
+            if any(c & k_mask == c for c in covers):
+                continue
+            covers.append(k_mask)
+            if k_mask not in found:
+                found[k_mask] = len(found)
+                if len(found) > DEFAULT_MAX_SUBGROUPS:
+                    raise GroupTooLarge(f"{g.name} has more than {DEFAULT_MAX_SUBGROUPS} subgroups: {len(found)} reached")
+                new, x = candidates[k_mask]
+                queue.append((k_mask, elems + new, basis + (x,)))
+        upper.append([found[c] for c in covers])
+    masks = sorted(found, key=lambda m: (m.bit_count(), m))
+    position = {found[m]: r for r, m in enumerate(masks)}
+    upper_index = [tuple(sorted(position[e] for e in upper[found[m]])) for m in masks]
+    return SubgroupLattice(g, [Subgroup(g, m, check=False) for m in masks], upper_index, closures)
+
+
+def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_LATTICE_CAP) -> SubgroupLattice:
+    """Every subgroup of g with its covering graph, cached on g. Raises
+    GroupTooLarge past the order cap or DEFAULT_MAX_SUBGROUPS subgroups."""
+    if g.order > cap:
+        raise GroupTooLarge(f"{g.name} has order {g.order}, over the lattice cap {cap}")
+    if g._lattice is None:
+        g._lattice = _cover_walk(g)
+    return g._lattice

@@ -170,7 +170,7 @@ def test_criterion_6_candidate_orders_analysis():
     for n in range(1, 12):
         assert candidate_orders(n).small_case, n
     for n in range(12, 10001):
-        result = candidate_orders(n)  # internal assert guards the subset
+        result = candidate_orders(n)  # raises CheckFailed if the subset escapes
         targets = {1, 2, n}
         if n % 2 == 0:
             targets.add(n // 2)

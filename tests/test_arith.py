@@ -11,8 +11,15 @@ from grouplattice.arith import (
     partitions,
     primes_upto,
     require_prime,
+    split_power,
 )
 from grouplattice.errors import NotPrime
+
+
+@given(st.integers(1, 10_000), st.sampled_from([2, 3, 5, 7]))
+def test_split_power(n, p):
+    e, m = split_power(n, p)
+    assert p ** e * m == n and m % p != 0
 
 
 def test_is_prime_small_values():

@@ -80,7 +80,7 @@ def test_degree_bound_equality_characterization_all_pairs(catalog36):
             continue
         lattice = lat(g)
         for h in lattice.subgroups:
-            rep = lemma_2_1(g, h, lattice)  # internal assert enforces iff
+            rep = lemma_2_1(g, h, lattice)  # raises CheckFailed unless the iff holds
             assert rep.holds
 
 

@@ -1,10 +1,16 @@
 """Command-line interface: output bytes, exit codes, error paths."""
 
+import ast
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grouplattice as gl
 from grouplattice.cli import VERIFY_TARGETS, main
@@ -130,6 +136,13 @@ def test_lattice_cap_exceeded(capsys, d12_file):
     assert code == 2 and "input error" in err
 
 
+def test_lattice_subgroup_budget_exceeded(capsys, monkeypatch, d12_file):
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 10)  # D12 has 16
+    code, out, err = run(capsys, "lattice", d12_file)
+    assert (code, out) == (2, "")
+    assert "input error" in err and "has more than 10 subgroups: 11 reached" in err
+
+
 def test_lattice_missing_file(capsys):
     code, _, err = run(capsys, "lattice", "/nonexistent/path.grp")
     assert code == 2 and "cannot read" in err
@@ -141,6 +154,60 @@ def test_lattice_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "lattice", str(bad))
     assert code == 2
     assert "input error" in err and "missing field 'name'" in err
+
+
+@pytest.mark.parametrize(
+    "table,witness",
+    [
+        ("[[0,1],[1]]", "row 1 is not a list of 2 entries"),
+        ("[[0,1],[1,0.5]]", "entry [1][1] = 0.5 is not an integer"),
+        ('[[0,1],[1,"0"]]', "entry [1][1] = '0' is not an integer"),
+        ("[[0,1],[1,false]]", "entry [1][1] = False is not an integer"),
+        ("[[0,1],[1,12345678901234567890]]", "entry [1][1] = 12345678901234567890 is not an integer"),
+    ],
+)
+def test_lattice_rejects_mistyped_table(capsys, tmp_path, table, witness):
+    bad = tmp_path / "bad.grp"
+    bad.write_text('{"name":"X","order":2,"table":%s}\n' % table)
+    code, out, err = run(capsys, "lattice", str(bad))
+    assert (code, out) == (2, "")
+    assert "input error" in err and witness in err
+
+
+def test_lattice_rejects_non_ascii_file(capsys, tmp_path):
+    bad = tmp_path / "bad.grp"
+    bad.write_bytes(b"\xff\xfe")
+    code, _, err = run(capsys, "lattice", str(bad))
+    assert code == 2 and "not ASCII" in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+group_like = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=3) | json_values,
+        "order": st.integers(-1, 4) | json_values,
+        "table": st.lists(st.lists(st.integers(-1, 4) | json_values, max_size=4), max_size=4),
+    }
+).map(json.dumps)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text() | group_like | st.just("[" * 100_000))
+def test_any_group_file_gives_a_group_or_exit_2(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "g.grp"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["lattice", str(path)])
+    if code == 0:
+        assert json.loads(out.getvalue())["subgroup_count"] >= 1
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("input error: ")
 
 
 def test_degrees_payload(capsys, tmp_path):
@@ -249,6 +316,42 @@ def test_verify_orders(capsys):
     assert payload["passed"] is True
     assert payload["violations"] == []
     assert payload["scanned_range"] == [12, 5000]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_orders_catches_broken_divisor_formula(flags):
+    # with every integer up to n counted as a divisor, n - 1 passes the
+    # quadratic test and escapes {1, 2, n/2, n}; the check must not be an
+    # assert, which python -O strips
+    code = (
+        "import sys, grouplattice.bounds as b, grouplattice.cli as cli; "
+        "b.divisors = lambda n: list(range(1, n + 1)); "
+        "sys.exit(cli.main(['verify', 'orders', '--max-order', '40']))"
+    )
+    src = str(Path(gl.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["passed"] is False
+    assert [n for n, _ in payload["violations"]] == list(range(12, 41))
+    assert "escape" in payload["violations"][0][1]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no check in the package may be one
+    package = Path(gl.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_verify_unknown_target(capsys):

@@ -12,9 +12,26 @@ from hypothesis import given, settings, strategies as st
 import grouplattice as gl
 from grouplattice.arith import divisors, is_prime
 from grouplattice.errors import GroupError, GroupTooLarge
-from grouplattice.lattice import DEFAULT_LATTICE_CAP, all_subgroups
+from grouplattice.lattice import DEFAULT_LATTICE_CAP, DEFAULT_MAX_SUBGROUPS, all_subgroups
 
 from oracle_lattice import naive_covers, naive_degrees, naive_subgroups
+
+
+def sl_2_3():
+    """SL(2,3) acting on the eight nonzero vectors of F_3^2."""
+    vecs = [(a, b) for a in range(3) for b in range(3) if (a, b) != (0, 0)]
+
+    def perm(m):
+        return [vecs.index(((m[0][0] * a + m[0][1] * b) % 3, (m[1][0] * a + m[1][1] * b) % 3)) for a, b in vecs]
+
+    return gl.from_permutation_generators(8, [perm([[1, 1], [0, 1]]), perm([[1, 0], [1, 1]])], name="SL(2,3)")
+
+
+def c3_c8():
+    """C3 : C8 with the C8 generator inverting C3."""
+    c3 = gl.cyclic(3)
+    return gl.semidirect(c3, [c3.inv_of(x) for x in range(3)], 8)
+
 
 # name -> (constructor, subgroup count, edge count) frozen from the oracle
 ORACLE_FROZEN = {
@@ -30,6 +47,10 @@ ORACLE_FROZEN = {
     "C2^4": (lambda: gl.elementary_abelian(2, 4), 67, 240),
     "S4": (lambda: gl.symmetric(4), 30, 66),
     "Heis3": (lambda: gl.heisenberg(3), 19, 33),
+    "D8xC2": (lambda: gl.direct_product(gl.dihedral(4), gl.cyclic(2)), 35, 88),
+    "A4xC2": (lambda: gl.direct_product(gl.alternating(4), gl.cyclic(2)), 26, 58),
+    "SL(2,3)": (sl_2_3, 15, 24),
+    "C3:C8": (c3_c8, 10, 14),
 }
 
 
@@ -77,18 +98,29 @@ def test_vertices_sorted_by_order_then_mask(d12):
 
 
 def test_partial_order_axioms(s4):
+    # <= is containment of membership masks, a & b == a; the cover graph
+    # must generate exactly that order
     lat = all_subgroups(s4)
-    leq = lat.leq
-    k = len(lat)
-    assert all(leq[i, i] for i in range(k))
+    masks = [s.mask for s in lat.subgroups]
+    k = len(masks)
+    leq = [[a & b == a for b in masks] for a in masks]
     for i in range(k):
+        assert leq[i][i]
         for j in range(k):
-            if i != j and leq[i, j]:
-                assert not leq[j, i]
-            if leq[i, j]:
+            if i != j and leq[i][j]:
+                assert not leq[j][i]
+            if leq[i][j]:
                 for m in range(k):
-                    if leq[j, m]:
-                        assert leq[i, m]
+                    if leq[j][m]:
+                        assert leq[i][m]
+    for i in range(k):
+        reach, stack = {i}, [i]
+        while stack:
+            for j in lat.upper[stack.pop()]:
+                if j not in reach:
+                    reach.add(j)
+                    stack.append(j)
+        assert reach == {j for j in range(k) if leq[i][j]}
 
 
 def test_lagrange_and_containment(catalog36):
@@ -240,25 +272,45 @@ def test_report_contents(d12):
     }
 
 
-def gaussian_binomial(n: int, k: int) -> int:
+def gaussian_binomial(n: int, k: int, p: int = 2) -> int:
     num = den = 1
     for i in range(k):
-        num *= 2 ** (n - i) - 1
-        den *= 2 ** (i + 1) - 1
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
     return num // den
+
+
+def subspace_counts(p: int, n: int) -> tuple[int, int]:
+    """Subgroups and cover edges of C_p^n: the F_p subspaces, counted by
+    Gaussian binomials, with edges between subspaces of adjacent dimension."""
+    vertices = sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+    edges = sum(gaussian_binomial(n, k, p) * gaussian_binomial(n - k, 1, p) for k in range(n))
+    return vertices, edges
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_boolean_lattice_subspace_counts(n):
-    # subgroups of C2^n are exactly the F_2 subspaces, counted by Gaussian
-    # binomials; edges join subspaces of adjacent dimension
     lat = all_subgroups(gl.elementary_abelian(2, n))
-    expect = sum(gaussian_binomial(n, k) for k in range(n + 1))
-    assert len(lat) == expect
-    expect_edges = sum(
-        gaussian_binomial(n, k) * gaussian_binomial(n - k, 1) for k in range(n)
-    )
-    assert lat.edge_count == expect_edges
+    assert (len(lat), lat.edge_count) == subspace_counts(2, n)
+
+
+@pytest.mark.parametrize("p,n,counts", [(3, 4, (212, 1120)), (5, 3, (64, 248))])
+def test_odd_elementary_abelian_subspace_counts(p, n, counts):
+    lat = all_subgroups(gl.elementary_abelian(p, n))
+    assert (len(lat), lat.edge_count) == subspace_counts(p, n) == counts
+
+
+def test_c2_7_closed_form():
+    lat = all_subgroups(gl.elementary_abelian(2, 7))
+    assert (len(lat), lat.edge_count) == subspace_counts(2, 7) == (29212, 358775)
+
+
+@pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_elementary_abelian_closures_equal_edges(p, n):
+    # every <H, x> has prime index over H, so rule (a) leaves exactly one
+    # closure per cover edge
+    lat = all_subgroups(gl.elementary_abelian(p, n))
+    assert lat.closures == lat.edge_count
 
 
 def test_lattice_cap_enforced():
@@ -267,8 +319,19 @@ def test_lattice_cap_enforced():
     assert DEFAULT_LATTICE_CAP == 256
 
 
+def test_subgroup_budget_enforced(monkeypatch):
+    assert DEFAULT_MAX_SUBGROUPS == 100_000
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 20)
+    with pytest.raises(GroupTooLarge, match=r"C2\^4 has more than 20 subgroups: 21 reached"):
+        all_subgroups(gl.elementary_abelian(2, 4))  # 67 subgroups
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 67)
+    assert len(all_subgroups(gl.elementary_abelian(2, 4))) == 67
+
+
 def test_lattice_cached_per_group(d8):
     assert all_subgroups(d8) is all_subgroups(d8)
+    # the cap only gates the build: one lattice per group, whatever the cap
+    assert all_subgroups(d8, cap=8) is all_subgroups(d8, cap=1000)
 
 
 @settings(deadline=None)
