@@ -68,38 +68,33 @@ def extend_closure(
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
-    Validation happens in the constructor: entry range, Latin-square rows
-    and columns, a two-sided identity (relocated to index 0 if found
-    elsewhere), two-sided inverses, and associativity. Associativity is
-    checked with a generating-set test: (a*g)*c = a*(g*c) for every a, c
-    and every g in a set that generates the whole table, which is
-    equivalent to full associativity and keeps validation at
-    O(n^2 log n) instead of O(n^3).
+    Validation happens in the constructor: entry types and range,
+    Latin-square rows and columns, a two-sided identity (relocated to index
+    0 if found elsewhere), two-sided inverses, and associativity.
+    Associativity is checked with a generating-set test: (a*g)*c = a*(g*c)
+    for every a, c and every g in a set that generates the whole table,
+    which is equivalent to full associativity and keeps validation at
+    O(n^2 log n) instead of O(n^3). That set is kept as generators;
+    commutativity, the derived series and normality are computed from it
+    rather than from the whole table.
 
     Instances are immutable after construction; the table array is marked
     read-only.
     """
 
     def __init__(self, table, name: str = "G", cap: int = DEFAULT_CONSTRUCTION_CAP):
-        arr = np.asarray(table, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise NotLatinSquare(f"table must be square and nonempty, got shape {arr.shape}")
+        arr = _screen_table(table, cap)
         n = int(arr.shape[0])
-        if n > cap:
-            raise GroupTooLarge(f"order {n} exceeds construction cap {cap}")
-        if arr.min() < 0 or arr.max() >= n:
-            bad = arr.min() if arr.min() < 0 else arr.max()
-            raise NotLatinSquare(f"entry {bad} outside 0..{n - 1}")
-        arr = arr.astype(np.int32)
-        arr = self._validate_and_normalize(arr, n)
+        arr, gens = self._validate_and_normalize(arr, n)
         arr.setflags(write=False)
         self.table = arr
         self.order = n
         self.name = name
+        self.generators: tuple[int, ...] = gens
         self._lattice = None  # the SubgroupLattice, once built
 
     @staticmethod
-    def _validate_and_normalize(arr: np.ndarray, n: int) -> np.ndarray:
+    def _validate_and_normalize(arr: np.ndarray, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
         ref = np.arange(n, dtype=np.int32)
 
         row_ok = (np.sort(arr, axis=1) == ref).all(axis=1)
@@ -135,24 +130,22 @@ class FiniteGroup:
 
         # associativity via a generating set (middle-element test)
         rows = arr.tolist()
-        gens: list[int] = []
         mask = 1
         elems: tuple[int, ...] = (0,)
-        gtuple: tuple[int, ...] = ()
+        gens: tuple[int, ...] = ()
         for x in range(1, n):
             if mask >> x & 1:
                 continue
-            mask, new = extend_closure(rows, mask, elems, gtuple, x)
+            mask, new = extend_closure(rows, mask, elems, gens, x)
             elems = elems + new
-            gtuple = gtuple + (x,)
-            gens.append(x)
+            gens = gens + (x,)
         for g in gens:
             lhs = arr[arr[:, g]]
             rhs = arr[:, arr[g]]
             if not (lhs == rhs).all():
                 a, c = map(int, np.argwhere(lhs != rhs)[0])
                 raise NotAssociative(f"({a}*{g})*{c} != {a}*({g}*{c})")
-        return arr
+        return arr, gens
 
     def revalidate(self) -> bool:
         """Re-run all construction checks on the stored table."""
@@ -179,15 +172,20 @@ class FiniteGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
+        """One power walk per cyclic subgroup: if x has order m, x^k has
+        order m / gcd(k, m), so the walk over <x> orders all its members."""
         rows = self._rows
-        out = []
-        for a in range(self.order):
-            k = 1
-            x = a
-            while x != 0:
-                x = rows[x][a]
-                k += 1
-            out.append(k)
+        out = [0] * self.order
+        out[0] = 1
+        for x in range(1, self.order):
+            if out[x]:
+                continue
+            powers = [x]
+            while powers[-1]:
+                powers.append(rows[powers[-1]][x])
+            m = len(powers)
+            for k, y in enumerate(powers, 1):
+                out[y] = m // math.gcd(k, m)
         return tuple(out)
 
     def element_order(self, x: int) -> int:
@@ -218,7 +216,8 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        rows = self._rows
+        return all(rows[s][t] == rows[t][s] for s in self.generators for t in self.generators)
 
     @cached_property
     def is_cyclic(self) -> bool:
@@ -237,33 +236,45 @@ class FiniteGroup:
 
     @cached_property
     def derived_mask(self) -> int:
-        if self.is_abelian:
-            return 1
-        t = self.table
-        inv = np.array(self.inverses, dtype=np.int32)
-        left = t[np.ix_(inv, inv)]          # a^-1 * b^-1
-        comm = t[left, t]                   # (a^-1 b^-1)(a b)
-        seed = [int(v) for v in np.unique(comm)]
-        return self.closure_mask(seed)
+        return self._derived_of(self.generators)[0]
 
     def derived_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.derived_mask, check=False)
 
     def closure_mask(self, seed: Iterable[int]) -> int:
         """Bitmask of the smallest subgroup containing the seed elements."""
-        rows = self._rows
-        mask = 1
-        elems: tuple[int, ...] = (0,)
-        gens: tuple[int, ...] = ()
+        seed = list(seed)
         for x in seed:
             if not 0 <= x < self.order:
                 raise GroupError(f"element {x} outside 0..{self.order - 1}")
+        return self._normal_closure(seed, ())[0]
+
+    def _normal_closure(self, seed: Iterable[int], by: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """Mask and generators of the smallest subgroup N that contains the
+        seed and is normalized by each element of by. Each generator y of N
+        is conjugated by each s in by; once every y^s lies in N, N^s = N."""
+        rows, inv = self._rows, self.inverses
+        mask = 1
+        elems: tuple[int, ...] = (0,)
+        gens: tuple[int, ...] = ()
+        todo = list(seed)[::-1]
+        while todo:
+            x = todo.pop()
             if mask >> x & 1:
                 continue
             mask, new = extend_closure(rows, mask, elems, gens, x)
             elems = elems + new
             gens = gens + (x,)
-        return mask
+            todo.extend(rows[rows[inv[s]][x]][s] for s in by)
+        return mask, gens
+
+    def _derived_of(self, gens: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+        """Mask and generators of the derived subgroup of H = <gens>: the
+        normal closure in H of the commutators of gens, since H modulo that
+        closure is generated by commuting images, hence abelian."""
+        rows, inv = self._rows, self.inverses
+        comms = [rows[rows[inv[s]][inv[t]]][rows[s][t]] for i, s in enumerate(gens) for t in gens[:i]]
+        return self._normal_closure(comms, gens)
 
     def closure(self, seed: Iterable[int]) -> "Subgroup":
         return Subgroup(self, self.closure_mask(seed), check=False)
@@ -280,31 +291,53 @@ class FiniteGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, (1 << self.order) - 1, check=False)
 
-    def _derived_of(self, elems: Sequence[int]) -> list[int]:
-        """Elements of the derived subgroup of the subgroup with the given
-        element list."""
-        e = np.array(elems, dtype=np.int32)
-        inv = np.array(self.inverses, dtype=np.int32)
-        ie = inv[e]
-        left = self.table[np.ix_(ie, ie)]
-        right = self.table[np.ix_(e, e)]
-        comm = self.table[left, right]
-        seed = [int(v) for v in np.unique(comm)]
-        mask = self.closure_mask(seed)
-        return _mask_elements(mask)
-
     @cached_property
     def is_solvable(self) -> bool:
-        if self.is_abelian:
-            return True
-        elems: list[int] = list(range(self.order))
-        while True:
-            nxt = self._derived_of(elems)
-            if len(nxt) == 1:
-                return True
-            if len(nxt) == len(elems):
+        mask, gens = (1 << self.order) - 1, self.generators
+        while mask != 1:
+            nxt, gens = self._derived_of(gens)
+            if nxt == mask:
                 return False
-            elems = nxt
+            mask = nxt
+        return True
+
+
+def _screen_table(table, cap: int) -> np.ndarray:
+    """The table as a square int32 array of entries in 0..n-1. An array
+    must have an integer dtype; a nested sequence must hold n rows, each a
+    list or tuple of n ints (bools, floats and strings are refused), and
+    the first bad entry is named."""
+    if isinstance(table, np.ndarray):
+        if table.dtype.kind not in "iu":
+            raise NotLatinSquare(f"table dtype {table.dtype} is not an integer type")
+        shape = table.shape
+    else:
+        table = list(table)
+        shape = (len(table), len(table))
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+        raise NotLatinSquare(f"table must be square and nonempty, got shape {shape}")
+    n = shape[0]
+    if n > cap:
+        raise GroupTooLarge(f"order {n} exceeds construction cap {cap}")
+    if isinstance(table, np.ndarray):
+        bad = np.argwhere((table < 0) | (table >= n))
+        if len(bad):
+            r, c = map(int, bad[0])
+            raise _bad_entry(r, c, int(table[r, c]), n)
+        return table.astype(np.int32)
+    for r, row in enumerate(table):
+        if type(row) not in (list, tuple) or len(row) != n:
+            raise NotLatinSquare(f"table row {r} is not a list of {n} entries: {row!r:.40}")
+        # C-speed screen first; the witness search runs only on a bad row
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            c, v = next((c, v) for c, v in enumerate(row) if type(v) is not int or not 0 <= v < n)
+            raise _bad_entry(r, c, v, n)
+    return np.array(table, dtype=np.int32)
+
+
+def _bad_entry(r: int, c: int, v, n: int) -> NotLatinSquare:
+    why = "outside the element range" if type(v) is int else f"a {type(v).__name__}"
+    return NotLatinSquare(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{n - 1} ({why})")
 
 
 def _mask_elements(mask: int) -> list[int]:
@@ -404,13 +437,9 @@ class Subgroup:
             return True
         if self.index == 2:
             return True
-        e = np.array(self.elements, dtype=np.int32)
-        inv = np.array(g.inverses, dtype=np.int32)
-        prods = g.table[:, e]                    # g*h for all g, h in H
-        conj = g.table[prods, inv[:, None]]      # (g*h)*g^-1
-        member = np.zeros(g.order, dtype=bool)
-        member[e] = True
-        return bool(member[conj].all())
+        # H^s = H for each generator s of G is enough
+        rows, inv, mask = g._rows, g.inverses, self.mask
+        return all(mask >> rows[rows[inv[s]][h]][s] & 1 for s in g.generators for h in self.elements)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -632,14 +661,7 @@ def loads_group(text: str) -> FiniteGroup:
         raise GroupError(f"order field must be a positive integer, got {order!r:.40}")
     if type(table) is not list or len(table) != order:
         raise GroupError(f"order field {order} does not match table size {len(table) if type(table) is list else '?'}")
-    for r, row in enumerate(table):
-        if type(row) is not list or len(row) != order:
-            raise GroupError(f"table row {r} is not a list of {order} entries: {row!r:.40}")
-        # C-speed screen first; the witness search runs only on a bad row
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= order:
-            c, v = next((c, v) for c, v in enumerate(row) if type(v) is not int or not 0 <= v < order)
-            raise GroupError(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{order - 1}")
-    return from_cayley_table(table, name=name)
+    return from_cayley_table(table, name=name)  # screens each row and entry
 
 
 def write_group(g: FiniteGroup, path) -> None:

@@ -253,10 +253,10 @@ def generalized_dihedral_oracle(g, lattice):
     return False
 
 
-def test_inverted_abelian_recognizer_matches_oracle(catalog36):
-    for entry in catalog36:
+def test_inverted_abelian_recognizer_matches_oracle(catalog64):
+    for entry in catalog64:
         g = entry.group
-        if g.order == 1 or g.order > 24:
+        if g.order == 1:
             continue
         lattice = all_subgroups(g)
         expect = generalized_dihedral_oracle(g, lattice)
@@ -325,6 +325,24 @@ def test_verify_theorem_1_1_reports_undecided_loudly(catalog36):
     report = verify_theorem_1_1(catalog36, 24, iso_cap=8)
     assert not report.passed
     assert any("undecided" in detail for _, detail in report.counterexamples)
+
+
+def _fresh_entries():
+    # new group objects, so no lattice is cached on them yet
+    groups = [gl.elementary_abelian(2, 4), gl.symmetric(3), gl.dihedral(4), gl.elementary_abelian(2, 3)]
+    return tuple(gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset()) for g in groups)
+
+
+@pytest.mark.parametrize("verify", [verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3])
+def test_sweeps_record_a_subgroup_budget_refusal_and_go_on(monkeypatch, verify):
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 20)  # C2^4 has 67
+    entries = _fresh_entries()
+    report = verify(entries, 16)
+    assert report.groups_checked == 4
+    assert report.counterexamples == (("C2^4", "undecided: C2^4 has more than 20 subgroups: 21 reached"),)
+    assert not report.passed
+    # the groups after the refused one were swept
+    assert all(e.group._lattice is not None for e in entries[1:])
 
 
 def test_verify_corollary_1_2_passes_with_boundary_note(catalog36):

@@ -296,6 +296,30 @@ def test_verify_lemma21_jsonl(capsys):
         assert "subgroup_order" in rec
 
 
+def _fresh_catalog(max_order, iso_cap):
+    # new group objects, so no lattice is cached on them yet
+    groups = [gl.elementary_abelian(2, 4), gl.symmetric(3), gl.dihedral(4)]
+    return tuple(gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset()) for g in groups)
+
+
+@pytest.mark.parametrize("target", ["theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21"])
+def test_verify_sweeps_survive_a_subgroup_budget_refusal(capsys, monkeypatch, target):
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 20)  # C2^4 has 67
+    monkeypatch.setattr("grouplattice.cli.catalog", _fresh_catalog)
+    code, out, err = run(capsys, "verify", target, "--max-order", "16")
+    assert (code, err) == (1, "")
+    refusal = "C2^4 has more than 20 subgroups: 21 reached"
+    if target in ("bounds", "lemma21"):
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[0] == {"group": "C2^4", "order": 16, "undecided": refusal}
+        assert {line["group"] for line in lines[1:]} == {"S3", "D8"}
+        assert all(line["holds"] for line in lines[1:])
+    else:
+        payload = json.loads(out)
+        assert payload["groups_checked"] == 3
+        assert payload["counterexamples"] == [["C2^4", f"undecided: {refusal}"]]
+
+
 def test_verify_lemma23(capsys):
     code, out, _ = run(capsys, "verify", "lemma23", "--prime-bound", "13", "--exp-bound", "2")
     assert code == 0

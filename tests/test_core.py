@@ -1,5 +1,7 @@
 """Group construction, validation, invariants, quotients, and file I/O."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +61,43 @@ def test_rejects_entry_out_of_range():
         gl.from_cayley_table([[0, 1], [1, 2]])
     with pytest.raises(NotLatinSquare, match="outside"):
         gl.from_cayley_table([[0, -1], [1, 0]])
+
+
+@pytest.mark.parametrize(
+    "table,witness",
+    [
+        ([[0, 1], [1, 0.5]], r"table entry \[1\]\[1\] = 0.5 is not an integer in 0..1 \(a float\)"),
+        ([[0, True], [True, False]], r"table entry \[0\]\[1\] = True is not an integer in 0..1 \(a bool\)"),
+        ([[0, 1], [1, "0"]], r"table entry \[1\]\[1\] = '0' is not an integer in 0..1 \(a str\)"),
+        ([[0, 1], [1, 2]], r"table entry \[1\]\[1\] = 2 is not an integer in 0..1 \(outside"),
+        ([[0, 1], (1,)], r"table row 1 is not a list of 2 entries"),
+        ([[0, 1], "10"], r"table row 1 is not a list of 2 entries"),
+    ],
+)
+def test_constructor_screens_entry_types(table, witness):
+    # the library constructor and the file loader share one screen
+    with pytest.raises(NotLatinSquare, match=witness):
+        gl.from_cayley_table(table)
+    text = json.dumps({"name": "X", "order": 2, "table": table})
+    with pytest.raises(GroupError, match=witness):
+        gl.loads_group(text)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, bool, object])
+def test_constructor_refuses_non_integer_arrays(dtype):
+    with pytest.raises(NotLatinSquare, match="is not an integer type"):
+        gl.from_cayley_table(np.array([[0, 1], [1, 0]], dtype=dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16])
+def test_constructor_accepts_integer_arrays(dtype):
+    g = gl.from_cayley_table(np.array([[0, 1], [1, 0]], dtype=dtype))
+    assert g.order == 2 and g.table.dtype == np.int32
+
+
+def test_array_entry_out_of_range_names_the_entry():
+    with pytest.raises(NotLatinSquare, match=r"table entry \[1\]\[0\] = -3 is not an integer in 0..1"):
+        gl.from_cayley_table(np.array([[0, 1], [-3, 0]]))
 
 
 def test_rejects_repeated_entry_in_row():
