@@ -280,13 +280,19 @@ def _eligible(entries: Iterable[CatalogEntry], max_order: int, solvable_only: bo
 def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int, cap: int = DEFAULT_LATTICE_CAP):
     """(entry, lattice) for each solvable group of order 2..max_order. A
     group the lattice walk refuses comes with the GroupTooLarge in place of
-    its lattice, so that the sweep records it as undecided and goes on."""
+    its lattice, so that the sweep records it as undecided and goes on. A
+    lattice the sweep built is dropped from its group once the consumer
+    moves on, so a long sweep holds one at a time; one cached before stays."""
     for entry in _eligible(entries, max_order, solvable_only=True):
+        g = entry.group
+        cached = g._lattice is not None
         try:
-            lattice = all_subgroups(entry.group, cap=cap)
+            lattice = all_subgroups(g, cap=cap)
         except GroupTooLarge as exc:
             lattice = exc
         yield entry, lattice
+        if not cached:
+            g._lattice = None
 
 
 def verify_theorem_1_1(

@@ -70,18 +70,14 @@ VERIFY_TARGETS = (
 
 @dataclass
 class RunConfig:
-    command: str
     max_order: int = 24
     lattice_cap: int = DEFAULT_LATTICE_CAP
     iso_cap: int = DEFAULT_ISO_CAP
-    construction_cap: int = DEFAULT_CONSTRUCTION_CAP
     prime_bound: int = 31
     exp_bound: int = 4
-    output: Optional[str] = None
-    fmt: str = "json"
 
     def validate(self) -> None:
-        if min(self.lattice_cap, self.iso_cap, self.construction_cap) < 1:
+        if min(self.lattice_cap, self.iso_cap) < 1:
             raise UsageError("caps must be >= 1")
         if self.max_order < 1:
             raise UsageError(f"max_order must be >= 1, got {self.max_order}")
@@ -255,13 +251,11 @@ def _run_verify(args) -> int:
     defaults = {"orders": 10000, "lemma21": 24, "bounds": 24}
     max_order = args.max_order if args.max_order is not None else defaults.get(target, 24)
     cfg = RunConfig(
-        command=f"verify {target}",
         max_order=max_order,
         lattice_cap=args.lattice_cap,
         iso_cap=args.iso_cap,
         prime_bound=args.prime_bound,
         exp_bound=args.exp_bound,
-        output=args.output,
     )
     cfg.validate()
     needs_lattice = target in ("theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21")

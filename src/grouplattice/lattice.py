@@ -18,6 +18,18 @@ Two rules skip closures while C(H) is built:
 (b) each y in the double coset HxH has <H, y> = <H, x>: y = h1 x h2 is
     in <H, x>, and x = h1^-1 y h2^-1 is in <H, y>. So a generator whose
     cyclic subgroup has a generator in HxH is skipped.
+
+Conjugation: the walk visits one representative per conjugacy class.
+When a cover K is new, its whole class is numbered at once, by a
+breadth-first walk over conjugation by the members of g.generators that
+commute with some generator (the others act trivially). H -> H^u is an
+automorphism of the subgroup order, so a member M = R^u of the class of
+a representative R has the upper covers {C^u : C a cover of R}, a table
+gather per cover in place of the closures. Every subgroup is still
+numbered: if L covers some numbered M = R^u, then L^(u^-1) covers R, so
+it is found when R is visited and its class, which holds L, is numbered.
+closures counts the closures made for the representatives only; an
+abelian group has one subgroup per class and gets the plain walk.
 """
 
 from __future__ import annotations
@@ -177,15 +189,48 @@ def _double_coset(rows, h_elems, x: int) -> int:
     return mask
 
 
+def _conjugate(rows, inv, elems, u: int) -> int:
+    """Mask of u^-1 K u, for K given by its elements."""
+    left, mask = rows[inv[u]], 0
+    for k in elems:
+        mask |= 1 << rows[left[k]][u]
+    return mask
+
+
 def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
     rows = g._rows
     gens = _cyclic_prime_power_generators(g)
-    found = {1: 0}  # mask -> discovery number; the FIFO queue visits in that order
-    queue = deque([(1, (0,), ())])  # (mask, elements, generators) of subgroups to visit
-    upper: list[list[int]] = []  # discovery number -> those of its upper covers
+    # conjugation by a generator that commutes with every generator is trivial
+    movers = [s for s in g.generators if any(rows[s][t] != rows[t][s] for t in g.generators)]
+    inv = [row.index(0) for row in rows] if movers else ()
+    found: dict[int, int] = {}  # mask -> discovery number
+    upper: list = []  # discovery number -> those of its upper covers
+    queue: deque = deque()  # (mask, elements, generators, conjugates) of class representatives
+
+    def register(k_mask: int, k_elems: tuple[int, ...], basis: tuple[int, ...]) -> None:
+        """Number the conjugacy class of K and queue K as its representative,
+        with (number, u) for each other member K^u."""
+        orbit = {k_mask: 0}
+        frontier = [0]
+        for t in frontier:
+            for s in movers:
+                u = rows[t][s]
+                m = _conjugate(rows, inv, k_elems, u)
+                if m not in orbit:
+                    orbit[m] = u
+                    frontier.append(u)
+        for m in orbit:
+            found[m] = len(found)
+            upper.append(None)
+            if len(found) > DEFAULT_MAX_SUBGROUPS:
+                raise GroupTooLarge(f"{g.name} has more than {DEFAULT_MAX_SUBGROUPS} subgroups: {len(found)} reached")
+        del orbit[k_mask]
+        queue.append((k_mask, k_elems, basis, tuple((found[m], u) for m, u in orbit.items())))
+
+    register(1, (0,), ())
     closures = 0
     while queue:
-        mask, elems, basis = queue.popleft()
+        mask, elems, basis, conjugates = queue.popleft()
         skip = mask  # H, then each cover of rule (a) and double coset of rule (b)
         candidates: dict[int, tuple[tuple[int, ...], int]] = {}
         for x, same in gens:
@@ -201,12 +246,13 @@ def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
                 continue
             covers.append(k_mask)
             if k_mask not in found:
-                found[k_mask] = len(found)
-                if len(found) > DEFAULT_MAX_SUBGROUPS:
-                    raise GroupTooLarge(f"{g.name} has more than {DEFAULT_MAX_SUBGROUPS} subgroups: {len(found)} reached")
                 new, x = candidates[k_mask]
-                queue.append((k_mask, elems + new, basis + (x,)))
-        upper.append([found[c] for c in covers])
+                register(k_mask, elems + new, basis + (x,))
+        upper[found[mask]] = [found[c] for c in covers]
+        if conjugates:
+            cover_elems = [elems + candidates[c][0] for c in covers]
+            for number, u in conjugates:
+                upper[number] = [found[_conjugate(rows, inv, k, u)] for k in cover_elems]
     masks = sorted(found, key=lambda m: (m.bit_count(), m))
     position = {found[m]: r for r, m in enumerate(masks)}
     upper_index = [tuple(sorted(position[e] for e in upper[found[m]])) for m in masks]

@@ -23,6 +23,7 @@ from grouplattice.classify import (
     FamilyTag,
     Recognition,
     has_large_degree_vertex,
+    lattice_sweep,
     recognize,
     verify_corollary_1_2,
     verify_corollary_1_3,
@@ -336,13 +337,30 @@ def _fresh_entries():
 @pytest.mark.parametrize("verify", [verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3])
 def test_sweeps_record_a_subgroup_budget_refusal_and_go_on(monkeypatch, verify):
     monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 20)  # C2^4 has 67
+    built = []
+
+    def spy(g, cap):
+        lattice = all_subgroups(g, cap=cap)
+        built.append(g.name)
+        return lattice
+
+    monkeypatch.setattr("grouplattice.classify.all_subgroups", spy)
     entries = _fresh_entries()
     report = verify(entries, 16)
     assert report.groups_checked == 4
     assert report.counterexamples == (("C2^4", "undecided: C2^4 has more than 20 subgroups: 21 reached"),)
     assert not report.passed
-    # the groups after the refused one were swept
-    assert all(e.group._lattice is not None for e in entries[1:])
+    # the groups after the refused one were swept, each with its lattice
+    assert built == ["S3", "D8", "C2^3"]
+
+
+def test_lattice_sweep_drops_only_the_lattices_it_built():
+    entries = _fresh_entries()
+    kept = all_subgroups(entries[1].group)
+    for entry, lattice in lattice_sweep(entries, 16):
+        assert entry.group._lattice is lattice
+    assert entries[1].group._lattice is kept
+    assert [e.group._lattice for i, e in enumerate(entries) if i != 1] == [None, None, None]
 
 
 def test_verify_corollary_1_2_passes_with_boundary_note(catalog36):

@@ -51,6 +51,9 @@ ORACLE_FROZEN = {
     "A4xC2": (lambda: gl.direct_product(gl.alternating(4), gl.cyclic(2)), 26, 58),
     "SL(2,3)": (sl_2_3, 15, 24),
     "C3:C8": (c3_c8, 10, 14),
+    "S3xS3": (lambda: gl.direct_product(gl.symmetric(3), gl.symmetric(3)), 60, 186),
+    "D(C3xC3)": (lambda: gl.generalized_dihedral(gl.elementary_abelian(3, 2)), 28, 78),
+    "D8xS3": (lambda: gl.direct_product(gl.dihedral(4), gl.symmetric(3)), 120, 407),
 }
 
 
@@ -311,6 +314,37 @@ def test_elementary_abelian_closures_equal_edges(p, n):
     # closure per cover edge
     lat = all_subgroups(gl.elementary_abelian(p, n))
     assert lat.closures == lat.edge_count
+
+
+def test_class_walk_closes_fewer_subgroups_than_edges():
+    # S5 has 156 subgroups in 19 conjugacy classes: only the class
+    # representatives are closed, the other members' covers are conjugated
+    lat = all_subgroups(gl.symmetric(5))
+    assert lat.edge_count == 501
+    assert lat.closures < lat.edge_count
+
+
+def test_conjugation_by_a_generator_is_a_lattice_automorphism(catalog64):
+    # for every vertex H and generator s, H^s is a vertex with the same
+    # degrees and covers(H)^s = covers(H^s); catalog(64) holds A5
+    for g in [entry.group for entry in catalog64] + [gl.symmetric(5)]:
+        lat = all_subgroups(g)
+        rows, n = g._rows, g.order
+        inv = [row.index(0) for row in rows]
+        index = {h.mask: i for i, h in enumerate(lat.subgroups)}
+        profile = lat.degree_profile()
+        for s in g.generators:
+            conj = [rows[rows[inv[s]][x]][s] for x in range(n)]  # x -> s^-1 x s
+            image = []
+            for h in lat.subgroups:
+                mask = 0
+                for x in h.elements:
+                    mask |= 1 << conj[x]
+                assert mask in index, (g.name, h.elements, s)
+                image.append(index[mask])
+            for i, j in enumerate(image):
+                assert (profile.up[i], profile.down[i]) == (profile.up[j], profile.down[j]), (g.name, i, s)
+                assert sorted(image[k] for k in lat.upper[i]) == list(lat.upper[j]), (g.name, i, s)
 
 
 def test_lattice_cap_enforced():
