@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .arith import factorize
 from .core import (
     FiniteGroup,
@@ -104,11 +102,6 @@ def has_large_degree_vertex(g: FiniteGroup, lattice: SubgroupLattice) -> bool:
     return 2 * (top + 1) > g.order
 
 
-def _square_count(g: FiniteGroup) -> int:
-    # number of solutions of x^2 = identity
-    return int(np.count_nonzero(g.table.diagonal() == 0))
-
-
 def _two_power_exponent(q: int) -> Optional[int]:
     if q < 1 or q & (q - 1):
         return None
@@ -121,7 +114,7 @@ def _frattini_mask(g: FiniteGroup, lattice: Optional[SubgroupLattice]) -> int:
     squares and commutators."""
     if lattice is not None:
         return lattice.frattini().mask
-    seed = set(int(v) for v in g.table.diagonal())
+    seed = {row[x] for x, row in enumerate(g.table)}
     seed.update(_mask_elements(g.derived_mask))
     return g.closure_mask(sorted(seed))
 
@@ -165,7 +158,7 @@ def _is_generalized_dihedral(g: FiniteGroup) -> bool:
     """
     if g.is_abelian:
         return g.exponent == 2
-    n_mask = g.closure_mask(int(x) for x in np.flatnonzero(g.table.diagonal()))
+    n_mask = g.closure_mask(x for x, k in enumerate(g.element_orders) if k > 2)
     return n_mask != (1 << g.order) - 1
 
 
@@ -204,7 +197,8 @@ def recognize(
         tags.add(FamilyTag(F1_SMALL))
     if g.exponent == 2:
         tags.add(FamilyTag(F3_ELEM_AB_2))
-    if g.is_abelian and g.exponent == 4 and 2 * _square_count(g) == n:
+    # C2^(s-1) x C4: half of its elements square to the identity
+    if g.is_abelian and g.exponent == 4 and 2 * (g.involution_count + 1) == n:
         tags.add(FamilyTag(F4_C2s_C4))
     if _is_generalized_extraspecial(g, lattice):
         tags.add(FamilyTag(F5_GEN_EXTRASPECIAL))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from array import array
+from functools import cached_property, partial
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .arith import is_prime, split_power
 from .errors import (
@@ -32,6 +32,35 @@ from .errors import (
 DEFAULT_CONSTRUCTION_CAP = 4096
 
 
+def row_type(n: int):
+    """The type rows of order n are built in: bytes up to order 256,
+    array('H') above. It packs ints, or the raw bytes of joined rows."""
+    return bytes if n <= 256 else partial(array, "H")
+
+
+def compose_rows(p, q):
+    """The row x -> p[q[x]]: a C-level translate for bytes, an array('H')
+    from one itemgetter call above order 256."""
+    if type(p) is bytes:
+        return q.translate(p.ljust(256, b"\0"))
+    # itemgetter of one index returns that item, not a 1-tuple
+    return array("H", itemgetter(*q)(p) if len(q) > 1 else map(p.__getitem__, q))
+
+
+def _is_permutation(line, ref) -> bool:
+    """True iff line holds each entry of ref = 0..n-1 once. For bytes:
+    nothing outside ref, and maketrans(line, ref) undoes line (no repeat)."""
+    if type(line) is bytes:
+        return not line.translate(None, ref) and line.translate(bytes.maketrans(line, ref)) == ref
+    return max(line) < len(ref) == len(set(line))
+
+
+def _frozen(rows) -> tuple:
+    """The rows as a table keeps them: bytes as they are, uint16 rows as
+    read-only views of private copies, so no caller can change a table."""
+    return tuple(row if type(row) is bytes else memoryview(bytes(row)).cast("H") for row in rows)
+
+
 def extend_closure(
     rows: Sequence[Sequence[int]],
     h_mask: int,
@@ -41,11 +70,11 @@ def extend_closure(
 ) -> tuple[int, tuple[int, ...]]:
     """Close the subgroup H (given as bitmask + element list) under x.
 
-    rows is a plain list-of-lists multiplication table. Returns
-    (mask, new_elems): the bitmask of <H union {x}> and the elements outside
-    H in discovery order. The closure is swept out one right coset H*w at a
-    time, so a candidate coset rep already inside the mask is skipped in
-    O(1) and the total work stays near-linear in the result size.
+    rows is a multiplication table. Returns (mask, new_elems): the bitmask
+    of <H union {x}> and the elements outside H in discovery order. The
+    closure is swept out one right coset H*w at a time, so a candidate coset
+    rep already inside the mask is skipped in O(1) and the total work stays
+    near-linear in the result size.
     """
     gens = h_gens + (x,)
     mask = h_mask
@@ -68,104 +97,80 @@ def extend_closure(
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
+    The table is a tuple of immutable rows, table[a][b] = a*b: bytes up to
+    order 256 (every group the lattice cap admits), read-only uint16
+    memoryviews above.
     Validation happens in the constructor: entry types and range,
     Latin-square rows and columns, a two-sided identity (relocated to index
     0 if found elsewhere), two-sided inverses, and associativity.
     Associativity is checked with a generating-set test: (a*g)*c = a*(g*c)
     for every a, c and every g in a set that generates the whole table,
     which is equivalent to full associativity and keeps validation at
-    O(n^2 log n) instead of O(n^3). That set is kept as generators;
-    commutativity, the derived series and normality are computed from it
-    rather than from the whole table.
-
-    Instances are immutable after construction; the table array is marked
-    read-only.
+    O(n^2 log n) instead of O(n^3). That set is kept as generators (and
+    the inverse of each element as inverses); commutativity, the center,
+    the derived series and normality are computed from it.
     """
 
     def __init__(self, table, name: str = "G", cap: int = DEFAULT_CONSTRUCTION_CAP):
-        arr = _screen_table(table, cap)
-        n = int(arr.shape[0])
-        arr, gens = self._validate_and_normalize(arr, n)
-        arr.setflags(write=False)
-        self.table = arr
-        self.order = n
+        self.table = _screen_table(table, cap)
+        self.order = len(self.table)
         self.name = name
-        self.generators: tuple[int, ...] = gens
+        self._validate_and_normalize()
         self._lattice = None  # the SubgroupLattice, once built
 
-    @staticmethod
-    def _validate_and_normalize(arr: np.ndarray, n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        ref = np.arange(n, dtype=np.int32)
+    def _validate_and_normalize(self) -> None:
+        """Check self.table, move its identity to 0, set inverses and generators.
+        Each check runs on whole rows at C speed where it can; a witness is
+        searched for only once a check fails."""
+        rows, n = self.table, self.order
+        pack = row_type(n)
+        ref = pack(range(n))
+        for r, row in enumerate(rows):
+            if not _is_permutation(row, ref):
+                raise NotLatinSquare(f"row {r} is not a permutation of 0..{n - 1}")
+        flat = pack(b"".join(rows))
+        for c in range(n):
+            if not _is_permutation(flat[c::n], ref):
+                raise NotLatinSquare(f"column {c} is not a permutation of 0..{n - 1}")
 
-        row_ok = (np.sort(arr, axis=1) == ref).all(axis=1)
-        if not row_ok.all():
-            r = int(np.argmin(row_ok))
-            raise NotLatinSquare(f"row {r} is not a permutation of 0..{n - 1}")
-        col_ok = (np.sort(arr, axis=0) == ref[:, None]).all(axis=0)
-        if not col_ok.all():
-            c = int(np.argmin(col_ok))
-            raise NotLatinSquare(f"column {c} is not a permutation of 0..{n - 1}")
-
-        row_id = (arr == ref[None, :]).all(axis=1)
-        col_id = (arr == ref[:, None]).all(axis=0)
-        both = row_id & col_id
-        if not both.any():
+        # rows are distinct, so at most one of them is ref
+        e = rows.index(ref) if ref in rows else -1
+        if e < 0 or flat[e::n] != ref:
             raise NoIdentity("no element acts as a two-sided identity")
-        e = int(np.argmax(both))
         if e != 0:
-            # relabel by swapping 0 and e
-            m = ref.copy()
-            m[0], m[e] = e, 0
-            arr = m[arr[np.ix_(m, m)]]
+            # relabel by swapping 0 and e: new[a][b] = m[old[m[a]][m[b]]]
+            m = pack(e if x == 0 else 0 if x == e else x for x in range(n))
+            rows = _frozen(compose_rows(m, compose_rows(rows[m[a]], m)) for a in range(n))
+            flat = pack(b"".join(rows))
 
         # two-sided inverses: the right inverse of each row must also work
         # on the left
-        right_inv = np.argmax(arr == 0, axis=1).astype(np.int32)
-        left_ok = arr[right_inv, ref] == 0
-        if not left_ok.all():
-            a = int(np.argmin(left_ok))
-            raise NoInverse(
-                f"element {a}: right inverse {int(right_inv[a])} is not a left inverse"
-            )
+        inv = tuple(flat.index(0, a * n, a * n + n) - a * n for a in range(n))
+        for a, b in enumerate(inv):
+            if rows[b][a]:
+                raise NoInverse(f"element {a}: right inverse {b} is not a left inverse")
+        self.table, self.inverses = rows, inv
 
-        # associativity via a generating set (middle-element test)
-        rows = arr.tolist()
-        mask = 1
-        elems: tuple[int, ...] = (0,)
-        gens: tuple[int, ...] = ()
-        for x in range(1, n):
-            if mask >> x & 1:
-                continue
-            mask, new = extend_closure(rows, mask, elems, gens, x)
-            elems = elems + new
-            gens = gens + (x,)
-        for g in gens:
-            lhs = arr[arr[:, g]]
-            rhs = arr[:, arr[g]]
-            if not (lhs == rhs).all():
-                a, c = map(int, np.argwhere(lhs != rhs)[0])
-                raise NotAssociative(f"({a}*{g})*{c} != {a}*({g}*{c})")
-        return arr, gens
+        # associativity via a generating set (middle-element test): the row
+        # of a*g must be the row of a composed with the row of g
+        self.generators: tuple[int, ...] = self._normal_closure(range(1, n), ())[1]
+        for g in self.generators:
+            for a, row in enumerate(rows):
+                lhs, rhs = rows[row[g]], compose_rows(row, rows[g])
+                if lhs != rhs:
+                    c = next(c for c in range(n) if lhs[c] != rhs[c])
+                    raise NotAssociative(f"({a}*{g})*{c} != {a}*({g}*{c})")
 
     def revalidate(self) -> bool:
         """Re-run all construction checks on the stored table."""
-        self._validate_and_normalize(self.table.astype(np.int32), self.order)
+        self._validate_and_normalize()
         return True
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
-    @cached_property
-    def _rows(self) -> list[list[int]]:
-        return self.table.tolist()
-
-    @cached_property
-    def inverses(self) -> tuple[int, ...]:
-        inv = np.argmax(self.table == 0, axis=1)
-        return tuple(int(v) for v in inv)
-
     def mul(self, a: int, b: int) -> int:
-        return self._rows[a][b]
+        return self.table[a][b]
 
     def inv_of(self, a: int) -> int:
         return self.inverses[a]
@@ -174,7 +179,7 @@ class FiniteGroup:
     def element_orders(self) -> tuple[int, ...]:
         """One power walk per cyclic subgroup: if x has order m, x^k has
         order m / gcd(k, m), so the walk over <x> orders all its members."""
-        rows = self._rows
+        rows = self.table
         out = [0] * self.order
         out[0] = 1
         for x in range(1, self.order):
@@ -216,7 +221,7 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        rows = self._rows
+        rows = self.table
         return all(rows[s][t] == rows[t][s] for s in self.generators for t in self.generators)
 
     @cached_property
@@ -225,11 +230,8 @@ class FiniteGroup:
 
     @cached_property
     def center_mask(self) -> int:
-        central = (self.table == self.table.T).all(axis=1)
-        mask = 0
-        for i in np.flatnonzero(central):
-            mask |= 1 << int(i)
-        return mask
+        rows, gens = self.table, self.generators
+        return sum(1 << x for x, row in enumerate(rows) if all(row[s] == rows[s][x] for s in gens))
 
     def center(self) -> "Subgroup":
         return Subgroup(self, self.center_mask, check=False)
@@ -253,7 +255,7 @@ class FiniteGroup:
         """Mask and generators of the smallest subgroup N that contains the
         seed and is normalized by each element of by. Each generator y of N
         is conjugated by each s in by; once every y^s lies in N, N^s = N."""
-        rows, inv = self._rows, self.inverses
+        rows, inv = self.table, self.inverses
         mask = 1
         elems: tuple[int, ...] = (0,)
         gens: tuple[int, ...] = ()
@@ -272,7 +274,7 @@ class FiniteGroup:
         """Mask and generators of the derived subgroup of H = <gens>: the
         normal closure in H of the commutators of gens, since H modulo that
         closure is generated by commuting images, hence abelian."""
-        rows, inv = self._rows, self.inverses
+        rows, inv = self.table, self.inverses
         comms = [rows[rows[inv[s]][inv[t]]][rows[s][t]] for i, s in enumerate(gens) for t in gens[:i]]
         return self._normal_closure(comms, gens)
 
@@ -302,15 +304,17 @@ class FiniteGroup:
         return True
 
 
-def _screen_table(table, cap: int) -> np.ndarray:
-    """The table as a square int32 array of entries in 0..n-1. An array
-    must have an integer dtype; a nested sequence must hold n rows, each a
-    list or tuple of n ints (bools, floats and strings are refused), and
-    the first bad entry is named."""
-    if isinstance(table, np.ndarray):
+def _screen_table(table, cap: int) -> tuple:
+    """The table as a tuple of n rows (_frozen). An ndarray (told by its
+    dtype) needs an integer dtype. A row is a list or tuple of n ints in
+    0..n-1 (no bools, floats or strings; the first bad entry is named), or
+    a packed row of length n (bytes up to 256, uint16 above), as the
+    families build them, whose entries validation checks."""
+    if hasattr(table, "dtype"):
         if table.dtype.kind not in "iu":
             raise NotLatinSquare(f"table dtype {table.dtype} is not an integer type")
-        shape = table.shape
+        shape = tuple(table.shape)
+        table = table.tolist()
     else:
         table = list(table)
         shape = (len(table), len(table))
@@ -319,25 +323,22 @@ def _screen_table(table, cap: int) -> np.ndarray:
     n = shape[0]
     if n > cap:
         raise GroupTooLarge(f"order {n} exceeds construction cap {cap}")
-    if isinstance(table, np.ndarray):
-        bad = np.argwhere((table < 0) | (table >= n))
-        if len(bad):
-            r, c = map(int, bad[0])
-            raise _bad_entry(r, c, int(table[r, c]), n)
-        return table.astype(np.int32)
+    pack = row_type(n)
+    packed = (bytes,) if n <= 256 else (array, memoryview)
+    rows = []
     for r, row in enumerate(table):
+        if type(row) in packed and getattr(row, "typecode", getattr(row, "format", "H")) == "H" and len(row) == n:
+            rows.append(row)
+            continue
         if type(row) not in (list, tuple) or len(row) != n:
             raise NotLatinSquare(f"table row {r} is not a list of {n} entries: {row!r:.40}")
         # C-speed screen first; the witness search runs only on a bad row
         if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
             c, v = next((c, v) for c, v in enumerate(row) if type(v) is not int or not 0 <= v < n)
-            raise _bad_entry(r, c, v, n)
-    return np.array(table, dtype=np.int32)
-
-
-def _bad_entry(r: int, c: int, v, n: int) -> NotLatinSquare:
-    why = "outside the element range" if type(v) is int else f"a {type(v).__name__}"
-    return NotLatinSquare(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{n - 1} ({why})")
+            why = "outside the element range" if type(v) is int else f"a {type(v).__name__}"
+            raise NotLatinSquare(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{n - 1} ({why})")
+        rows.append(pack(row))
+    return _frozen(rows)
 
 
 def _mask_elements(mask: int) -> list[int]:
@@ -380,15 +381,12 @@ class Subgroup:
         if mask >> n:
             raise NotSubgroup(f"member bit beyond element range 0..{n - 1}")
         elems = _mask_elements(mask)
-        t = self.parent.table
-        e = np.array(elems, dtype=np.int32)
-        member = np.zeros(n, dtype=bool)
-        member[e] = True
-        prods = t[np.ix_(e, e)]
-        if not member[prods].all():
-            i, j = map(int, np.argwhere(~member[prods])[0])
-            a, b = elems[i], elems[j]
-            raise NotSubgroup(f"not closed: {a}*{b} = {int(t[a, b])} is outside the set")
+        rows = self.parent.table
+        for a in elems:
+            row = rows[a]
+            for b in elems:
+                if not mask >> row[b] & 1:
+                    raise NotSubgroup(f"not closed: {a}*{b} = {row[b]} is outside the set")
         inv = self.parent.inverses
         for a in elems:
             if not mask >> inv[a] & 1:
@@ -438,14 +436,14 @@ class Subgroup:
         if self.index == 2:
             return True
         # H^s = H for each generator s of G is enough
-        rows, inv, mask = g._rows, g.inverses, self.mask
+        rows, inv, mask = g.table, g.inverses, self.mask
         return all(mask >> rows[rows[inv[s]][h]][s] & 1 for s in g.generators for h in self.elements)
 
     @cached_property
     def is_abelian(self) -> bool:
-        e = np.array(self.elements, dtype=np.int32)
-        sub = self.parent.table[np.ix_(e, e)]
-        return bool((sub == sub.T).all())
+        rows = self.parent.table
+        gens = self.parent._normal_closure(self.elements, ())[1]
+        return all(rows[s][t] == rows[t][s] for s in gens for t in gens)
 
     @cached_property
     def is_elementary_abelian_2(self) -> bool:
@@ -454,7 +452,7 @@ class Subgroup:
         Exponent <= 2 forces commutativity, so no separate abelian check is
         needed; the trivial subgroup counts as elementary abelian 2.
         """
-        rows = self.parent._rows
+        rows = self.parent.table
         return all(rows[a][a] == 0 for a in self.elements)
 
 
@@ -487,19 +485,23 @@ def from_permutation_generators(
     if degree < 1:
         raise GroupError(f"degree must be >= 1, got {degree}")
     gens = []
-    for g in generators:
-        t = tuple(int(v) for v in g)
+    for i, g in enumerate(generators):
+        t = tuple(g)
+        bad = next((j for j, v in enumerate(t) if type(v) is not int), None)
+        if bad is not None:
+            raise GroupError(f"generator {i} entry {bad} = {t[bad]!r:.40} is not an integer")
         if sorted(t) != list(range(degree)):
             raise GroupError(f"{t} is not a permutation of 0..{degree - 1}")
         gens.append(t)
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
+    via = [(0, 0)]  # elems[i] = elems[j] o gens[k] for (j, k) = via[i]
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in gens:
+            for k, g in enumerate(gens):
                 q = _compose(p, g)
                 if q not in index:
                     if len(elems) >= cap:
@@ -507,16 +509,19 @@ def from_permutation_generators(
                             f"permutation closure exceeds cap {cap}"
                         )
                     index[q] = len(elems)
+                    via.append((index[p], k))
                     elems.append(q)
                     nxt.append(q)
         frontier = nxt
     n = len(elems)
-    table = [[0] * n for _ in range(n)]
-    for i, p in enumerate(elems):
-        row = table[i]
-        for j, q in enumerate(elems):
-            row[j] = index[_compose(p, q)]
-    return FiniteGroup(table, name=name, cap=cap)
+    # (p o g) o q = p o (g o q): the row of p o g is the row of p composed
+    # with the row of g, so only the generators' rows need the index
+    pack = row_type(n)
+    gen_rows = [pack(index[_compose(g, q)] for q in elems) for g in gens]
+    rows = [pack(range(n))]
+    for j, k in via[1:]:
+        rows.append(compose_rows(rows[j], gen_rows[k]))
+    return FiniteGroup(rows, name=name, cap=cap)
 
 
 def closure(g: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -568,7 +573,7 @@ def coset_indices(g: FiniteGroup, h: Subgroup) -> tuple[list[int], list[int]]:
     the minimal representative of each coset. The identity coset gets
     index 0.
     """
-    rows = g._rows
+    rows = g.table
     helems = h.elements
     labels = [-1] * g.order
     reps = []
@@ -587,8 +592,7 @@ def quotient_group(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> F
     if not h.is_normal:
         raise NotNormal(f"subgroup of order {h.order} is not normal in {g.name}")
     labels, reps = coset_indices(g, h)
-    rows = g._rows
-    m = len(reps)
+    rows = g.table
     table = [[labels[rows[a][b]] for b in reps] for a in reps]
     if name is None:
         name = f"{g.name}/{h.order}"
@@ -603,7 +607,7 @@ def quotient_is_elementary_abelian_2(g: FiniteGroup, h: Subgroup) -> bool:
     """
     if not h.is_normal:
         raise NotNormal(f"subgroup of order {h.order} is not normal in {g.name}")
-    rows = g._rows
+    rows = g.table
     mask = h.mask
     if any(not mask >> rows[a][a] & 1 for a in range(g.order)):
         return False
@@ -617,14 +621,9 @@ def sylow_p_elements_form_subgroup(g: FiniteGroup, p: int) -> Optional[Subgroup]
     p-subgroup; otherwise returns None.
     """
     elems = [x for x, k in enumerate(g.element_orders) if split_power(k, p)[1] == 1]
-    e = np.array(elems, dtype=np.int32)
-    member = np.zeros(g.order, dtype=bool)
-    member[e] = True
-    if not member[g.table[np.ix_(e, e)]].all():
+    mask = sum(1 << x for x in elems)
+    if g._normal_closure(elems, ())[0] != mask:
         return None
-    mask = 0
-    for x in elems:
-        mask |= 1 << x
     return Subgroup(g, mask, check=False)
 
 
@@ -637,7 +636,7 @@ _FILE_KEYS = ("name", "order", "table")
 def dumps_group(g: FiniteGroup) -> str:
     """Canonical text form: fixed key order, compact separators, one
     trailing newline."""
-    payload = {"name": g.name, "order": g.order, "table": g._rows}
+    payload = {"name": g.name, "order": g.order, "table": [list(row) for row in g.table]}
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 

@@ -1,22 +1,24 @@
 """Constructors for named group families and a small-order catalog.
 
 Concrete models only: pairs, triples, and bit vectors with twisted
-products. Every constructor returns a fully validated FiniteGroup.
+products. Every constructor returns a fully validated FiniteGroup. Tables
+of products and extensions are built a row at a time, by slicing the
+identity row and composing rows (core.compose_rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .arith import abelian_type_list, is_prime, primes_upto, require_prime
 from .core import (
     DEFAULT_CONSTRUCTION_CAP,
     FiniteGroup,
+    compose_rows,
     from_permutation_generators,
+    row_type,
 )
 from .errors import (
     ActionOrderMismatch,
@@ -34,13 +36,28 @@ def _check_cap(order: int, cap: int) -> None:
         raise GroupTooLarge(f"order {order} exceeds construction cap {cap}")
 
 
+def _cyclic_rows(n: int) -> tuple:
+    ref = row_type(n)(range(n))
+    return tuple(ref[a:] + ref[:a] for a in range(n))
+
+
+def _product_rows(t1: Sequence, t2: Sequence) -> tuple:
+    """Rows of the direct product, (a1, a2) indexed a1*|t2| + a2. The row
+    of (a1, a2) is the row of (a1, 1) composed with that of (1, a2)."""
+    n1, n2 = len(t1), len(t2)
+    pack = row_type(n1 * n2)
+    ref = pack(range(n1 * n2))
+    blocks = [ref[k * n2:(k + 1) * n2] for k in range(n1)]  # b -> k*n2 + b
+    left = [pack(b"".join(map(blocks.__getitem__, row))) for row in t1]
+    right = [pack(b"".join(compose_rows(block, row) for block in blocks)) for row in t2]
+    return tuple(compose_rows(lrow, rrow) for lrow in left for rrow in right)
+
+
 def cyclic(n: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
     if n < 1:
         raise GroupError(f"cyclic order must be >= 1, got {n}")
     _check_cap(n, cap)
-    idx = np.arange(n, dtype=np.int32)
-    table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, name=f"C{n}", cap=cap)
+    return FiniteGroup(_cyclic_rows(n), name=f"C{n}", cap=cap)
 
 
 def abelian(
@@ -58,13 +75,7 @@ def abelian(
     for f in factors:
         n *= f
     _check_cap(n, cap)
-    idx = np.arange(n, dtype=np.int64)
-    table = np.zeros((n, n), dtype=np.int64)
-    divisor = n
-    for f in factors:
-        divisor //= f
-        d = (idx // divisor) % f
-        table = table * f + (d[:, None] + d[None, :]) % f
+    table = reduce(_product_rows, map(_cyclic_rows, factors))
     if name is None:
         name = "x".join(f"C{f}" for f in factors)
     return FiniteGroup(table, name=name, cap=cap)
@@ -90,10 +101,12 @@ def generalized_dihedral(a: FiniteGroup, cap: int = DEFAULT_CONSTRUCTION_CAP) ->
         raise NotAbelian(f"{a.name} is not abelian")
     m = a.order
     _check_cap(2 * m, cap)
-    ta = a.table
-    inv = np.array(a.inverses, dtype=np.int32)
-    ta_inv = ta[:, inv]  # entry (x, y) = x * y^-1
-    table = np.block([[ta, ta + m], [ta_inv + m, ta_inv]])
+    ref = row_type(2 * m)(range(2 * m))
+    low, high = ref[:m], ref[m:]  # x -> (0, x) and x -> (1, x)
+    inv = row_type(m)(a.inverses)
+    quotients = [compose_rows(row, inv) for row in a.table]  # y -> x * y^-1
+    table = [compose_rows(low, row) + compose_rows(high, row) for row in a.table]
+    table += [compose_rows(high, row) + compose_rows(low, row) for row in quotients]
     return FiniteGroup(table, name=f"D({a.name})", cap=cap)
 
 
@@ -118,24 +131,34 @@ def semidirect(
     if m < 1:
         raise GroupError(f"cyclic factor order must be >= 1, got {m}")
     na = a.order
-    act = np.asarray(action, dtype=np.int32)
-    if act.shape != (na,) or sorted(int(v) for v in act) != list(range(na)):
+    action = list(action)
+    bad = next((i for i, v in enumerate(action) if type(v) is not int), None)
+    if bad is not None:
+        raise NotAutomorphism(f"action entry {bad} = {action[bad]!r:.40} is not an integer")
+    if sorted(action) != list(range(na)):
         raise NotAutomorphism(f"action is not a permutation of 0..{na - 1}")
-    ta = a.table
-    if not (act[ta] == ta[np.ix_(act, act)]).all():
-        x, y = map(int, np.argwhere(act[ta] != ta[np.ix_(act, act)])[0])
-        raise NotAutomorphism(f"action breaks the product at pair ({x}, {y})")
-    powers = [np.arange(na, dtype=np.int32)]
+    pack = row_type(na)
+    act = pack(action)
+    for x, row in enumerate(a.table):
+        lhs, rhs = compose_rows(act, row), compose_rows(a.table[act[x]], act)
+        if lhs != rhs:
+            y = next(y for y in range(na) if lhs[y] != rhs[y])
+            raise NotAutomorphism(f"action breaks the product at pair ({x}, {y})")
+    powers = [pack(range(na))]
     for _ in range(m - 1):
-        powers.append(act[powers[-1]])
-    if not (act[powers[-1]] == powers[0]).all():
+        powers.append(compose_rows(act, powers[-1]))
+    if compose_rows(act, powers[-1]) != powers[0]:
         raise ActionOrderMismatch(f"action to the power {m} is not the identity")
     _check_cap(na * m, cap)
-    blocks = []
+    # (x, c)(y, d) = (x * act^c(y), c + d), indexed c*na + x
+    pack = row_type(na * m)
+    ref = pack(range(na * m))
+    blocks = [ref[k * na:(k + 1) * na] for k in range(m)]
+    table = []
     for c in range(m):
-        sub = ta[:, powers[c]]
-        blocks.append([sub + na * ((c + d) % m) for d in range(m)])
-    table = np.block(blocks)
+        for row in a.table:
+            twisted = compose_rows(row, powers[c])
+            table.append(pack(b"".join(compose_rows(blocks[(c + d) % m], twisted) for d in range(m))))
     if name is None:
         name = f"{a.name}:C{m}"
     return FiniteGroup(table, name=name, cap=cap)
@@ -212,14 +235,10 @@ def direct_product(
     name: Optional[str] = None,
     cap: int = DEFAULT_CONSTRUCTION_CAP,
 ) -> FiniteGroup:
-    n1, n2 = g1.order, g2.order
-    _check_cap(n1 * n2, cap)
-    t1 = g1.table.astype(np.int64)
-    t2 = g2.table.astype(np.int64)
-    table = (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n1 * n2, n1 * n2)
+    _check_cap(g1.order * g2.order, cap)
     if name is None:
         name = f"{g1.name}x{g2.name}"
-    return FiniteGroup(table, name=name, cap=cap)
+    return FiniteGroup(_product_rows(g1.table, g2.table), name=name, cap=cap)
 
 
 def _central_involutions(g: FiniteGroup) -> list[int]:
@@ -249,30 +268,24 @@ def central_product(
     if z2 is None:
         z2 = _central_involutions(g2)[0]
     for g, z, side in ((g1, z1, "first"), (g2, z2, "second")):
-        if not (0 <= z < g.order) or g.element_orders[z] != 2 or not g.center_mask >> z & 1:
-            raise NotCentralInvolution(f"element {z} of the {side} factor is not a central involution")
+        if type(z) is not int or not 0 <= z < g.order or g.element_orders[z] != 2 or not g.center_mask >> z & 1:
+            raise NotCentralInvolution(f"element {z!r:.40} of the {side} factor is not a central involution")
     n1, n2 = g1.order, g2.order
     n = n1 * n2 // 2
     _check_cap(n, cap)
-    rows1, rows2 = g1._rows, g2._rows
-    labels = [-1] * (n1 * n2)
-    reps = []
-    for a in range(n1):
-        az = rows1[a][z1]
-        for b in range(n2):
-            p = a * n2 + b
-            if labels[p] != -1:
-                continue
-            c = len(reps)
-            reps.append((a, b))
-            labels[p] = c
-            labels[az * n2 + rows2[b][z2]] = c
-    table = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(reps):
-        row = table[i]
-        ra, rb = rows1[a], rows2[b]
-        for j, (c, d) in enumerate(reps):
-            row[j] = labels[ra[c] * n2 + rb[d]]
+    # (a, b) ~ (a z1, b z2). Scanning pairs in index order labels the class
+    # of (a, b) k*n2 + b when a is the k-th a with a < a z1, and as (a z1,
+    # b z2) otherwise; z2 is central, so the class of (a, b)(c, d) is read
+    # from block k of ac shifted by row b, or by row b z2 when ac is flipped.
+    t1, t2 = g1.table, g2.table
+    rank = {a: k for k, a in enumerate(a for a in range(n1) if a < t1[a][z1])}
+    ref = row_type(n)(range(n))
+    blocks = [[compose_rows(ref[k * n2:(k + 1) * n2], row) for row in t2] for k in range(n1 // 2)]
+    flipped = [[block[t2[b][z2]] for b in range(n2)] for block in blocks]
+    table = []
+    for a in rank:
+        parts = [blocks[rank[x]] if x in rank else flipped[rank[t1[x][z1]]] for x in map(t1[a].__getitem__, rank)]
+        table += [row_type(n)(b"".join(part[b] for part in parts)) for b in range(n2)]
     if name is None:
         name = f"{g1.name}*{g2.name}"
     return FiniteGroup(table, name=name, cap=cap)
@@ -307,11 +320,11 @@ def heisenberg(p: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
         raise GroupError("exponent-p model needs an odd prime")
     n = p ** 3
     _check_cap(n, cap)
-    idx = np.arange(n, dtype=np.int64)
-    a, b, c = idx // (p * p), (idx // p) % p, idx % p
-    a1, b1, c1 = a[:, None], b[:, None], c[:, None]
-    a2, b2, c2 = a[None, :], b[None, :], c[None, :]
-    table = ((a1 + a2) % p) * p * p + ((b1 + b2) % p) * p + (c1 + c2 + a1 * b2) % p
+    triples = [(x // (p * p), x // p % p, x % p) for x in range(n)]
+    table = [
+        [(a1 + a2) % p * p * p + (b1 + b2) % p * p + (c1 + c2 + a1 * b2) % p for a2, b2, c2 in triples]
+        for a1, b1, c1 in triples
+    ]
     return FiniteGroup(table, name=f"Heis{p}", cap=cap)
 
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import FiniteGroup, extend_closure
+from .core import FiniteGroup, compose_rows, row_type
 from .errors import GroupError, GroupTooLarge
 
 DEFAULT_ISO_CAP = 512
@@ -31,11 +29,14 @@ class Isomorphism:
         n = self.source.order
         if self.target.order != n or sorted(self.map) != list(range(n)):
             raise GroupError("map is not a bijection between the element sets")
-        perm = np.array(self.map, dtype=np.int32)
-        t1, t2 = self.source.table, self.target.table
-        if not (perm[t1] == t2[np.ix_(perm, perm)]).all():
-            a, b = map(int, np.argwhere(perm[t1] != t2[np.ix_(perm, perm)])[0])
-            raise GroupError(f"map is not a homomorphism at pair ({a}, {b})")
+        # the full table check: map[a*b] = map[a]*map[b], a row at a time
+        perm = row_type(n)(self.map)
+        t2 = self.target.table
+        for a, row in enumerate(self.source.table):
+            lhs, rhs = compose_rows(perm, row), compose_rows(t2[perm[a]], perm)
+            if lhs != rhs:
+                b = next(b for b in range(n) if lhs[b] != rhs[b])
+                raise GroupError(f"map is not a homomorphism at pair ({a}, {b})")
 
 
 def element_invariants(g: FiniteGroup) -> tuple[tuple[int, int, int, int], ...]:
@@ -43,19 +44,28 @@ def element_invariants(g: FiniteGroup) -> tuple[tuple[int, int, int, int], ...]:
 
     Each element gets (order, centralizer size, number of square roots,
     derived-subgroup membership). Order multisets alone fail to separate
-    some order-32 pairs; the centralizer profile resolves them cheaply.
+    some order-32 pairs; the centralizer profile resolves them cheaply. The
+    centralizer of x has size n / |class of x|, and the class is the orbit
+    of x under conjugation by the generators.
     """
     cached = getattr(g, "_element_invariants", None)
     if cached is not None:
         return cached
-    t = g.table
-    n = g.order
-    orders = g.element_orders
-    cent = (t == t.T).sum(axis=1)
-    sq_counts = np.bincount(t[np.arange(n), np.arange(n)], minlength=n)
-    dmask = g.derived_mask
+    rows, inverse, n = g.table, g.inverses, g.order
+    class_size = [0] * n
+    for x in range(n):
+        if not class_size[x]:
+            orbit = [x]
+            for y in orbit:
+                orbit += {rows[rows[inverse[s]][y]][s] for s in g.generators}.difference(orbit)
+            for y in orbit:
+                class_size[y] = len(orbit)
+    sq_counts = [0] * n
+    for x, row in enumerate(rows):
+        sq_counts[row[x]] += 1
+    orders, dmask = g.element_orders, g.derived_mask
     inv = tuple(
-        (orders[i], int(cent[i]), int(sq_counts[i]), dmask >> i & 1)
+        (orders[i], n // class_size[i], sq_counts[i], dmask >> i & 1)
         for i in range(n)
     )
     g._element_invariants = inv
@@ -79,23 +89,8 @@ def fingerprint(g: FiniteGroup) -> tuple:
 def minimal_generating_set(g: FiniteGroup) -> tuple[int, ...]:
     """Greedy irredundant generating set, scanning elements by descending
     order then index."""
-    if g.order == 1:
-        return ()
-    rows = g._rows
     candidates = sorted(range(1, g.order), key=lambda x: (-g.element_orders[x], x))
-    mask = 1
-    elems: tuple[int, ...] = (0,)
-    gens: tuple[int, ...] = ()
-    full = (1 << g.order) - 1
-    for x in candidates:
-        if mask >> x & 1:
-            continue
-        mask, new = extend_closure(rows, mask, elems, gens, x)
-        elems = elems + new
-        gens = gens + (x,)
-        if mask == full:
-            break
-    return gens
+    return g._normal_closure(candidates, ())[1]
 
 
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup, cap: int = DEFAULT_ISO_CAP):
@@ -127,10 +122,7 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup, cap: int = DEFAULT_ISO_CAP):
     gens = tuple(gens[i] for i in order_idx)
     cand = [cand[i] for i in order_idx]
 
-    rows1 = g1._rows
-    rows2 = g2._rows
-    t1 = g1.table
-    t2 = g2.table
+    rows1, rows2 = g1.table, g2.table
 
     def rebuild(images: list[int]):
         """Unique hom extension of gen->image on the generated subgroup,
@@ -165,12 +157,10 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup, cap: int = DEFAULT_ISO_CAP):
     def dfs(depth: int):
         if depth == len(gens):
             map_, size = rebuild(images)  # final rebuild is never None here
-            if size != n:
-                return None
-            perm = np.array(map_, dtype=np.int32)
-            if (perm[t1] == t2[np.ix_(perm, perm)]).all():
-                return tuple(map_)
-            return None
+            # map_(a*s) = map_(a)*map_(s) for every a and generator s, so a
+            # map onto all n elements is a homomorphism; Isomorphism checks
+            # the full table all the same
+            return tuple(map_) if size == n else None
         for h in cand[depth]:
             images.append(h)
             if rebuild(images) is not None:

@@ -172,7 +172,7 @@ def _cyclic_prime_power_generators(g: FiniteGroup) -> list[tuple[int, int]]:
         while y:  # y = x^k generates <x> iff p does not divide k
             if k % p:
                 same |= 1 << y
-            y, k = g._rows[y][x], k + 1
+            y, k = g.table[y][x], k + 1
         claimed |= same
         out.append((x, same))
     return out
@@ -198,11 +198,10 @@ def _conjugate(rows, inv, elems, u: int) -> int:
 
 
 def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
-    rows = g._rows
+    rows, inv = g.table, g.inverses
     gens = _cyclic_prime_power_generators(g)
     # conjugation by a generator that commutes with every generator is trivial
     movers = [s for s in g.generators if any(rows[s][t] != rows[t][s] for t in g.generators)]
-    inv = [row.index(0) for row in rows] if movers else ()
     found: dict[int, int] = {}  # mask -> discovery number
     upper: list = []  # discovery number -> those of its upper covers
     queue: deque = deque()  # (mask, elements, generators, conjugates) of class representatives

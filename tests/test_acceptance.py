@@ -224,7 +224,7 @@ def test_criterion_7_degree_threshold_characterizations():
     assert names == sorted(COR_1_3_COUNTEREXAMPLES), half.counterexamples
     groups = {entry.name: entry.group for entry in entries}
     for name, detail in half.counterexamples:
-        table = groups[name]._rows
+        table = [list(row) for row in groups[name].table]
         order, abelian, derived_order = raw_structure(table)
         assert detail == (
             f"vertex of degree |G|/2 = {order // 2} exists but no listed family matched"
@@ -260,7 +260,7 @@ def test_criterion_8_independent_lattice_oracle():
     }
     for name, (g, count) in expected.items():
         lattice = all_subgroups(g)
-        oracle_subs = naive_subgroups(g._rows)
+        oracle_subs = naive_subgroups([list(row) for row in g.table])
         assert len(oracle_subs) == count, name
         assert len(lattice) == count, name
         assert sorted(s.elements for s in lattice.subgroups) == sorted(oracle_subs)

@@ -221,7 +221,7 @@ def test_wall_membership_tag_follows_subtypes(catalog36):
 
 def test_recognition_is_isomorphism_invariant(d8):
     base = recognize(d8)
-    twin = gl.from_cayley_table(relabel(d8._rows, [3, 1, 4, 0, 6, 2, 7, 5]), name="X")
+    twin = gl.from_cayley_table(relabel(d8.table, [3, 1, 4, 0, 6, 2, 7, 5]), name="X")
     assert recognize(twin).tags == base.tags
 
 

@@ -366,6 +366,25 @@ def test_verify_orders_catches_broken_divisor_formula(flags):
     assert "escape" in payload["violations"][0][1]
 
 
+def test_package_runs_without_numpy():
+    # numpy is a test and benchmark dependency only; an import of it
+    # anywhere in the package raises ImportError here
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "import grouplattice, grouplattice.cli as cli; "
+        "sys.exit(cli.main(['verify', 'theorem-1.1', '--max-order', '16']))"
+    )
+    src = str(Path(gl.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
+
+
 def test_package_has_no_assert_statements():
     # python -O strips asserts, so no check in the package may be one
     package = Path(gl.__file__).resolve().parent

@@ -1,6 +1,9 @@
 """Group construction, validation, invariants, quotients, and file I/O."""
 
 import json
+import random
+import re
+from array import array
 
 import numpy as np
 import pytest
@@ -41,9 +44,21 @@ def test_valid_table_constructs():
 
 
 def test_table_is_read_only():
-    g = gl.cyclic(3)
-    with pytest.raises(ValueError):
-        g.table[0, 0] = 1
+    # bytes rows up to order 256, read-only uint16 views above
+    for g in (gl.cyclic(3), gl.symmetric(6)):
+        with pytest.raises(TypeError):
+            g.table[1][0] = 0
+        with pytest.raises(TypeError):
+            g.table[0] = g.table[1]
+        assert g.table[1][0] == 1
+
+
+def test_table_does_not_share_the_callers_rows():
+    # above order 256 the caller's array('H') rows are copied, not kept
+    rows = [array("H", row) for row in gl.cyclic(300).table]
+    g = gl.from_cayley_table(rows)
+    rows[1][0] = 0
+    assert g.table[1][0] == 1 and g.revalidate()
 
 
 def test_rejects_non_square():
@@ -92,7 +107,17 @@ def test_constructor_refuses_non_integer_arrays(dtype):
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16])
 def test_constructor_accepts_integer_arrays(dtype):
     g = gl.from_cayley_table(np.array([[0, 1], [1, 0]], dtype=dtype))
-    assert g.order == 2 and g.table.dtype == np.int32
+    assert g.order == 2 and g.table == (bytes([0, 1]), bytes([1, 0]))
+
+
+def test_constructor_takes_the_rows_of_a_built_table():
+    s4 = gl.symmetric(4)
+    assert gl.from_cayley_table(s4.table).table == s4.table
+    # such rows skip the entry screen; validation still checks their range
+    with pytest.raises(NotLatinSquare, match=r"^row 1 is not a permutation of 0\.\.1$"):
+        gl.from_cayley_table((bytes([0, 1]), bytes([1, 5])))
+    with pytest.raises(NotLatinSquare, match="table row 1 is not a list of 2 entries"):
+        gl.from_cayley_table(([0, 1], array("d", [1.0, 0.0])))
 
 
 def test_array_entry_out_of_range_names_the_entry():
@@ -144,17 +169,17 @@ def test_rejects_nonassociative_loop():
 
 
 def test_rejects_order_above_cap():
-    rows = gl.cyclic(6)._rows
+    rows = [list(row) for row in gl.cyclic(6).table]
     with pytest.raises(GroupTooLarge):
         gl.from_cayley_table(rows, cap=4)
 
 
 def test_identity_relocated_to_zero():
     base = gl.cyclic(4)
-    moved = relabel(base._rows, [2, 1, 0, 3])
+    moved = relabel(base.table, [2, 1, 0, 3])
     g = gl.from_cayley_table(moved, name="moved")
-    assert (g.table[0] == np.arange(4)).all()
-    assert (g.table[:, 0] == np.arange(4)).all()
+    assert list(g.table[0]) == [0, 1, 2, 3]
+    assert [row[0] for row in g.table] == [0, 1, 2, 3]
     assert sorted(g.element_orders) == [1, 2, 4, 4]
     assert gl.is_isomorphic(base, g) is not None
 
@@ -168,9 +193,9 @@ def test_any_relabeling_of_cyclic_group_reconstructs(data):
     n = data.draw(st.integers(min_value=1, max_value=10))
     perm = list(data.draw(st.permutations(range(n))))
     base = gl.cyclic(n)
-    g = gl.from_cayley_table(relabel(base._rows, perm))
+    g = gl.from_cayley_table(relabel(base.table, perm))
     assert g.order == n
-    assert (g.table[0] == np.arange(n)).all()
+    assert list(g.table[0]) == list(range(n))
     assert gl.is_isomorphic(base, g) is not None
 
 
@@ -205,15 +230,101 @@ def test_permutation_generators_respects_cap():
         gl.from_permutation_generators(7, [cycle, (1, 0) + tuple(range(2, 7))], cap=100)
 
 
+@pytest.mark.parametrize(
+    "generators,witness",
+    [
+        ([(1.9, 0, 2)], r"generator 0 entry 0 = 1\.9 is not an integer"),
+        ([(1, 0, 2), (True, False, 2)], r"generator 1 entry 0 = True is not an integer"),
+        ([("1", "0", "2")], r"generator 0 entry 0 = '1' is not an integer"),
+        ([(1, 0, 2.0)], r"generator 0 entry 2 = 2\.0 is not an integer"),
+    ],
+)
+def test_permutation_generators_refuse_non_int_entries(generators, witness):
+    # a cast with int() would read 1.9, True and "1" as 1 and build C2
+    with pytest.raises(GroupError, match=witness):
+        gl.from_permutation_generators(3, generators)
+
+
+# ---------------------------------------------------------------------------
+# tables above order 256: read-only uint16 rows
+
+
+@pytest.fixture(scope="module")
+def s6():
+    return gl.symmetric(6)
+
+
+def test_s6_builds_and_round_trips(s6):
+    assert s6.order == 720 and not s6.is_solvable
+    assert all(type(row) is memoryview and row.format == "H" and row.readonly for row in s6.table)
+    assert sorted(set(s6.element_orders)) == [1, 2, 3, 4, 5, 6]
+    back = gl.loads_group(gl.dumps_group(s6))
+    assert back.name == "S6" and back.table == s6.table and back.generators == s6.generators
+
+
+def test_a6_is_isomorphic_to_a_relabelled_copy():
+    a6 = gl.alternating(6)
+    perm = list(range(a6.order))
+    random.Random(6).shuffle(perm)
+    copy = gl.from_cayley_table(relabel(a6.table, perm), name="A6~")
+    assert copy.order == 360 and type(copy.table[0]) is memoryview
+    iso = gl.is_isomorphic(a6, copy)
+    assert iso is not None
+    rows, other = a6.table, copy.table
+    assert all(iso.map[rows[a][b]] == other[iso.map[a]][iso.map[b]] for a in range(0, 360, 7) for b in range(360))
+    assert gl.is_isomorphic(a6, gl.direct_product(gl.alternating(5), gl.symmetric(3))) is None
+
+
+def test_corrupted_tables_above_256_give_the_same_witnesses(s6):
+    rows = [list(row) for row in s6.table]
+    bad_row = [list(row) for row in rows]
+    bad_row[5][3] = bad_row[5][4]
+    with pytest.raises(NotLatinSquare, match=r"^row 5 is not a permutation of 0\.\.719$"):
+        gl.from_cayley_table(bad_row)
+    # packed rows skip the entry screen: 720 distinct entries, one of them 720
+    out_of_range = [array("H", row) for row in rows]
+    out_of_range[5][out_of_range[5].index(719)] = 720
+    with pytest.raises(NotLatinSquare, match=r"^row 5 is not a permutation of 0\.\.719$"):
+        gl.from_cayley_table(out_of_range)
+    # swapping two entries keeps every row a permutation and breaks two columns
+    bad_col = [list(row) for row in rows]
+    bad_col[9][40], bad_col[9][17] = bad_col[9][17], bad_col[9][40]
+    with pytest.raises(NotLatinSquare, match=r"^column 17 is not a permutation of 0\.\.719$"):
+        gl.from_cayley_table(bad_col)
+
+
+def test_nonassociative_loop_above_256_is_refused():
+    # the order-5 loop of test_rejects_nonassociative_loop times C60: a Latin
+    # square of order 300 with identity and two-sided inverses
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    table = [
+        [loop[a // 60][b // 60] * 60 + (a + b) % 60 for b in range(300)]
+        for a in range(300)
+    ]
+    with pytest.raises(NotAssociative) as info:
+        gl.from_cayley_table(table)
+    a, g, c = map(int, re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) != (\d+)\*\((\d+)\*(\d+)\)", str(info.value)).group(1, 2, 3))
+    assert table[table[a][g]][c] != table[a][table[g][c]]
+
+
 # ---------------------------------------------------------------------------
 # low-level helpers
 
 
 def test_extend_closure_sweeps_cosets():
-    rows = gl.cyclic(6)._rows
+    rows = gl.cyclic(6).table
     mask, new = extend_closure(rows, 1, (0,), (), 2)
     assert mask == 0b010101
     assert set(new) == {2, 4}
+
+
+def test_extend_closure_finds_distinct_elements_on_a_loop():
+    # validation closes generators before associativity is known; on the
+    # non-associative loop of test_rejects_nonassociative_loop, closing
+    # {0, 1, 2, 3} under 4 meets 2 again
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    mask, new = extend_closure(loop, 0b1111, (0, 1, 2, 3), (1, 2), 4)
+    assert mask == 0b11111 and new == (4,)
 
 
 def test_mask_elements_and_popcount():
@@ -440,7 +551,7 @@ def test_dumps_loads_roundtrip(d8):
     g = gl.loads_group(gl.dumps_group(d8))
     assert g.name == d8.name
     assert g.order == d8.order
-    assert (g.table == d8.table).all()
+    assert g.table == d8.table
 
 
 def test_write_read_roundtrip(tmp_path):
@@ -475,4 +586,4 @@ def test_loads_rejects_order_mismatch():
 def test_file_roundtrip_cyclic(n):
     g = gl.cyclic(n)
     back = gl.loads_group(gl.dumps_group(g))
-    assert (back.table == g.table).all()
+    assert back.table == g.table

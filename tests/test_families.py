@@ -1,5 +1,7 @@
 """Group constructors and the group catalog."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,11 +126,40 @@ def test_semidirect_rejects_non_automorphism():
         gl.semidirect_C2(gl.cyclic(4), [0, 2, 1, 3])
 
 
+@pytest.mark.parametrize(
+    "action,witness",
+    [
+        ([0, 2.9, 1, 3], r"action entry 1 = 2\.9 is not an integer"),
+        ([0, True, 2, 3], r"action entry 1 = True is not an integer"),
+        ([0, 1, "2", 3], r"action entry 2 = '2' is not an integer"),
+    ],
+)
+def test_semidirect_refuses_non_int_action_entries(action, witness):
+    # a cast to int would read 2.9 as 2 and build a non-abelian group of order 8
+    with pytest.raises(NotAutomorphism, match=witness):
+        gl.semidirect(gl.elementary_abelian(2, 2), action, 2)
+
+
 def test_semidirect_rejects_wrong_action_order():
     c5 = gl.cyclic(5)
     inversion = [c5.inv_of(x) for x in range(5)]
     with pytest.raises(ActionOrderMismatch):
         gl.semidirect(c5, inversion, 3)
+
+
+def test_products_and_extensions_above_256_build_uint16_rows():
+    # orders above 256 take the array('H') branch of core.compose_rows
+    c4x80 = gl.abelian([4, 80])
+    assert c4x80.order == 320 and c4x80.table[0].format == "H"
+    assert is_isomorphic(c4x80, gl.abelian([16, 20])) is not None
+    assert is_isomorphic(c4x80, gl.abelian([2, 160])) is None
+    c129 = gl.cyclic(129)
+    d258 = gl.semidirect(c129, [c129.inv_of(x) for x in range(129)], 2)
+    assert is_isomorphic(d258, gl.dihedral(129)) is not None
+    assert gl.dihedral(129).involution_count == 129
+    a5xs3 = gl.direct_product(gl.alternating(5), gl.symmetric(3))
+    assert a5xs3.order == 360 and gl.center(a5xs3).order == 1
+    assert gl.derived_subgroup(a5xs3).order == 180
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +244,38 @@ def test_central_product_rejects_ambiguous_factor():
         gl.central_product(gl.elementary_abelian(2, 2), gl.dihedral(4))
 
 
+@pytest.mark.parametrize("z1", [2.0, True, "4", -1, 8])
+def test_central_product_refuses_a_non_element_witness(z1):
+    d8 = gl.dihedral(4)
+    with pytest.raises(NotCentralInvolution, match=f"element {re.escape(repr(z1))} of the first factor"):
+        gl.central_product(d8, d8, z1=z1)
+
+
 def test_central_product_explicit_witnesses():
     v4 = gl.elementary_abelian(2, 2)
     g = gl.central_product(v4, v4, z1=1, z2=1)
     assert g.order == 8
     assert is_isomorphic(g, gl.elementary_abelian(2, 3)) is not None
+
+
+@pytest.mark.parametrize(
+    "g1, g2, z1, z2",
+    [
+        (gl.dihedral(4), gl.dicyclic(2), None, None),
+        (gl.abelian([2, 4]), gl.elementary_abelian(2, 2), 4, 3),
+        (gl.dihedral(16), gl.dihedral(8), None, None),  # product 512, result 256
+        (gl.dihedral(32), gl.dihedral(8), None, None),  # result 512
+    ],
+    ids=["D8*Q8", "C2xC4*C2^2", "D32*D16", "D64*D16"],
+)
+def test_central_product_is_the_quotient_of_the_direct_product(g1, g2, z1, z2):
+    # the reference: G1 x G2 modulo {1, (z1, z2)}, labelled by a coset scan
+    g = gl.central_product(g1, g2, z1=z1, z2=z2)
+    if z1 is None:  # the factors' unique central involutions
+        z1, z2 = (next(x for x in range(1, h.order) if h.center_mask >> x & 1 and h.element_orders[x] == 2) for h in (g1, g2))
+    product = gl.direct_product(g1, g2)
+    ref = gl.quotient_group(product, product.subgroup([0, z1 * g2.order + z2]))
+    assert g.order == ref.order and g.table == ref.table and g.generators == ref.generators
 
 
 def test_central_product_rejects_non_involution_witness():

@@ -126,5 +126,5 @@ def test_index_two_twist_differs_from_generalized_dihedral():
 @given(st.permutations(range(8)))
 def test_relabeled_dihedral_group_recognized(perm):
     base = gl.dihedral(4)
-    g = gl.from_cayley_table(relabel(base._rows, list(perm)))
+    g = gl.from_cayley_table(relabel(base.table, list(perm)))
     assert is_isomorphic(base, g) is not None

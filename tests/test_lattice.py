@@ -62,7 +62,7 @@ def test_lattice_matches_bruteforce_oracle(name):
     make, count, edges = ORACLE_FROZEN[name]
     g = make()
     lat = all_subgroups(g)
-    subs = naive_subgroups(g._rows)
+    subs = naive_subgroups([list(row) for row in g.table])
     covers = naive_covers(subs)
 
     assert len(lat) == len(subs) == count
@@ -329,7 +329,7 @@ def test_conjugation_by_a_generator_is_a_lattice_automorphism(catalog64):
     # degrees and covers(H)^s = covers(H^s); catalog(64) holds A5
     for g in [entry.group for entry in catalog64] + [gl.symmetric(5)]:
         lat = all_subgroups(g)
-        rows, n = g._rows, g.order
+        rows, n = g.table, g.order
         inv = [row.index(0) for row in rows]
         index = {h.mask: i for i, h in enumerate(lat.subgroups)}
         profile = lat.degree_profile()
