@@ -32,20 +32,10 @@ from .core import (
     DEFAULT_CONSTRUCTION_CAP,
     FiniteGroup,
     Subgroup,
-    center,
-    closure,
     coset_indices,
-    delta,
-    derived_subgroup,
     dumps_group,
-    element_order,
-    exponent,
     from_cayley_table,
     from_permutation_generators,
-    involution_count,
-    is_abelian,
-    is_normal,
-    is_solvable,
     loads_group,
     quotient_group,
     quotient_is_elementary_abelian_2,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotPrime
+from .errors import GroupError, NotPrime
 
 
 def is_prime(n: int) -> bool:
@@ -27,10 +27,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_int(value, name: str, least: int | None = None) -> int:
+    """Return value, raising GroupError, which names the parameter, unless
+    it is an int (not a bool or a float) and at least least."""
+    if type(value) is not int:
+        raise GroupError(f"{name} must be an integer, got {value!r:.40}")
+    if least is not None and value < least:
+        raise GroupError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def require_prime(p: int) -> int:
-    """Return p, raising NotPrime if it is not prime."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    """Return p, raising NotPrime if it is not a prime int."""
+    if type(p) is not int or not is_prime(p):
+        raise NotPrime(f"{p!r:.40} is not prime")
     return p
 
 

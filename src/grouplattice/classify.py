@@ -9,9 +9,9 @@ loudly instead of passing by silence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arith import factorize
 from .core import (
@@ -33,8 +33,8 @@ from .families import (
     wall_S,
     wall_T,
 )
-from .iso import DEFAULT_ISO_CAP, is_isomorphic
-from .lattice import DEFAULT_LATTICE_CAP, SubgroupLattice, all_subgroups
+from .iso import is_isomorphic
+from .lattice import SubgroupLattice, all_subgroups
 
 F1_SMALL = "F1_SMALL"
 F2_THEOREM_A = "F2_THEOREM_A"
@@ -179,13 +179,9 @@ def _candidate(subtype_key: str, param: int, edim: int) -> FiniteGroup:
     return base
 
 
-def recognize(
-    g: FiniteGroup,
-    lattice: Optional[SubgroupLattice] = None,
-    iso_cap: int = DEFAULT_ISO_CAP,
-) -> Recognition:
+def recognize(g: FiniteGroup, lattice: Optional[SubgroupLattice] = None) -> Recognition:
     """All family memberships of g. The trivial group gets no tags.
-    Isomorphism-based recognizers that exceed iso_cap land in
+    Isomorphism-based recognizers refused by the isomorphism cap land in
     undecided instead of being silently dropped."""
     n = g.order
     if n == 1:
@@ -207,7 +203,7 @@ def recognize(
 
     def iso_check(subtype: str, param: int, edim: int) -> bool:
         try:
-            found = is_isomorphic(g, _candidate(subtype, param, edim), cap=iso_cap)
+            found = is_isomorphic(g, _candidate(subtype, param, edim))
         except GroupTooLarge:
             undecided.add(subtype)
             return False
@@ -218,7 +214,7 @@ def recognize(
 
     if n == 12:
         try:
-            if is_isomorphic(g, dihedral(6), cap=iso_cap) is not None:
+            if is_isomorphic(g, dihedral(6)) is not None:
                 tags.add(FamilyTag(F7_D12))
         except GroupTooLarge:
             undecided.add(F7_D12)
@@ -271,7 +267,7 @@ def _eligible(entries: Iterable[CatalogEntry], max_order: int, solvable_only: bo
         yield entry
 
 
-def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int, cap: int = DEFAULT_LATTICE_CAP):
+def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int):
     """(entry, lattice) for each solvable group of order 2..max_order. A
     group the lattice walk refuses comes with the GroupTooLarge in place of
     its lattice, so that the sweep records it as undecided and goes on. A
@@ -281,7 +277,7 @@ def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int, cap: int = DE
         g = entry.group
         cached = g._lattice is not None
         try:
-            lattice = all_subgroups(g, cap=cap)
+            lattice = all_subgroups(g)
         except GroupTooLarge as exc:
             lattice = exc
         yield entry, lattice
@@ -289,141 +285,115 @@ def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int, cap: int = DE
             g._lattice = None
 
 
-def verify_theorem_1_1(
-    entries: Sequence[CatalogEntry],
-    max_order: int,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    iso_cap: int = DEFAULT_ISO_CAP,
-) -> VerificationReport:
+def _verify(theorem: str, sweep: Iterator, check: Callable) -> VerificationReport:
+    """The report of one theorem over a sweep of (entry, lattice) pairs.
+    check(entry, lattice) gives a counterexample's detail or None; a group
+    whose lattice the walk refused is recorded as undecided instead."""
+    counterexamples = []
+    checked = 0
+    for entry, lattice in sweep:
+        checked += 1
+        refused = isinstance(lattice, GroupTooLarge)
+        detail = f"undecided: {lattice}" if refused else check(entry, lattice)
+        if detail is not None:
+            counterexamples.append((entry.name, detail))
+    return VerificationReport(theorem, checked, tuple(counterexamples))
+
+
+def _without_lattices(entries: Iterable[CatalogEntry], max_order: int):
+    """(entry, None) for each group of order 2..max_order, solvable or not."""
+    return ((entry, None) for entry in _eligible(entries, max_order, solvable_only=False))
+
+
+def verify_theorem_1_1(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
     """Necessary direction only: every solvable group with a vertex of
     degree above |G|/2 - 1 must land in at least one of the seven
     families (Theorem A types restricted to I..IX)."""
-    counterexamples = []
-    checked = 0
-    for entry, lattice in lattice_sweep(entries, max_order, lattice_cap):
+
+    def check(entry, lattice):
         g = entry.group
-        checked += 1
-        if isinstance(lattice, GroupTooLarge):
-            counterexamples.append((entry.name, f"undecided: {lattice}"))
-            continue
         if not has_large_degree_vertex(g, lattice):
-            continue
-        rec = recognize(g, lattice, iso_cap=iso_cap)
-        relevant_subtypes = rec.subtypes() - {"X"}
-        member = bool(relevant_subtypes) or bool(
-            rec.families() & {F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12}
-        )
-        if member:
-            continue
+            return None
+        rec = recognize(g, lattice)
+        if rec.subtypes() - {"X"} or rec.families() & {
+            F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12
+        }:
+            return None
         pending = rec.undecided - {"X"}
         if pending:
-            counterexamples.append((entry.name, f"undecided recognizers {sorted(pending)}"))
-        else:
-            top = max(lattice.degree_profile().degrees)
-            counterexamples.append(
-                (entry.name, f"max degree {top} exceeds |G|/2-1 but no family matched")
-            )
-    return VerificationReport("theorem-1.1", checked, tuple(counterexamples))
+            return f"undecided recognizers {sorted(pending)}"
+        top = max(lattice.degree_profile().degrees)
+        return f"max degree {top} exceeds |G|/2-1 but no family matched"
+
+    return _verify("theorem-1.1", lattice_sweep(entries, max_order), check)
 
 
-def verify_theorem_A(
-    entries: Sequence[CatalogEntry],
-    max_order: int,
-    iso_cap: int = DEFAULT_ISO_CAP,
-) -> VerificationReport:
+def verify_theorem_A(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: delta(G) > |G|/2 - 1 iff G has a type I..X tag.
     Lattice-free; delta comes straight from element orders."""
-    counterexamples = []
-    checked = 0
-    for entry in _eligible(entries, max_order, solvable_only=False):
+
+    def check(entry, _):
         g = entry.group
-        checked += 1
-        rec = recognize(g, None, iso_cap=iso_cap)
+        rec = recognize(g)
         member = bool(rec.subtypes())
         pending = rec.undecided & set(SUBTYPES)
         large = 2 * (g.delta + 1) > g.order
         if not member and pending:
-            counterexamples.append((entry.name, f"undecided recognizers {sorted(pending)}"))
-        elif large != member:
-            direction = (
-                f"delta {g.delta} > |G|/2-1 but no type I..X tag"
-                if large
-                else f"types {sorted(rec.subtypes())} tagged but delta {g.delta} <= |G|/2-1"
-            )
-            counterexamples.append((entry.name, direction))
-    return VerificationReport("theorem-a", checked, tuple(counterexamples))
+            return f"undecided recognizers {sorted(pending)}"
+        if large == member:
+            return None
+        if large:
+            return f"delta {g.delta} > |G|/2-1 but no type I..X tag"
+        return f"types {sorted(rec.subtypes())} tagged but delta {g.delta} <= |G|/2-1"
+
+    return _verify("theorem-a", _without_lattices(entries, max_order), check)
 
 
-def verify_wall(
-    entries: Sequence[CatalogEntry],
-    max_order: int,
-    iso_cap: int = DEFAULT_ISO_CAP,
-) -> VerificationReport:
+def verify_wall(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: involution count above |G|/2 - 1 iff type I..IV."""
-    counterexamples = []
-    checked = 0
-    for entry in _eligible(entries, max_order, solvable_only=False):
+
+    def check(entry, _):
         g = entry.group
-        checked += 1
-        rec = recognize(g, None, iso_cap=iso_cap)
+        rec = recognize(g)
         member = bool(rec.subtypes() & WALL_SUBTYPES)
         pending = rec.undecided & WALL_SUBTYPES
         many = 2 * (g.involution_count + 1) > g.order
         if not member and pending:
-            counterexamples.append((entry.name, f"undecided recognizers {sorted(pending)}"))
-        elif many != member:
-            direction = (
-                f"i2 {g.involution_count} > |G|/2-1 but no type I..IV tag"
-                if many
-                else f"types {sorted(rec.subtypes() & WALL_SUBTYPES)} tagged but i2 {g.involution_count} is small"
-            )
-            counterexamples.append((entry.name, direction))
-    return VerificationReport("wall", checked, tuple(counterexamples))
+            return f"undecided recognizers {sorted(pending)}"
+        if many == member:
+            return None
+        if many:
+            return f"i2 {g.involution_count} > |G|/2-1 but no type I..IV tag"
+        return f"types {sorted(rec.subtypes() & WALL_SUBTYPES)} tagged but i2 {g.involution_count} is small"
+
+    return _verify("wall", _without_lattices(entries, max_order), check)
 
 
-def verify_corollary_1_2(
-    entries: Sequence[CatalogEntry],
-    max_order: int,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> VerificationReport:
+def verify_corollary_1_2(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: a vertex of degree >= 3|G|/4 exists iff G is an
     elementary abelian 2-group, in integer form 4D >= 3n. The reverse
     direction starts at order 4: C2's single edge gives top degree
     1 < 3/2, a boundary case recorded as a note."""
-    counterexamples = []
     notes = []
-    checked = 0
-    for entry, lattice in lattice_sweep(entries, max_order, lattice_cap):
+
+    def check(entry, lattice):
         g = entry.group
-        checked += 1
-        if isinstance(lattice, GroupTooLarge):
-            counterexamples.append((entry.name, f"undecided: {lattice}"))
-            continue
         top = max(lattice.degree_profile().degrees)
         big = 4 * top >= 3 * g.order
         elementary = g.exponent == 2
         if big and not elementary:
-            counterexamples.append(
-                (entry.name, f"degree {top} >= 3|G|/4 but the group is not elementary abelian 2")
-            )
-        elif elementary and not big:
+            return f"degree {top} >= 3|G|/4 but the group is not elementary abelian 2"
+        if elementary and not big:
             if g.order >= 4:
-                counterexamples.append(
-                    (entry.name, f"elementary abelian 2 but max degree {top} < 3|G|/4")
-                )
-            else:
-                notes.append(
-                    f"{entry.name}: order-2 boundary case, top degree {top} < 3|G|/4 = 3/2"
-                )
-    return VerificationReport("cor-1.2", checked, tuple(counterexamples), tuple(notes))
+                return f"elementary abelian 2 but max degree {top} < 3|G|/4"
+            notes.append(f"{entry.name}: order-2 boundary case, top degree {top} < 3|G|/4 = 3/2")
+        return None
+
+    report = _verify("cor-1.2", lattice_sweep(entries, max_order), check)
+    return replace(report, notes=tuple(notes))
 
 
-def verify_corollary_1_3(
-    entries: Sequence[CatalogEntry],
-    max_order: int,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    iso_cap: int = DEFAULT_ISO_CAP,
-) -> VerificationReport:
+def verify_corollary_1_3(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: a vertex of degree exactly |G|/2 exists iff G is
     S3 x D8 x E (exp(E) <= 2), elementary abelian 2, C2^(s-1) x C4, or
     generalized extraspecial. Checked faithfully as stated, and as stated
@@ -431,28 +401,18 @@ def verify_corollary_1_3(
     its six maximal subgroups) and S(2) (its elementary abelian index-2
     subgroup C2^4 has degree 16), both reported in the "exists but no
     listed family matched" direction."""
-    counterexamples = []
-    checked = 0
-    for entry, lattice in lattice_sweep(entries, max_order, lattice_cap):
+
+    def check(entry, lattice):
         g = entry.group
-        checked += 1
-        if isinstance(lattice, GroupTooLarge):
-            counterexamples.append((entry.name, f"undecided: {lattice}"))
-            continue
-        degrees = lattice.degree_profile().degrees
-        exists = any(2 * d == g.order for d in degrees)
-        rec = recognize(g, lattice, iso_cap=iso_cap)
-        member = (
-            "VII" in rec.subtypes()
-            or bool(rec.families() & {F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL})
-        )
+        exists = any(2 * d == g.order for d in lattice.degree_profile().degrees)
+        rec = recognize(g, lattice)
+        member = "VII" in rec.subtypes() or bool(rec.families() & {F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL})
         if not member and "VII" in rec.undecided:
-            counterexamples.append((entry.name, "undecided recognizers ['VII']"))
-        elif exists != member:
-            direction = (
-                f"vertex of degree |G|/2 = {g.order // 2} exists but no listed family matched"
-                if exists
-                else "listed family matched but no vertex of degree |G|/2 exists"
-            )
-            counterexamples.append((entry.name, direction))
-    return VerificationReport("cor-1.3", checked, tuple(counterexamples))
+            return "undecided recognizers ['VII']"
+        if exists == member:
+            return None
+        if exists:
+            return f"vertex of degree |G|/2 = {g.order // 2} exists but no listed family matched"
+        return "listed family matched but no vertex of degree |G|/2 exists"
+
+    return _verify("cor-1.3", lattice_sweep(entries, max_order), check)

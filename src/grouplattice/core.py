@@ -16,7 +16,7 @@ from functools import cached_property, partial
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .arith import is_prime, split_power
+from .arith import is_prime, require_int, split_power
 from .errors import (
     CheckFailed,
     GroupError,
@@ -30,6 +30,14 @@ from .errors import (
 )
 
 DEFAULT_CONSTRUCTION_CAP = 4096
+
+
+def check_cap(elements: int) -> None:
+    """Raise GroupTooLarge if a group with this many elements, or a closure
+    that has reached this many, is over the construction cap. Every
+    construction path checks the cap here."""
+    if elements > DEFAULT_CONSTRUCTION_CAP:
+        raise GroupTooLarge(f"{elements} elements exceed the construction cap {DEFAULT_CONSTRUCTION_CAP}")
 
 
 def row_type(n: int):
@@ -111,8 +119,8 @@ class FiniteGroup:
     the derived series and normality are computed from it.
     """
 
-    def __init__(self, table, name: str = "G", cap: int = DEFAULT_CONSTRUCTION_CAP):
-        self.table = _screen_table(table, cap)
+    def __init__(self, table, name: str = "G"):
+        self.table = _screen_table(table)
         self.order = len(self.table)
         self.name = name
         self._validate_and_normalize()
@@ -304,7 +312,7 @@ class FiniteGroup:
         return True
 
 
-def _screen_table(table, cap: int) -> tuple:
+def _screen_table(table) -> tuple:
     """The table as a tuple of n rows (_frozen). An ndarray (told by its
     dtype) needs an integer dtype. A row is a list or tuple of n ints in
     0..n-1 (no bools, floats or strings; the first bad entry is named), or
@@ -321,8 +329,7 @@ def _screen_table(table, cap: int) -> tuple:
     if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
         raise NotLatinSquare(f"table must be square and nonempty, got shape {shape}")
     n = shape[0]
-    if n > cap:
-        raise GroupTooLarge(f"order {n} exceeds construction cap {cap}")
+    check_cap(n)
     pack = row_type(n)
     packed = (bytes,) if n <= 256 else (array, memoryview)
     rows = []
@@ -460,9 +467,9 @@ class Subgroup:
 # module-level operations
 
 
-def from_cayley_table(table, name: str = "G", cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def from_cayley_table(table, name: str = "G") -> FiniteGroup:
     """Build and validate a group from a full multiplication table."""
-    return FiniteGroup(table, name=name, cap=cap)
+    return FiniteGroup(table, name=name)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -470,20 +477,14 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[j] for j in q)
 
 
-def from_permutation_generators(
-    degree: int,
-    generators: Iterable[Sequence[int]],
-    name: str = "G",
-    cap: int = DEFAULT_CONSTRUCTION_CAP,
-) -> FiniteGroup:
+def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]], name: str = "G") -> FiniteGroup:
     """Build the group generated by permutations of {0..degree-1}.
 
     Element 0 is the identity permutation; the remaining elements appear in
-    breadth-first discovery order. Raises GroupTooLarge when the closure
-    exceeds the cap.
+    breadth-first discovery order. Raises GroupTooLarge as soon as the
+    closure grows past the construction cap.
     """
-    if degree < 1:
-        raise GroupError(f"degree must be >= 1, got {degree}")
+    require_int(degree, "degree", 1)
     gens = []
     for i, g in enumerate(generators):
         t = tuple(g)
@@ -504,10 +505,7 @@ def from_permutation_generators(
             for k, g in enumerate(gens):
                 q = _compose(p, g)
                 if q not in index:
-                    if len(elems) >= cap:
-                        raise GroupTooLarge(
-                            f"permutation closure exceeds cap {cap}"
-                        )
+                    check_cap(len(elems) + 1)
                     index[q] = len(elems)
                     via.append((index[p], k))
                     elems.append(q)
@@ -521,49 +519,7 @@ def from_permutation_generators(
     rows = [pack(range(n))]
     for j, k in via[1:]:
         rows.append(compose_rows(rows[j], gen_rows[k]))
-    return FiniteGroup(rows, name=name, cap=cap)
-
-
-def closure(g: FiniteGroup, seed: Iterable[int]) -> Subgroup:
-    return g.closure(seed)
-
-
-def element_order(g: FiniteGroup, x: int) -> int:
-    return g.element_order(x)
-
-
-def delta(g: FiniteGroup) -> int:
-    return g.delta
-
-
-def involution_count(g: FiniteGroup) -> int:
-    return g.involution_count
-
-
-def center(g: FiniteGroup) -> Subgroup:
-    return g.center()
-
-
-def derived_subgroup(g: FiniteGroup) -> Subgroup:
-    return g.derived_subgroup()
-
-
-def exponent(g: FiniteGroup) -> int:
-    return g.exponent
-
-
-def is_abelian(g: FiniteGroup) -> bool:
-    return g.is_abelian
-
-
-def is_solvable(g: FiniteGroup) -> bool:
-    return g.is_solvable
-
-
-def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    if h.parent is not g:
-        raise GroupError("subgroup belongs to a different group")
-    return h.is_normal
+    return FiniteGroup(rows, name=name)
 
 
 def coset_indices(g: FiniteGroup, h: Subgroup) -> tuple[list[int], list[int]]:

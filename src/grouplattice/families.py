@@ -8,14 +8,15 @@ identity row and composing rows (core.compose_rows).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
-from .arith import abelian_type_list, is_prime, primes_upto, require_prime
+from .arith import abelian_type_list, is_prime, primes_upto, require_int, require_prime
 from .core import (
-    DEFAULT_CONSTRUCTION_CAP,
     FiniteGroup,
+    check_cap,
     compose_rows,
     from_permutation_generators,
     row_type,
@@ -23,17 +24,11 @@ from .core import (
 from .errors import (
     ActionOrderMismatch,
     GroupError,
-    GroupTooLarge,
     NotAbelian,
     NotAutomorphism,
     NotCentralInvolution,
 )
-from .iso import DEFAULT_ISO_CAP, is_isomorphic
-
-
-def _check_cap(order: int, cap: int) -> None:
-    if order > cap:
-        raise GroupTooLarge(f"order {order} exceeds construction cap {cap}")
+from .iso import is_isomorphic
 
 
 def _cyclic_rows(n: int) -> tuple:
@@ -53,45 +48,36 @@ def _product_rows(t1: Sequence, t2: Sequence) -> tuple:
     return tuple(compose_rows(lrow, rrow) for lrow in left for rrow in right)
 
 
-def cyclic(n: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
-    if n < 1:
-        raise GroupError(f"cyclic order must be >= 1, got {n}")
-    _check_cap(n, cap)
-    return FiniteGroup(_cyclic_rows(n), name=f"C{n}", cap=cap)
+def cyclic(n: int) -> FiniteGroup:
+    require_int(n, "cyclic order", 1)
+    check_cap(n)
+    return FiniteGroup(_cyclic_rows(n), name=f"C{n}")
 
 
-def abelian(
-    factors: Sequence[int],
-    name: Optional[str] = None,
-    cap: int = DEFAULT_CONSTRUCTION_CAP,
-) -> FiniteGroup:
+def abelian(factors: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders."""
     factors = list(factors)
     if not factors:
-        return cyclic(1, cap=cap)
-    if any(f < 2 for f in factors):
-        raise GroupError(f"cyclic factors must be >= 2, got {factors}")
-    n = 1
+        return cyclic(1)
     for f in factors:
-        n *= f
-    _check_cap(n, cap)
+        require_int(f, "cyclic factor", 2)
+    check_cap(math.prod(factors))
     table = reduce(_product_rows, map(_cyclic_rows, factors))
     if name is None:
         name = "x".join(f"C{f}" for f in factors)
-    return FiniteGroup(table, name=name, cap=cap)
+    return FiniteGroup(table, name=name)
 
 
-def elementary_abelian(p: int, k: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def elementary_abelian(p: int, k: int) -> FiniteGroup:
     require_prime(p)
-    if k < 0:
-        raise GroupError(f"rank must be >= 0, got {k}")
+    require_int(k, "rank", 0)
     if k == 0:
-        return cyclic(1, cap=cap)
+        return cyclic(1)
     name = f"C{p}" if k == 1 else f"C{p}^{k}"
-    return abelian([p] * k, name=name, cap=cap)
+    return abelian([p] * k, name=name)
 
 
-def generalized_dihedral(a: FiniteGroup, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def generalized_dihedral(a: FiniteGroup) -> FiniteGroup:
     """Extension of an abelian group by an involution acting by inversion.
 
     Elements are pairs (eps, x) indexed eps*|A| + x; (1, x) elements all
@@ -100,21 +86,20 @@ def generalized_dihedral(a: FiniteGroup, cap: int = DEFAULT_CONSTRUCTION_CAP) ->
     if not a.is_abelian:
         raise NotAbelian(f"{a.name} is not abelian")
     m = a.order
-    _check_cap(2 * m, cap)
+    check_cap(2 * m)
     ref = row_type(2 * m)(range(2 * m))
     low, high = ref[:m], ref[m:]  # x -> (0, x) and x -> (1, x)
     inv = row_type(m)(a.inverses)
     quotients = [compose_rows(row, inv) for row in a.table]  # y -> x * y^-1
     table = [compose_rows(low, row) + compose_rows(high, row) for row in a.table]
     table += [compose_rows(high, row) + compose_rows(low, row) for row in quotients]
-    return FiniteGroup(table, name=f"D({a.name})", cap=cap)
+    return FiniteGroup(table, name=f"D({a.name})")
 
 
-def dihedral(m: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def dihedral(m: int) -> FiniteGroup:
     """Dihedral group of order 2m."""
-    if m < 1:
-        raise GroupError(f"dihedral parameter must be >= 1, got {m}")
-    g = generalized_dihedral(cyclic(m, cap=cap), cap=cap)
+    require_int(m, "dihedral parameter", 1)
+    g = generalized_dihedral(cyclic(m))
     g.name = f"D{2 * m}"
     return g
 
@@ -124,12 +109,10 @@ def semidirect(
     action: Sequence[int],
     m: int,
     name: Optional[str] = None,
-    cap: int = DEFAULT_CONSTRUCTION_CAP,
 ) -> FiniteGroup:
     """Split extension A : C_m where the C_m generator acts by the given
     automorphism (a permutation of A's elements)."""
-    if m < 1:
-        raise GroupError(f"cyclic factor order must be >= 1, got {m}")
+    require_int(m, "cyclic factor order", 1)
     na = a.order
     action = list(action)
     bad = next((i for i, v in enumerate(action) if type(v) is not int), None)
@@ -149,7 +132,7 @@ def semidirect(
         powers.append(compose_rows(act, powers[-1]))
     if compose_rows(act, powers[-1]) != powers[0]:
         raise ActionOrderMismatch(f"action to the power {m} is not the identity")
-    _check_cap(na * m, cap)
+    check_cap(na * m)
     # (x, c)(y, d) = (x * act^c(y), c + d), indexed c*na + x
     pack = row_type(na * m)
     ref = pack(range(na * m))
@@ -161,29 +144,23 @@ def semidirect(
             table.append(pack(b"".join(compose_rows(blocks[(c + d) % m], twisted) for d in range(m))))
     if name is None:
         name = f"{a.name}:C{m}"
-    return FiniteGroup(table, name=name, cap=cap)
+    return FiniteGroup(table, name=name)
 
 
-def semidirect_C2(
-    a: FiniteGroup,
-    action: Sequence[int],
-    name: Optional[str] = None,
-    cap: int = DEFAULT_CONSTRUCTION_CAP,
-) -> FiniteGroup:
-    return semidirect(a, action, 2, name=name, cap=cap)
+def semidirect_C2(a: FiniteGroup, action: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
+    return semidirect(a, action, 2, name=name)
 
 
-def wall_H(r: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def wall_H(r: int) -> FiniteGroup:
     """Central product of r copies of the dihedral group of order 8.
 
     Modeled on pairs (v, eps) with v in F_2^{2r}: generator x_i is bit 2i,
     y_i is bit 2i+1, and the product twists by the bilinear form
     B(v, w) = sum_i v[x_i] w[y_i] mod 2. Order 2^(2r+1).
     """
-    if r < 1:
-        raise GroupError(f"r must be >= 1, got {r}")
+    require_int(r, "r", 1)
     n = 1 << (2 * r + 1)
-    _check_cap(n, cap)
+    check_cap(n)
     nv = 1 << (2 * r)
     xmask = 0
     for i in range(r):
@@ -198,47 +175,40 @@ def wall_H(r: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
                 u = (v ^ w) << 1
                 row[(w << 1)] = u | (eps ^ b)
                 row[(w << 1) | 1] = u | (eps ^ b ^ 1)
-    return FiniteGroup(table, name=f"H({r})", cap=cap)
+    return FiniteGroup(table, name=f"H({r})")
 
 
-def wall_S(r: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def wall_S(r: int) -> FiniteGroup:
     """Split extension of C_2^{2r} by an involution sending each x_i to
     x_i y_i and fixing every y_i. Order 2^(2r+1)."""
-    if r < 1:
-        raise GroupError(f"r must be >= 1, got {r}")
-    _check_cap(1 << (2 * r + 1), cap)
-    a = elementary_abelian(2, 2 * r, cap=cap)
+    require_int(r, "r", 1)
+    check_cap(1 << (2 * r + 1))
+    a = elementary_abelian(2, 2 * r)
     xmask = (1 << r) - 1
     action = [v ^ ((v & xmask) << r) for v in range(a.order)]
-    return semidirect(a, action, 2, name=f"S({r})", cap=cap)
+    return semidirect(a, action, 2, name=f"S({r})")
 
 
-def wall_T(r: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def wall_T(r: int) -> FiniteGroup:
     """Split extension of C_2^{2r} by an order-3 map cycling
     x_i -> y_i -> x_i y_i -> x_i. Order 3*4^r."""
-    if r < 1:
-        raise GroupError(f"r must be >= 1, got {r}")
-    _check_cap(3 << (2 * r), cap)
-    a = elementary_abelian(2, 2 * r, cap=cap)
+    require_int(r, "r", 1)
+    check_cap(3 << (2 * r))
+    a = elementary_abelian(2, 2 * r)
     xmask = (1 << r) - 1
     action = []
     for v in range(a.order):
         xpart = v & xmask
         ypart = v >> r
         action.append(ypart | ((xpart ^ ypart) << r))
-    return semidirect(a, action, 3, name=f"T({r})", cap=cap)
+    return semidirect(a, action, 3, name=f"T({r})")
 
 
-def direct_product(
-    g1: FiniteGroup,
-    g2: FiniteGroup,
-    name: Optional[str] = None,
-    cap: int = DEFAULT_CONSTRUCTION_CAP,
-) -> FiniteGroup:
-    _check_cap(g1.order * g2.order, cap)
+def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
+    check_cap(g1.order * g2.order)
     if name is None:
         name = f"{g1.name}x{g2.name}"
-    return FiniteGroup(_product_rows(g1.table, g2.table), name=name, cap=cap)
+    return FiniteGroup(_product_rows(g1.table, g2.table), name=name)
 
 
 def _central_involutions(g: FiniteGroup) -> list[int]:
@@ -252,7 +222,6 @@ def central_product(
     z1: Optional[int] = None,
     z2: Optional[int] = None,
     name: Optional[str] = None,
-    cap: int = DEFAULT_CONSTRUCTION_CAP,
 ) -> FiniteGroup:
     """Quotient of the direct product identifying (z1, z2) with the
     identity; z1, z2 default to the unique central involutions."""
@@ -272,7 +241,7 @@ def central_product(
             raise NotCentralInvolution(f"element {z!r:.40} of the {side} factor is not a central involution")
     n1, n2 = g1.order, g2.order
     n = n1 * n2 // 2
-    _check_cap(n, cap)
+    check_cap(n)
     # (a, b) ~ (a z1, b z2). Scanning pairs in index order labels the class
     # of (a, b) k*n2 + b when a is the k-th a with a < a z1, and as (a z1,
     # b z2) otherwise; z2 is central, so the class of (a, b)(c, d) is read
@@ -288,16 +257,15 @@ def central_product(
         table += [row_type(n)(b"".join(part[b] for part in parts)) for b in range(n2)]
     if name is None:
         name = f"{g1.name}*{g2.name}"
-    return FiniteGroup(table, name=name, cap=cap)
+    return FiniteGroup(table, name=name)
 
 
-def dicyclic(m: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def dicyclic(m: int) -> FiniteGroup:
     """Dicyclic group of order 4m: a of order 2m, b^2 = a^m,
     b a b^-1 = a^-1. The m = 2 case is the quaternion group."""
-    if m < 2:
-        raise GroupError(f"dicyclic parameter must be >= 2, got {m}")
+    require_int(m, "dicyclic parameter", 2)
     n = 4 * m
-    _check_cap(n, cap)
+    check_cap(n)
     k = 2 * m
     # a^j a^i = a^(j+i); a^j (a^i b) = a^(j+i) b
     # (a^j b) a^i = a^(j-i) b; (a^j b)(a^i b) = a^(j-i+m)
@@ -309,48 +277,46 @@ def dicyclic(m: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
             table[k + j][i] = k + (j - i) % k
             table[k + j][k + i] = (j - i + m) % k
     name = "Q8" if m == 2 else f"Dic{m}"
-    return FiniteGroup(table, name=name, cap=cap)
+    return FiniteGroup(table, name=name)
 
 
-def heisenberg(p: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
+def heisenberg(p: int) -> FiniteGroup:
     """Nonabelian group of order p^3 and exponent p (p odd prime): triples
     (a, b, c) with product (a+a', b+b', c+c'+a*b') mod p."""
     require_prime(p)
     if p == 2:
         raise GroupError("exponent-p model needs an odd prime")
     n = p ** 3
-    _check_cap(n, cap)
+    check_cap(n)
     triples = [(x // (p * p), x // p % p, x % p) for x in range(n)]
     table = [
         [(a1 + a2) % p * p * p + (b1 + b2) % p * p + (c1 + c2 + a1 * b2) % p for a2, b2, c2 in triples]
         for a1, b1, c1 in triples
     ]
-    return FiniteGroup(table, name=f"Heis{p}", cap=cap)
+    return FiniteGroup(table, name=f"Heis{p}")
 
 
-def symmetric(n: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
-    if n < 1:
-        raise GroupError(f"degree must be >= 1, got {n}")
+def symmetric(n: int) -> FiniteGroup:
+    require_int(n, "degree", 1)
     if n == 1:
-        return cyclic(1, cap=cap)
+        return cyclic(1)
     cycle = tuple(range(1, n)) + (0,)
     swap = (1, 0) + tuple(range(2, n))
-    return from_permutation_generators(n, [cycle, swap], name=f"S{n}", cap=cap)
+    return from_permutation_generators(n, [cycle, swap], name=f"S{n}")
 
 
-def alternating(n: int, cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
-    if n < 3:
-        raise GroupError(f"degree must be >= 3, got {n}")
+def alternating(n: int) -> FiniteGroup:
+    require_int(n, "degree", 3)
     three = (1, 2, 0) + tuple(range(3, n))
     if n % 2 == 1:
         big = tuple(range(1, n)) + (0,)
     else:
         big = (0,) + tuple(range(2, n)) + (1,)
-    return from_permutation_generators(n, [three, big], name=f"A{n}", cap=cap)
+    return from_permutation_generators(n, [three, big], name=f"A{n}")
 
 
-def trivial(cap: int = DEFAULT_CONSTRUCTION_CAP) -> FiniteGroup:
-    return cyclic(1, cap=cap)
+def trivial() -> FiniteGroup:
+    return cyclic(1)
 
 
 @dataclass(frozen=True)
@@ -367,12 +333,13 @@ def _swap_action(p: int) -> list[int]:
     return [(v % p) * p + v // p for v in range(p * p)]
 
 
-@lru_cache(maxsize=None)
-def catalog(max_order: int, iso_cap: int = DEFAULT_ISO_CAP) -> tuple[CatalogEntry, ...]:
+@lru_cache(maxsize=None, typed=True)
+def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     """All isomorphism types through order min(max_order, 15), plus named
-    family representatives up to max_order, pairwise non-isomorphic."""
-    if max_order < 1:
-        raise GroupError(f"max_order must be >= 1, got {max_order}")
+    family representatives up to max_order, pairwise non-isomorphic.
+    The cache is typed, so 8.0 or True is rejected, not served the
+    entries of 8 or 1."""
+    require_int(max_order, "max_order", 1)
     buckets: dict[int, list[tuple[FiniteGroup, set[str]]]] = {}
 
     def add(g: FiniteGroup, *tags: str) -> None:
@@ -380,7 +347,7 @@ def catalog(max_order: int, iso_cap: int = DEFAULT_ISO_CAP) -> tuple[CatalogEntr
             return
         bucket = buckets.setdefault(g.order, [])
         for other, known in bucket:
-            if is_isomorphic(other, g, cap=iso_cap) is not None:
+            if is_isomorphic(other, g) is not None:
                 known.update(tags)
                 return
         bucket.append((g, set(tags)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arith import require_int
 from .core import FiniteGroup, compose_rows, row_type
 from .errors import GroupError, GroupTooLarge
 
@@ -27,6 +28,8 @@ class Isomorphism:
 
     def __post_init__(self):
         n = self.source.order
+        for v in self.map:
+            require_int(v, "map entry")
         if self.target.order != n or sorted(self.map) != list(range(n)):
             raise GroupError("map is not a bijection between the element sets")
         # the full table check: map[a*b] = map[a]*map[b], a row at a time
@@ -93,16 +96,16 @@ def minimal_generating_set(g: FiniteGroup) -> tuple[int, ...]:
     return g._normal_closure(candidates, ())[1]
 
 
-def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup, cap: int = DEFAULT_ISO_CAP):
+def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
     """Exact isomorphism decision: a witness Isomorphism, or None.
 
-    Raises GroupTooLarge when the common order exceeds the cap.
+    Raises GroupTooLarge when the common order exceeds DEFAULT_ISO_CAP.
     """
     n = g1.order
     if g2.order != n:
         return None
-    if n > cap:
-        raise GroupTooLarge(f"isomorphism test at order {n} exceeds cap {cap}")
+    if n > DEFAULT_ISO_CAP:
+        raise GroupTooLarge(f"isomorphism test at order {n} exceeds cap {DEFAULT_ISO_CAP}")
     if n == 1:
         return Isomorphism(g1, g2, (0,))
     inv1 = element_invariants(g1)

@@ -258,11 +258,12 @@ def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
     return SubgroupLattice(g, [Subgroup(g, m, check=False) for m in masks], upper_index, closures)
 
 
-def all_subgroups(g: FiniteGroup, cap: int = DEFAULT_LATTICE_CAP) -> SubgroupLattice:
+def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
     """Every subgroup of g with its covering graph, cached on g. Raises
-    GroupTooLarge past the order cap or DEFAULT_MAX_SUBGROUPS subgroups."""
-    if g.order > cap:
-        raise GroupTooLarge(f"{g.name} has order {g.order}, over the lattice cap {cap}")
+    GroupTooLarge past DEFAULT_LATTICE_CAP in order or DEFAULT_MAX_SUBGROUPS
+    subgroups."""
+    if g.order > DEFAULT_LATTICE_CAP:
+        raise GroupTooLarge(f"{g.name} has order {g.order}, over the lattice cap {DEFAULT_LATTICE_CAP}")
     if g._lattice is None:
         g._lattice = _cover_walk(g)
     return g._lattice

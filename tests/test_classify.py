@@ -225,13 +225,15 @@ def test_recognition_is_isomorphism_invariant(d8):
     assert recognize(twin).tags == base.tags
 
 
-def test_capped_isomorphism_checks_surface_as_undecided(s4):
-    rec = recognize(s4, iso_cap=8)
+def test_capped_isomorphism_checks_surface_as_undecided(monkeypatch):
+    s4, t2, d12 = gl.symmetric(4), gl.wall_T(2), gl.dihedral(6)
+    monkeypatch.setattr("grouplattice.iso.DEFAULT_ISO_CAP", 8)
+    rec = recognize(s4)
     assert "IX" in rec.undecided
     assert "IX" not in rec.subtypes()
-    rec = recognize(gl.wall_T(2), iso_cap=8)
+    rec = recognize(t2)
     assert "V" in rec.undecided
-    rec = recognize(gl.dihedral(6), iso_cap=8)
+    rec = recognize(d12)
     assert F7_D12 in rec.undecided
 
 
@@ -322,8 +324,10 @@ def test_verify_theorem_1_1_passes(catalog36):
     assert report.groups_checked > 0
 
 
-def test_verify_theorem_1_1_reports_undecided_loudly(catalog36):
-    report = verify_theorem_1_1(catalog36, 24, iso_cap=8)
+def test_verify_theorem_1_1_reports_undecided_loudly(monkeypatch):
+    entries = gl.catalog.__wrapped__(24)  # new group objects, not the cached catalog
+    monkeypatch.setattr("grouplattice.iso.DEFAULT_ISO_CAP", 8)
+    report = verify_theorem_1_1(entries, 24)
     assert not report.passed
     assert any("undecided" in detail for _, detail in report.counterexamples)
 
@@ -339,8 +343,8 @@ def test_sweeps_record_a_subgroup_budget_refusal_and_go_on(monkeypatch, verify):
     monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 20)  # C2^4 has 67
     built = []
 
-    def spy(g, cap):
-        lattice = all_subgroups(g, cap=cap)
+    def spy(g):
+        lattice = all_subgroups(g)
         built.append(g.name)
         return lattice
 

@@ -131,8 +131,9 @@ def test_lattice_dot_output(capsys, d12_file):
     assert out.endswith("}\n")
 
 
-def test_lattice_cap_exceeded(capsys, d12_file):
-    code, _, err = run(capsys, "lattice", d12_file, "--lattice-cap", "8")
+def test_lattice_cap_exceeded(capsys, monkeypatch, d12_file):
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
+    code, _, err = run(capsys, "lattice", d12_file)
     assert code == 2 and "input error" in err
 
 
@@ -296,10 +297,16 @@ def test_verify_lemma21_jsonl(capsys):
         assert "subgroup_order" in rec
 
 
-def _fresh_catalog(max_order, iso_cap):
+def _fresh_catalog(max_order):
     # new group objects, so no lattice is cached on them yet
     groups = [gl.elementary_abelian(2, 4), gl.symmetric(3), gl.dihedral(4)]
     return tuple(gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset()) for g in groups)
+
+
+@pytest.mark.parametrize("target", ["bounds", "lemma21"])
+def test_verify_jsonl_with_no_groups_prints_nothing(capsys, target):
+    # order 1 is the trivial group alone, which no sweep checks
+    assert run(capsys, "verify", target, "--max-order", "1") == (0, "", "")
 
 
 @pytest.mark.parametrize("target", ["theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21"])
@@ -406,9 +413,18 @@ def test_verify_max_order_over_lattice_cap(capsys):
     assert code == 2 and "exceeds" in err
 
 
-def test_verify_invalid_cap(capsys):
-    code, _, err = run(capsys, "verify", "theorem-a", "--iso-cap", "0")
-    assert code == 2 and "caps must be" in err
+@pytest.mark.parametrize("target", VERIFY_TARGETS)
+def test_verify_rejects_max_order_zero(capsys, target):
+    code, out, err = run(capsys, "verify", target, "--max-order", "0")
+    assert (code, out, err) == (2, "", "usage error: max_order must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("command", ["catalog", "lattice", "degrees", "verify"])
+def test_no_cap_flags(capsys, command):
+    # the caps are module constants, not options
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and "usage:" in out
+    assert "cap" not in out
 
 
 def test_verify_output_to_file(capsys, tmp_path):
@@ -444,3 +460,28 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == gl.dumps_group(gl.cyclic(4))
+
+
+@pytest.mark.parametrize(
+    "args,verify_span",
+    [
+        (["verify", "theorem-1.1", "--max-order", "16"], "classify.verify"),
+        (["verify", "bounds", "--max-order", "12"], "bounds"),
+    ],
+)
+def test_traced_op_matches_the_plain_cli(tmp_path, args, verify_span):
+    # the benchmark's traced mode wraps module attributes of the CLI; it
+    # must print the same bytes and see the verifier and lattice calls
+    root = Path(gl.__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    plain = subprocess.run([sys.executable, "-m", "grouplattice.cli", *args], capture_output=True, env=env)
+    spans_file = tmp_path / "spans.json"
+    traced = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "traced_op.py"), str(spans_file), "op", *args],
+        capture_output=True,
+        env=env,
+    )
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout), traced.stderr
+    assert plain.returncode == 0 and plain.stdout
+    names = [span["name"] for span in json.loads(spans_file.read_text())["spans"]]
+    assert verify_span in names and "lattice.all_subgroups" in names

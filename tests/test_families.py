@@ -158,8 +158,8 @@ def test_products_and_extensions_above_256_build_uint16_rows():
     assert is_isomorphic(d258, gl.dihedral(129)) is not None
     assert gl.dihedral(129).involution_count == 129
     a5xs3 = gl.direct_product(gl.alternating(5), gl.symmetric(3))
-    assert a5xs3.order == 360 and gl.center(a5xs3).order == 1
-    assert gl.derived_subgroup(a5xs3).order == 180
+    assert a5xs3.order == 360 and a5xs3.center().order == 1
+    assert a5xs3.derived_subgroup().order == 180
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +171,8 @@ def test_wall_h_orders(r):
     g = gl.wall_H(r)
     assert g.order == 2 ** (2 * r + 1)
     assert g.name == f"H({r})"
-    assert gl.derived_subgroup(g).order == 2
-    assert gl.center(g).order == 2
+    assert g.derived_subgroup().order == 2
+    assert g.center().order == 2
     assert g.exponent == 4
 
 
@@ -229,7 +229,7 @@ def test_central_product_d8_c4():
     g = gl.central_product(gl.dihedral(4), gl.cyclic(4))
     assert g.order == 16
     assert g.name == "D8*C4"
-    assert gl.center(g).order == 4
+    assert g.center().order == 4
 
 
 def test_central_product_rejects_factor_without_central_involution():

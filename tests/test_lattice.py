@@ -221,7 +221,7 @@ def test_o_p_result_is_normal(catalog36):
 def test_interval_atoms(d8):
     lat = all_subgroups(d8)
     assert lat.interval_atoms(lat.subgroups[0]) == lat.atoms()
-    z = gl.center(d8)
+    z = d8.center()
     above_center = lat.interval_atoms(lat.subgroups[lat.index_of(z)])
     assert sorted(h.order for h in above_center) == [4, 4, 4]
     assert lat.interval_atoms(lat.subgroups[-1]) == []
@@ -347,10 +347,11 @@ def test_conjugation_by_a_generator_is_a_lattice_automorphism(catalog64):
                 assert sorted(image[k] for k in lat.upper[i]) == list(lat.upper[j]), (g.name, i, s)
 
 
-def test_lattice_cap_enforced():
-    with pytest.raises(GroupTooLarge):
-        all_subgroups(gl.elementary_abelian(2, 5), cap=16)
+def test_lattice_cap_enforced(monkeypatch):
     assert DEFAULT_LATTICE_CAP == 256
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 16)
+    with pytest.raises(GroupTooLarge):
+        all_subgroups(gl.elementary_abelian(2, 5))
 
 
 def test_subgroup_budget_enforced(monkeypatch):
@@ -364,8 +365,6 @@ def test_subgroup_budget_enforced(monkeypatch):
 
 def test_lattice_cached_per_group(d8):
     assert all_subgroups(d8) is all_subgroups(d8)
-    # the cap only gates the build: one lattice per group, whatever the cap
-    assert all_subgroups(d8, cap=8) is all_subgroups(d8, cap=1000)
 
 
 @settings(deadline=None)
