@@ -12,7 +12,9 @@ from .errors import GroupError, NotPrime
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test."""
+    """Trial-division primality test of an int."""
+    if type(n) is not int:
+        require_int(n, "n")
     if n < 2:
         return False
     if n < 4:
@@ -46,8 +48,7 @@ def require_prime(p: int) -> int:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}, keys ascending."""
-    if n < 1:
-        raise ValueError(f"cannot factorize {n}")
+    require_int(n, "n", 1)
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -70,7 +71,8 @@ def split_power(n: int, p: int) -> tuple[int, int]:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
+    """All positive divisors of n >= 1, ascending."""
+    require_int(n, "n", 1)
     small = []
     large = []
     d = 1
@@ -85,6 +87,7 @@ def divisors(n: int) -> list[int]:
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
+    require_int(n, "n")
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from .arith import divisors, factorize, is_prime, primes_upto, require_prime, split_power
+from .arith import divisors, factorize, is_prime, primes_upto, require_int, require_prime, split_power
 from .core import FiniteGroup, quotient_is_elementary_abelian_2
 from .errors import CheckFailed, GroupError, NotSolvable, PrimesNotDistinct, TrivialGroup
 from .lattice import SubgroupLattice
@@ -57,10 +57,11 @@ def _require_nontrivial(g: FiniteGroup) -> None:
         raise TrivialGroup(f"{g.name} is trivial")
 
 
-def lemma_2_1(g: FiniteGroup, h, lattice: SubgroupLattice) -> BoundReport:
+def lemma_2_1(lattice: SubgroupLattice, h) -> BoundReport:
     """Vertex degree of a subgroup of order d is at most d + n/d - 2,
     with equality exactly when H is normal and H and G/H are both
     elementary abelian 2-groups."""
+    g = lattice.parent
     _require_solvable(g)
     d = h.order
     n = g.order
@@ -80,17 +81,19 @@ def lemma_2_1(g: FiniteGroup, h, lattice: SubgroupLattice) -> BoundReport:
     return report
 
 
-def wall_a(g: FiniteGroup, lattice: SubgroupLattice) -> BoundReport:
+def wall_a(lattice: SubgroupLattice) -> BoundReport:
     """|Max(G)| <= |G| - 1."""
+    g = lattice.parent
     _require_solvable(g)
     _require_nontrivial(g)
     computed = len(lattice.maximal_subgroups())
     return _make_report("wall_a", computed, Fraction(g.order - 1))
 
 
-def cww_b(g: FiniteGroup, lattice: SubgroupLattice) -> BoundReport:
+def cww_b(lattice: SubgroupLattice) -> BoundReport:
     """|Max(G)| <= (|G| - 1)/(p - 1) for p the smallest prime divisor,
     with equality exactly for elementary abelian groups."""
+    g = lattice.parent
     _require_solvable(g)
     _require_nontrivial(g)
     computed = len(lattice.maximal_subgroups())
@@ -99,9 +102,10 @@ def cww_b(g: FiniteGroup, lattice: SubgroupLattice) -> BoundReport:
     return _make_report("cww_b", computed, Fraction(g.order - 1, p - 1), condition)
 
 
-def herzog_manz_c(g: FiniteGroup, lattice: SubgroupLattice) -> BoundReport:
+def herzog_manz_c(lattice: SubgroupLattice) -> BoundReport:
     """|Max(G)| <= (q|G/Phi(G)| - p)/(p(q - 1)) for p, q the smallest and
     largest prime divisors."""
+    g = lattice.parent
     _require_solvable(g)
     _require_nontrivial(g)
     computed = len(lattice.maximal_subgroups())
@@ -112,12 +116,13 @@ def herzog_manz_c(g: FiniteGroup, lattice: SubgroupLattice) -> BoundReport:
     return _make_report("herzog_manz_c", computed, limit)
 
 
-def newton_d(g: FiniteGroup, lattice: SubgroupLattice, p: int) -> tuple[BoundReport, ...]:
+def newton_d(lattice: SubgroupLattice, p: int) -> tuple[BoundReport, ...]:
     """Bounds on |Max_p(G)| for |G| = p^k m with p not dividing m: the
     general limit (p^r-1)/(p-1) + (p^(k-r+1)-p)/(p-1) where p^r is the
     index of the smallest normal subgroup of p-power index, plus the
     sharper limit (p^k-1)/(p-1) as a second report when that normal
     subgroup is proper."""
+    g = lattice.parent
     _require_solvable(g)
     require_prime(p)
     if g.order % p != 0:
@@ -133,9 +138,10 @@ def newton_d(g: FiniteGroup, lattice: SubgroupLattice, p: int) -> tuple[BoundRep
     return tuple(reports)
 
 
-def newton_e(g: FiniteGroup, lattice: SubgroupLattice) -> BoundReport:
+def newton_e(lattice: SubgroupLattice) -> BoundReport:
     """|Max(G)| <= (p1^n1 - 1)/(p1 - 1) + sum over the other prime-power
     parts of (p^(n+1) - p)/(p - 1), with p1^n1 the smallest part."""
+    g = lattice.parent
     _require_solvable(g)
     _require_nontrivial(g)
     computed = len(lattice.maximal_subgroups())
@@ -154,8 +160,8 @@ def lemma_2_3_check(p1: int, p2: int, p3: int, n1: int, n2: int, n3: int) -> Bou
         require_prime(p)
     if len({p1, p2, p3}) != 3:
         raise PrimesNotDistinct(f"primes must be distinct, got {(p1, p2, p3)}")
-    if min(n1, n2, n3) < 1:
-        raise GroupError(f"exponents must be >= 1, got {(n1, n2, n3)}")
+    for n, name in ((n1, "n1"), (n2, "n2"), (n3, "n3")):
+        require_int(n, name, 1)
     computed = 0
     prod = 1
     for p, e in ((p1, n1), (p2, n2), (p3, n3)):
@@ -167,9 +173,8 @@ def lemma_2_3_check(p1: int, p2: int, p3: int, n1: int, n2: int, n3: int) -> Bou
 def lemma_2_3_scan(prime_bound: int, exp_bound: int) -> list[BoundReport]:
     """Evaluate the three-prime inequality for every distinct prime triple
     up to prime_bound and every exponent tuple up to exp_bound."""
-    if exp_bound < 1:
-        raise GroupError(f"exp_bound must be >= 1, got {exp_bound}")
-    primes = primes_upto(prime_bound)
+    require_int(exp_bound, "exp_bound", 1)
+    primes = primes_upto(require_int(prime_bound, "prime_bound"))
     out = []
     exponents = range(1, exp_bound + 1)
     for p1, p2, p3 in combinations(primes, 3):
@@ -190,8 +195,7 @@ class CandidateOrders:
 
 
 def candidate_orders(n: int) -> CandidateOrders:
-    if n < 1:
-        raise GroupError(f"n must be >= 1, got {n}")
+    require_int(n, "n", 1)
     if n <= 11:
         return CandidateOrders(n=n, small_case=True, divisors=None)
     allowed = frozenset(d for d in divisors(n) if 2 * d * d - (n + 2) * d + 2 * n > 0)

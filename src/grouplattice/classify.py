@@ -14,12 +14,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arith import factorize
-from .core import (
-    FiniteGroup,
-    _mask_elements,
-    _popcount,
-    sylow_p_elements_form_subgroup,
-)
+from .core import FiniteGroup, _mask_elements, sylow_p_elements_form_subgroup
 from .errors import GroupTooLarge, TrivialGroup
 from .families import (
     CatalogEntry,
@@ -93,9 +88,10 @@ class VerificationReport:
         return not self.counterexamples
 
 
-def has_large_degree_vertex(g: FiniteGroup, lattice: SubgroupLattice) -> bool:
+def has_large_degree_vertex(lattice: SubgroupLattice) -> bool:
     """True iff some vertex has degree strictly above |G|/2 - 1,
     evaluated as 2(D + 1) > |G|."""
+    g = lattice.parent
     if g.order == 1:
         raise TrivialGroup("the trivial group has a one-vertex graph")
     top = max(lattice.degree_profile().degrees)
@@ -108,27 +104,24 @@ def _two_power_exponent(q: int) -> Optional[int]:
     return q.bit_length() - 1
 
 
-def _frattini_mask(g: FiniteGroup, lattice: Optional[SubgroupLattice]) -> int:
-    """Frattini subgroup as a bitmask; without a lattice this uses the
-    generating-set characterization for 2-groups: Phi = closure of all
-    squares and commutators."""
-    if lattice is not None:
-        return lattice.frattini().mask
+def _frattini_mask(g: FiniteGroup) -> int:
+    """Frattini subgroup of a 2-group as a bitmask, by the generating-set
+    characterization: Phi = closure of all squares and commutators."""
     seed = {row[x] for x, row in enumerate(g.table)}
     seed.update(_mask_elements(g.derived_mask))
     return g.closure_mask(sorted(seed))
 
 
-def _is_generalized_extraspecial(g: FiniteGroup, lattice: Optional[SubgroupLattice]) -> bool:
+def _is_generalized_extraspecial(g: FiniteGroup) -> bool:
     n = g.order
     if n < 8 or n & (n - 1):
         return False
     derived = g.derived_mask
-    if _popcount(derived) != 2:
+    if derived.bit_count() != 2:
         return False
     if derived & ~g.center_mask:
         return False
-    return _frattini_mask(g, lattice) == derived
+    return _frattini_mask(g) == derived
 
 
 def _is_cpn_c2(g: FiniteGroup) -> bool:
@@ -179,7 +172,7 @@ def _candidate(subtype_key: str, param: int, edim: int) -> FiniteGroup:
     return base
 
 
-def recognize(g: FiniteGroup, lattice: Optional[SubgroupLattice] = None) -> Recognition:
+def recognize(g: FiniteGroup) -> Recognition:
     """All family memberships of g. The trivial group gets no tags.
     Isomorphism-based recognizers refused by the isomorphism cap land in
     undecided instead of being silently dropped."""
@@ -196,7 +189,7 @@ def recognize(g: FiniteGroup, lattice: Optional[SubgroupLattice] = None) -> Reco
     # C2^(s-1) x C4: half of its elements square to the identity
     if g.is_abelian and g.exponent == 4 and 2 * (g.involution_count + 1) == n:
         tags.add(FamilyTag(F4_C2s_C4))
-    if _is_generalized_extraspecial(g, lattice):
+    if _is_generalized_extraspecial(g):
         tags.add(FamilyTag(F5_GEN_EXTRASPECIAL))
     if _is_cpn_c2(g):
         tags.add(FamilyTag(F6_CPN_C2))
@@ -270,19 +263,13 @@ def _eligible(entries: Iterable[CatalogEntry], max_order: int, solvable_only: bo
 def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int):
     """(entry, lattice) for each solvable group of order 2..max_order. A
     group the lattice walk refuses comes with the GroupTooLarge in place of
-    its lattice, so that the sweep records it as undecided and goes on. A
-    lattice the sweep built is dropped from its group once the consumer
-    moves on, so a long sweep holds one at a time; one cached before stays."""
+    its lattice, so that the sweep records it as undecided and goes on."""
     for entry in _eligible(entries, max_order, solvable_only=True):
-        g = entry.group
-        cached = g._lattice is not None
         try:
-            lattice = all_subgroups(g)
+            lattice = all_subgroups(entry.group)
         except GroupTooLarge as exc:
             lattice = exc
         yield entry, lattice
-        if not cached:
-            g._lattice = None
 
 
 def _verify(theorem: str, sweep: Iterator, check: Callable) -> VerificationReport:
@@ -312,9 +299,9 @@ def verify_theorem_1_1(entries: Sequence[CatalogEntry], max_order: int) -> Verif
 
     def check(entry, lattice):
         g = entry.group
-        if not has_large_degree_vertex(g, lattice):
+        if not has_large_degree_vertex(lattice):
             return None
-        rec = recognize(g, lattice)
+        rec = recognize(g)
         if rec.subtypes() - {"X"} or rec.families() & {
             F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12
         }:
@@ -405,7 +392,7 @@ def verify_corollary_1_3(entries: Sequence[CatalogEntry], max_order: int) -> Ver
     def check(entry, lattice):
         g = entry.group
         exists = any(2 * d == g.order for d in lattice.degree_profile().degrees)
-        rec = recognize(g, lattice)
+        rec = recognize(g)
         member = "VII" in rec.subtypes() or bool(rec.families() & {F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL})
         if not member and "VII" in rec.undecided:
             return "undecided recognizers ['VII']"

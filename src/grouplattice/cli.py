@@ -164,11 +164,7 @@ def _load_group(path: str):
 
 
 def _run_lattice(args) -> int:
-    g = _load_group(args.file)
-    try:
-        lattice = all_subgroups(g)
-    except GroupError as exc:
-        raise InputError(str(exc)) from exc
+    lattice = all_subgroups(_load_group(args.file))
     if args.format == "dot":
         _emit(lattice.export_dot(), args.output)
     else:
@@ -178,10 +174,7 @@ def _run_lattice(args) -> int:
 
 def _run_degrees(args) -> int:
     g = _load_group(args.file)
-    try:
-        lattice = all_subgroups(g)
-    except GroupError as exc:
-        raise InputError(str(exc)) from exc
+    lattice = all_subgroups(g)
     profile = lattice.degree_profile()
     vertices = [
         {"order": s.order, "degree": d, "down": lo, "up": hi}
@@ -265,17 +258,17 @@ def _run_verify(args) -> int:
                 payload = {"group": entry.name, "order": g.order, "undecided": str(lattice)}
                 lines.append(json.dumps(payload, separators=(",", ":")))
             elif target == "bounds":
-                reports = [wall_a(g, lattice), cww_b(g, lattice), herzog_manz_c(g, lattice)]
+                reports = [wall_a(lattice), cww_b(lattice), herzog_manz_c(lattice)]
                 for p in sorted(factorize(g.order)):
-                    reports.extend(newton_d(g, lattice, p))
-                reports.append(newton_e(g, lattice))
+                    reports.extend(newton_d(lattice, p))
+                reports.append(newton_e(lattice))
                 reports.append(edge_bound(lattice))
                 for rep in reports:
                     ok = ok and rep.holds
                     lines.append(_bound_line(entry.name, g.order, rep))
             else:
                 for h in lattice.subgroups:
-                    rep = lemma_2_1(g, h, lattice)
+                    rep = lemma_2_1(lattice, h)
                     ok = ok and rep.holds and rep.equality == rep.equality_condition
                     lines.append(_bound_line(entry.name, g.order, rep, subgroup_order=h.order))
         _emit_lines(lines, args.output)
@@ -337,10 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except GroupError as exc:
+    except (InputError, GroupError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CheckFailed as exc:

@@ -124,7 +124,6 @@ class FiniteGroup:
         self.order = len(self.table)
         self.name = name
         self._validate_and_normalize()
-        self._lattice = None  # the SubgroupLattice, once built
 
     def _validate_and_normalize(self) -> None:
         """Check self.table, move its identity to 0, set inverses and generators.
@@ -359,10 +358,6 @@ def _mask_elements(mask: int) -> list[int]:
     return out
 
 
-def _popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 class Subgroup:
     """A subgroup of a parent group, stored as a membership bitmask.
 
@@ -407,7 +402,7 @@ class Subgroup:
 
     @cached_property
     def order(self) -> int:
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     @property
     def index(self) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Optional, Sequence
 
 from .arith import abelian_type_list, is_prime, primes_upto, require_int, require_prime
@@ -333,12 +333,9 @@ def _swap_action(p: int) -> list[int]:
     return [(v % p) * p + v // p for v in range(p * p)]
 
 
-@lru_cache(maxsize=None, typed=True)
 def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     """All isomorphism types through order min(max_order, 15), plus named
-    family representatives up to max_order, pairwise non-isomorphic.
-    The cache is typed, so 8.0 or True is rejected, not served the
-    entries of 8 or 1."""
+    family representatives up to max_order, pairwise non-isomorphic."""
     require_int(max_order, "max_order", 1)
     buckets: dict[int, list[tuple[FiniteGroup, set[str]]]] = {}
 

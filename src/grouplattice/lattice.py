@@ -259,11 +259,9 @@ def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
 
 
 def all_subgroups(g: FiniteGroup) -> SubgroupLattice:
-    """Every subgroup of g with its covering graph, cached on g. Raises
-    GroupTooLarge past DEFAULT_LATTICE_CAP in order or DEFAULT_MAX_SUBGROUPS
-    subgroups."""
+    """Every subgroup of g with its covering graph, built anew on each call.
+    Raises GroupTooLarge past DEFAULT_LATTICE_CAP in order or
+    DEFAULT_MAX_SUBGROUPS subgroups."""
     if g.order > DEFAULT_LATTICE_CAP:
         raise GroupTooLarge(f"{g.name} has order {g.order}, over the lattice cap {DEFAULT_LATTICE_CAP}")
-    if g._lattice is None:
-        g._lattice = _cover_walk(g)
-    return g._lattice
+    return _cover_walk(g)

@@ -1,8 +1,10 @@
 """Shared fixtures plus the acceptance-criteria summary section.
 
-Catalog construction and lattices are cached inside the package
-(lru_cache / per-group cache), so the fixtures mostly buy shared spelling
-and a single place to adjust scopes."""
+The package caches no catalog and no lattice: each catalog() call builds
+new groups and each all_subgroups() call walks the lattice again. So the
+session fixtures here are what the tests share: a catalog built once, and
+lattices64, the lattice of every catalog(64) group, walked once for the
+tests that need all of them."""
 
 import sys
 
@@ -30,6 +32,11 @@ def catalog36():
 @pytest.fixture(scope="session")
 def catalog64():
     return gl.catalog(64)
+
+
+@pytest.fixture(scope="session")
+def lattices64(catalog64):
+    return tuple(gl.all_subgroups(entry.group) for entry in catalog64)
 
 
 @pytest.fixture(scope="session")

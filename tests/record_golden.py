@@ -60,7 +60,7 @@ def run(argv: list[str]) -> dict:
 
 
 def run_on_group(name: str, command: tuple[str, ...]) -> dict:
-    """Run `command` on a fresh group file, so no cached lattice is reused."""
+    """Run `command` on the named group, written to a temporary group file."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "group.json"
         path.write_text(group_text(name))

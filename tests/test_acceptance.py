@@ -110,7 +110,7 @@ def test_criterion_3_subgroup_degree_bound_all_pairs():
         groups += 1
         lattice = all_subgroups(g)
         for h in lattice.subgroups:
-            rep = lemma_2_1(g, h, lattice)  # asserts equality iff H, G/H shape
+            rep = lemma_2_1(lattice, h)  # asserts equality iff H, G/H shape
             assert rep.holds, (entry.name, h.order)
             pairs += 1
     announce(
@@ -121,26 +121,25 @@ def test_criterion_3_subgroup_degree_bound_all_pairs():
     )
 
 
-def test_criterion_4_maximal_subgroup_count_bounds():
+def test_criterion_4_maximal_subgroup_count_bounds(lattices64):
     checked = 0
-    for entry in gl.catalog(64):
-        g = entry.group
+    for lattice in lattices64:
+        g = lattice.parent
         if g.order == 1 or g.order > 64 or not g.is_solvable:
             continue
-        lattice = all_subgroups(g)
-        reports = [wall_a(g, lattice), cww_b(g, lattice), herzog_manz_c(g, lattice)]
+        reports = [wall_a(lattice), cww_b(lattice), herzog_manz_c(lattice)]
         for p in sorted(gl.factorize(g.order)):
-            reports.extend(newton_d(g, lattice, p))
-        reports.append(newton_e(g, lattice))
+            reports.extend(newton_d(lattice, p))
+        reports.append(newton_e(lattice))
         for rep in reports:
-            assert rep.holds, (entry.name, rep)
+            assert rep.holds, (g.name, rep)
             checked += 1
 
     s3 = gl.symmetric(3)
-    spot_s3 = newton_e(s3, all_subgroups(s3))
+    spot_s3 = newton_e(all_subgroups(s3))
     assert (spot_s3.computed, spot_s3.limit, spot_s3.equality) == (4, Fraction(4), True)
     s4 = gl.symmetric(4)
-    spot_s4 = wall_a(s4, all_subgroups(s4))
+    spot_s4 = wall_a(all_subgroups(s4))
     assert (spot_s4.computed, spot_s4.limit, spot_s4.holds) == (8, Fraction(23), True)
     announce(
         4,

@@ -42,7 +42,7 @@ def test_degree_bound_elementary_abelian_equality():
     g = gl.elementary_abelian(2, 3)
     lattice = lat(g)
     h = next(s for s in lattice.subgroups if s.order == 2)
-    rep = lemma_2_1(g, h, lattice)
+    rep = lemma_2_1(lattice, h)
     assert rep.computed == 4
     assert rep.limit == Fraction(4)  # 2 + 8/2 - 2
     assert rep.holds and rep.equality and rep.equality_condition
@@ -52,7 +52,7 @@ def test_degree_bound_cyclic_4_equality():
     g = gl.cyclic(4)
     lattice = lat(g)
     h = next(s for s in lattice.subgroups if s.order == 2)
-    rep = lemma_2_1(g, h, lattice)
+    rep = lemma_2_1(lattice, h)
     assert (rep.computed, rep.limit) == (2, Fraction(2))
     assert rep.equality and rep.equality_condition
 
@@ -61,7 +61,7 @@ def test_degree_bound_cyclic_9_strict():
     g = gl.cyclic(9)
     lattice = lat(g)
     h = next(s for s in lattice.subgroups if s.order == 3)
-    rep = lemma_2_1(g, h, lattice)
+    rep = lemma_2_1(lattice, h)
     assert (rep.computed, rep.limit) == (2, Fraction(4))
     assert rep.holds and not rep.equality and not rep.equality_condition
 
@@ -69,7 +69,13 @@ def test_degree_bound_cyclic_9_strict():
 def test_degree_bound_rejects_nonsolvable():
     g = gl.alternating(5)
     with pytest.raises(NotSolvable):
-        lemma_2_1(g, g.trivial_subgroup(), None)
+        lemma_2_1(lat(g), g.trivial_subgroup())
+
+
+def test_degree_bound_rejects_a_subgroup_of_another_group(s3, d8):
+    # the lattice carries its group, so a subgroup of another group is no vertex
+    with pytest.raises(GroupError, match="is not a vertex of the S3 lattice"):
+        lemma_2_1(lat(s3), d8.full_subgroup())
 
 
 def test_degree_bound_equality_characterization_all_pairs(catalog36):
@@ -80,7 +86,7 @@ def test_degree_bound_equality_characterization_all_pairs(catalog36):
             continue
         lattice = lat(g)
         for h in lattice.subgroups:
-            rep = lemma_2_1(g, h, lattice)  # raises CheckFailed unless the iff holds
+            rep = lemma_2_1(lattice, h)  # raises CheckFailed unless the iff holds
             assert rep.holds
 
 
@@ -89,24 +95,24 @@ def test_degree_bound_equality_characterization_all_pairs(catalog36):
 
 
 def test_maximal_count_bound_s3(s3):
-    rep = wall_a(s3, lat(s3))
+    rep = wall_a(lat(s3))
     assert (rep.computed, rep.limit, rep.holds) == (4, Fraction(5), True)
 
 
 def test_maximal_count_bound_s4(s4):
-    rep = wall_a(s4, lat(s4))
+    rep = wall_a(lat(s4))
     assert (rep.computed, rep.limit, rep.holds) == (8, Fraction(23), True)
 
 
 def test_smallest_prime_refinement_s3(s3):
-    rep = cww_b(s3, lat(s3))
+    rep = cww_b(lat(s3))
     assert (rep.computed, rep.limit) == (4, Fraction(5))
     assert rep.holds and not rep.equality and not rep.equality_condition
 
 
 def test_smallest_prime_refinement_elementary_abelian_equality():
     g = gl.elementary_abelian(3, 2)
-    rep = cww_b(g, lat(g))
+    rep = cww_b(lat(g))
     assert (rep.computed, rep.limit) == (4, Fraction(4))
     assert rep.equality and rep.equality_condition
 
@@ -116,13 +122,13 @@ def test_smallest_prime_refinement_condition_over_catalog(catalog36):
         g = entry.group
         if g.order == 1 or g.order > 24 or not g.is_solvable:
             continue
-        rep = cww_b(g, lat(g))
+        rep = cww_b(lat(g))
         assert rep.holds
         assert rep.equality == rep.equality_condition
 
 
 def test_frattini_index_bound_d8(d8):
-    rep = herzog_manz_c(d8, lat(d8))
+    rep = herzog_manz_c(lat(d8))
     assert (rep.computed, rep.limit) == (3, Fraction(3))
     assert rep.equality
 
@@ -132,18 +138,18 @@ def test_frattini_index_bound_catalog(catalog36):
         g = entry.group
         if g.order == 1 or g.order > 24 or not g.is_solvable:
             continue
-        assert herzog_manz_c(g, lat(g)).holds
+        assert herzog_manz_c(lat(g)).holds
 
 
 def test_p_power_index_maximal_counts_s3(s3):
     lattice = lat(s3)
-    by_two = newton_d(s3, lattice, 2)
+    by_two = newton_d(lattice, 2)
     assert [r.bound_name for r in by_two] == ["newton_d_main", "newton_d_sharp"]
     assert [(r.computed, r.limit, r.equality) for r in by_two] == [
         (1, Fraction(1), True),
         (1, Fraction(1), True),
     ]
-    by_three = newton_d(s3, lattice, 3)
+    by_three = newton_d(lattice, 3)
     # no proper normal subgroup of 3-power index, so only the main report
     assert [r.bound_name for r in by_three] == ["newton_d_main"]
     assert (by_three[0].computed, by_three[0].limit) == (3, Fraction(3))
@@ -153,7 +159,7 @@ def test_p_power_index_maximal_counts_s3(s3):
 def test_p_power_index_maximal_counts_boolean_cube():
     g = gl.elementary_abelian(2, 5)
     lattice = lat(g)
-    reports = newton_d(g, lattice, 2)
+    reports = newton_d(lattice, 2)
     assert [(r.bound_name, r.computed, r.limit) for r in reports] == [
         ("newton_d_main", 31, Fraction(31)),
         ("newton_d_sharp", 31, Fraction(31)),
@@ -162,35 +168,35 @@ def test_p_power_index_maximal_counts_boolean_cube():
 
 def test_p_power_index_rejects_non_divisor(s3):
     with pytest.raises(GroupError):
-        newton_d(s3, lat(s3), 5)
+        newton_d(lat(s3), 5)
     with pytest.raises(NotPrime):
-        newton_d(s3, lat(s3), 4)
+        newton_d(lat(s3), 4)
 
 
 def test_prime_power_part_bound_examples(s3, s4):
-    rep = newton_e(s3, lat(s3))
+    rep = newton_e(lat(s3))
     assert (rep.computed, rep.limit, rep.equality) == (4, Fraction(4), True)
 
     c12 = gl.cyclic(12)
-    rep = newton_e(c12, lat(c12))
+    rep = newton_e(lat(c12))
     assert (rep.computed, rep.limit, rep.equality) == (2, Fraction(7), False)
 
     c5 = gl.cyclic(5)
-    rep = newton_e(c5, lat(c5))
+    rep = newton_e(lat(c5))
     assert (rep.computed, rep.limit, rep.equality) == (1, Fraction(1), True)
 
-    rep = newton_e(s4, lat(s4))
+    rep = newton_e(lat(s4))
     assert (rep.computed, rep.limit) == (8, Fraction(15))
 
 
 def test_maximal_bounds_reject_trivial_and_nonsolvable():
     t = gl.trivial()
     with pytest.raises(TrivialGroup):
-        wall_a(t, lat(t))
+        wall_a(lat(t))
     a5 = gl.alternating(5)
     for fn in (wall_a, cww_b, herzog_manz_c, newton_e):
         with pytest.raises(NotSolvable):
-            fn(a5, None)
+            fn(lat(a5))
 
 
 def test_bounds_hold_across_solvable_catalog(catalog36):
@@ -199,10 +205,10 @@ def test_bounds_hold_across_solvable_catalog(catalog36):
         if g.order == 1 or g.order > 24 or not g.is_solvable:
             continue
         lattice = lat(g)
-        assert wall_a(g, lattice).holds
-        assert newton_e(g, lattice).holds
+        assert wall_a(lattice).holds
+        assert newton_e(lattice).holds
         for p in sorted(gl.factorize(g.order)):
-            for rep in newton_d(g, lattice, p):
+            for rep in newton_d(lattice, p):
                 assert rep.holds
 
 

@@ -22,8 +22,8 @@ from grouplattice.classify import (
     WALL_SUBTYPES,
     FamilyTag,
     Recognition,
+    _frattini_mask,
     has_large_degree_vertex,
-    lattice_sweep,
     recognize,
     verify_corollary_1_2,
     verify_corollary_1_3,
@@ -81,13 +81,13 @@ def test_large_degree_vertex_examples():
         (gl.alternating(5), True),
     ]
     for g, expect in cases:
-        assert has_large_degree_vertex(g, all_subgroups(g)) == expect, g.name
+        assert has_large_degree_vertex(all_subgroups(g)) == expect, g.name
 
 
 def test_large_degree_vertex_rejects_trivial():
     g = gl.trivial()
     with pytest.raises(TrivialGroup):
-        has_large_degree_vertex(g, all_subgroups(g))
+        has_large_degree_vertex(all_subgroups(g))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,8 @@ def test_capped_isomorphism_checks_surface_as_undecided(monkeypatch):
 # independent oracle for the inverted-abelian recognizer
 
 
-def generalized_dihedral_oracle(g, lattice):
+def generalized_dihedral_oracle(lattice):
+    g = lattice.parent
     if g.order % 2:
         return False
     half = g.order // 2
@@ -256,15 +257,23 @@ def generalized_dihedral_oracle(g, lattice):
     return False
 
 
-def test_inverted_abelian_recognizer_matches_oracle(catalog64):
-    for entry in catalog64:
-        g = entry.group
+def test_inverted_abelian_recognizer_matches_oracle(lattices64):
+    for lattice in lattices64:
+        g = lattice.parent
         if g.order == 1:
             continue
-        lattice = all_subgroups(g)
-        expect = generalized_dihedral_oracle(g, lattice)
-        got = "I" in recognize(g, lattice).subtypes()
-        assert got == expect, entry.name
+        expect = generalized_dihedral_oracle(lattice)
+        got = "I" in recognize(g).subtypes()
+        assert got == expect, g.name
+
+
+def test_frattini_closure_matches_the_lattice_on_two_groups(lattices64):
+    # recognize() finds Phi(G) of a 2-group as the closure of its squares
+    # and commutators; the intersection of the maximal subgroups is the reference
+    two_groups = [lat for lat in lattices64 if lat.parent.order in (2, 4, 8, 16, 32, 64)]
+    assert len(two_groups) == 37
+    for lattice in two_groups:
+        assert _frattini_mask(lattice.parent) == lattice.frattini().mask, lattice.parent.name
 
 
 def test_inverted_abelian_matches_constructor(catalog36):
@@ -289,7 +298,7 @@ def test_c2s_c4_groups_have_half_order_vertex():
 def test_elementary_abelian_2_has_large_degree_vertex():
     for k in (1, 2, 3, 4, 5):
         g = gl.elementary_abelian(2, k)
-        assert has_large_degree_vertex(g, all_subgroups(g))
+        assert has_large_degree_vertex(all_subgroups(g))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +334,7 @@ def test_verify_theorem_1_1_passes(catalog36):
 
 
 def test_verify_theorem_1_1_reports_undecided_loudly(monkeypatch):
-    entries = gl.catalog.__wrapped__(24)  # new group objects, not the cached catalog
+    entries = gl.catalog(24)
     monkeypatch.setattr("grouplattice.iso.DEFAULT_ISO_CAP", 8)
     report = verify_theorem_1_1(entries, 24)
     assert not report.passed
@@ -333,7 +342,6 @@ def test_verify_theorem_1_1_reports_undecided_loudly(monkeypatch):
 
 
 def _fresh_entries():
-    # new group objects, so no lattice is cached on them yet
     groups = [gl.elementary_abelian(2, 4), gl.symmetric(3), gl.dihedral(4), gl.elementary_abelian(2, 3)]
     return tuple(gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset()) for g in groups)
 
@@ -356,15 +364,6 @@ def test_sweeps_record_a_subgroup_budget_refusal_and_go_on(monkeypatch, verify):
     assert not report.passed
     # the groups after the refused one were swept, each with its lattice
     assert built == ["S3", "D8", "C2^3"]
-
-
-def test_lattice_sweep_drops_only_the_lattices_it_built():
-    entries = _fresh_entries()
-    kept = all_subgroups(entries[1].group)
-    for entry, lattice in lattice_sweep(entries, 16):
-        assert entry.group._lattice is lattice
-    assert entries[1].group._lattice is kept
-    assert [e.group._lattice for i, e in enumerate(entries) if i != 1] == [None, None, None]
 
 
 def test_verify_corollary_1_2_passes_with_boundary_note(catalog36):

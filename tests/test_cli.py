@@ -298,7 +298,6 @@ def test_verify_lemma21_jsonl(capsys):
 
 
 def _fresh_catalog(max_order):
-    # new group objects, so no lattice is cached on them yet
     groups = [gl.elementary_abelian(2, 4), gl.symmetric(3), gl.dihedral(4)]
     return tuple(gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset()) for g in groups)
 
@@ -325,6 +324,22 @@ def test_verify_sweeps_survive_a_subgroup_budget_refusal(capsys, monkeypatch, ta
         payload = json.loads(out)
         assert payload["groups_checked"] == 3
         assert payload["counterexamples"] == [["C2^4", f"undecided: {refusal}"]]
+
+
+def test_verify_sweep_walks_every_lattice_however_the_suite_is_ordered(capsys, monkeypatch, lattices64):
+    # lattices64 has already built the lattice of every catalog(64) group in
+    # this process; the sweep still walks each of its 106 solvable groups
+    assert len(lattices64) == 108
+    walks = []
+    walk = gl.lattice._cover_walk
+
+    def counting_walk(g):
+        walks.append(g.name)
+        return walk(g)
+
+    monkeypatch.setattr("grouplattice.lattice._cover_walk", counting_walk)
+    code, out, _ = run(capsys, "verify", "theorem-1.1", "--max-order", "64")
+    assert (code, json.loads(out)["groups_checked"], len(walks)) == (0, 106, 106)
 
 
 def test_verify_lemma23(capsys):

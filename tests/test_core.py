@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import grouplattice as gl
-from grouplattice.core import _mask_elements, _popcount, extend_closure
+from grouplattice.core import _mask_elements, extend_closure
 from grouplattice.errors import (
     GroupError,
     GroupTooLarge,
@@ -244,6 +244,15 @@ def test_permutation_generators_respects_cap(monkeypatch):
         (lambda: gl.abelian([2.5]), "cyclic factor must be an integer, got 2.5"),
         (lambda: gl.catalog(8.5), "max_order must be an integer, got 8.5"),
         (lambda: gl.catalog(True), "max_order must be an integer, got True"),
+        (lambda: gl.candidate_orders(12.5), "n must be an integer, got 12.5"),
+        (lambda: gl.candidate_orders(True), "n must be an integer, got True"),
+        (lambda: gl.divisors(12.0), "n must be an integer, got 12.0"),
+        (lambda: gl.factorize(12.0), "n must be an integer, got 12.0"),
+        (lambda: gl.is_prime(2.5), "n must be an integer, got 2.5"),
+        (lambda: gl.primes_upto(13.5), "n must be an integer, got 13.5"),
+        (lambda: gl.lemma_2_3_check(5, 7, 11, 1.5, 1, 1), "n1 must be an integer, got 1.5"),
+        (lambda: gl.lemma_2_3_scan(13.5, 2), "prime_bound must be an integer, got 13.5"),
+        (lambda: gl.lemma_2_3_scan(13, 2.0), "exp_bound must be an integer, got 2.0"),
     ],
 )
 def test_integer_parameters_reject_other_types(build, witness):
@@ -353,8 +362,6 @@ def test_extend_closure_finds_distinct_elements_on_a_loop():
 def test_mask_elements_and_popcount():
     assert _mask_elements(0b1011) == [0, 1, 3]
     assert _mask_elements(0) == []
-    assert _popcount(0b1011) == 3
-    assert _popcount(0) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -324,11 +324,11 @@ def test_class_walk_closes_fewer_subgroups_than_edges():
     assert lat.closures < lat.edge_count
 
 
-def test_conjugation_by_a_generator_is_a_lattice_automorphism(catalog64):
+def test_conjugation_by_a_generator_is_a_lattice_automorphism(lattices64):
     # for every vertex H and generator s, H^s is a vertex with the same
     # degrees and covers(H)^s = covers(H^s); catalog(64) holds A5
-    for g in [entry.group for entry in catalog64] + [gl.symmetric(5)]:
-        lat = all_subgroups(g)
+    for lat in lattices64 + (all_subgroups(gl.symmetric(5)),):
+        g = lat.parent
         rows, n = g.table, g.order
         inv = [row.index(0) for row in rows]
         index = {h.mask: i for i, h in enumerate(lat.subgroups)}
@@ -361,10 +361,6 @@ def test_subgroup_budget_enforced(monkeypatch):
         all_subgroups(gl.elementary_abelian(2, 4))  # 67 subgroups
     monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 67)
     assert len(all_subgroups(gl.elementary_abelian(2, 4))) == 67
-
-
-def test_lattice_cached_per_group(d8):
-    assert all_subgroups(d8) is all_subgroups(d8)
 
 
 @settings(deadline=None)
