@@ -4,11 +4,14 @@ The search maps a greedily-chosen generating set of the source group onto
 invariant-matched candidates in the target group, rebuilding the partial
 homomorphism after each choice and pruning on any conflict. A full table
 check validates the final map, so the search can prune aggressively without
-risking a false positive.
+risking a false positive. automorphisms(g) runs the same search from g to
+itself in short seeded restarts to find a few non-inner automorphisms.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 
 from .arith import require_int
@@ -16,6 +19,13 @@ from .core import FiniteGroup, compose_rows, row_type
 from .errors import GroupError, GroupTooLarge
 
 DEFAULT_ISO_CAP = 512
+# automorphisms(g): restarted searches of AUTOMORPHISM_NODES extension steps
+# each, from a fixed seed, until AUTOMORPHISM_SOLUTIONS distinct
+# automorphisms are found or AUTOMORPHISM_ATTEMPTS searches have run
+AUTOMORPHISM_SOLUTIONS = 3
+AUTOMORPHISM_NODES = 20
+AUTOMORPHISM_ATTEMPTS = 300
+AUTOMORPHISM_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -96,6 +106,68 @@ def minimal_generating_set(g: FiniteGroup) -> tuple[int, ...]:
     return g._normal_closure(candidates, ())[1]
 
 
+def _extend_homomorphism(rows1, rows2, gens: tuple[int, ...], images: list[int]):
+    """Unique hom extension of gen->image on the generated subgroup,
+    or None on conflict: (map, number of elements mapped), map[a] = -1
+    outside the subgroup that gens[:len(images)] generate."""
+    n = len(rows1)
+    map_ = [-1] * n
+    used = [False] * n
+    map_[0] = 0
+    used[0] = True
+    known = [0]
+    pairs = list(zip(gens[: len(images)], images))
+    i = 0
+    while i < len(known):
+        a = known[i]
+        i += 1
+        fa = map_[a]
+        for gsrc, gtgt in pairs:
+            b = rows1[a][gsrc]
+            t = rows2[fa][gtgt]
+            fb = map_[b]
+            if fb == -1:
+                if used[t]:
+                    return None
+                map_[b] = t
+                used[t] = True
+                known.append(b)
+            elif fb != t:
+                return None
+    return map_, len(known)
+
+
+def _search(rows1, rows2, gens: tuple[int, ...], cand: list[list[int]], budget: float = math.inf):
+    """The first map, trying the images of gens[i] in the order of cand[i],
+    that extends onto all n elements, or None; None also once budget
+    extension steps are spent."""
+    n = len(rows1)
+    images: list[int] = []
+    steps = budget
+
+    def dfs(depth: int):
+        nonlocal steps
+        if depth == len(gens):
+            map_, size = _extend_homomorphism(rows1, rows2, gens, images)  # never None here
+            # map_(a*s) = map_(a)*map_(s) for every a and generator s, so a
+            # map onto all n elements is a homomorphism; Isomorphism checks
+            # the full table all the same
+            return tuple(map_) if size == n else None
+        for h in cand[depth]:
+            if steps <= 0:
+                return None
+            steps -= 1
+            images.append(h)
+            if _extend_homomorphism(rows1, rows2, gens, images) is not None:
+                result = dfs(depth + 1)
+                if result is not None:
+                    return result
+            images.pop()
+        return None
+
+    return dfs(0)
+
+
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
     """Exact isomorphism decision: a witness Isomorphism, or None.
 
@@ -126,54 +198,44 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
     cand = [cand[i] for i in order_idx]
 
     rows1, rows2 = g1.table, g2.table
-
-    def rebuild(images: list[int]):
-        """Unique hom extension of gen->image on the generated subgroup,
-        or None on conflict."""
-        map_ = [-1] * n
-        used = [False] * n
-        map_[0] = 0
-        used[0] = True
-        known = [0]
-        pairs = list(zip(gens[: len(images)], images))
-        i = 0
-        while i < len(known):
-            a = known[i]
-            i += 1
-            fa = map_[a]
-            for gsrc, gtgt in pairs:
-                b = rows1[a][gsrc]
-                t = rows2[fa][gtgt]
-                fb = map_[b]
-                if fb == -1:
-                    if used[t]:
-                        return None
-                    map_[b] = t
-                    used[t] = True
-                    known.append(b)
-                elif fb != t:
-                    return None
-        return map_, len(known)
-
-    images: list[int] = []
-
-    def dfs(depth: int):
-        if depth == len(gens):
-            map_, size = rebuild(images)  # final rebuild is never None here
-            # map_(a*s) = map_(a)*map_(s) for every a and generator s, so a
-            # map onto all n elements is a homomorphism; Isomorphism checks
-            # the full table all the same
-            return tuple(map_) if size == n else None
-        for h in cand[depth]:
-            images.append(h)
-            if rebuild(images) is not None:
-                result = dfs(depth + 1)
-                if result is not None:
-                    return result
-            images.pop()
-        return None
-
-    found = dfs(0)
+    found = _search(rows1, rows2, gens, cand)
     if found is None:
         return None
     return Isomorphism(g1, g2, found)
+
+
+def _is_inner(g: FiniteGroup, map_) -> bool:
+    """True iff map_ is conjugation x -> u^-1 x u by some element u."""
+    rows, inv = g.table, g.inverses
+    return any(all(rows[rows[inv[u]][s]][u] == map_[s] for s in g.generators) for u in range(g.order))
+
+
+def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """A few automorphisms of g that are not inner, as maps map[a].
+
+    The search of is_isomorphic with g as both source and target, in
+    restarts: each attempt tries the invariant-matched images of the
+    generators in a seeded random order and gives up after
+    AUTOMORPHISM_NODES extension steps. The first AUTOMORPHISM_SOLUTIONS
+    distinct automorphisms found stop the search, and the inner ones among
+    them are dropped; so a group whose automorphisms are all inner pays
+    only for a few quick solutions. Each map is a homomorphism extended
+    onto all n elements, so it is an automorphism whatever the search
+    order; an empty list only means none was found.
+    """
+    n = g.order
+    invariants = element_invariants(g)
+    by_inv: dict[tuple, list[int]] = {}
+    for x in range(n):
+        by_inv.setdefault(invariants[x], []).append(x)
+    gens = tuple(sorted(minimal_generating_set(g), key=lambda s: len(by_inv[invariants[s]])))
+    cand = [by_inv[invariants[s]] for s in gens]
+    rows, rng = g.table, random.Random(AUTOMORPHISM_SEED)
+    found: dict[tuple[int, ...], None] = {}
+    for _ in range(AUTOMORPHISM_ATTEMPTS):
+        if len(found) == AUTOMORPHISM_SOLUTIONS:
+            break
+        map_ = _search(rows, rows, gens, [rng.sample(c, len(c)) for c in cand], AUTOMORPHISM_NODES)
+        if map_ is not None:
+            found[map_] = None
+    return [map_ for map_ in found if not _is_inner(g, map_)]

@@ -19,27 +19,45 @@ Two rules skip closures while C(H) is built:
     in <H, x>, and x = h1^-1 y h2^-1 is in <H, y>. So a generator whose
     cyclic subgroup has a generator in HxH is skipped.
 
-Conjugation: the walk visits one representative per conjugacy class.
-When a cover K is new, its whole class is numbered at once, by a
-breadth-first walk over conjugation by the members of g.generators that
-commute with some generator (the others act trivially). H -> H^u is an
-automorphism of the subgroup order, so a member M = R^u of the class of
-a representative R has the upper covers {C^u : C a cover of R}, a table
-gather per cover in place of the closures. Every subgroup is still
-numbered: if L covers some numbered M = R^u, then L^(u^-1) covers R, so
-it is found when R is visited and its class, which holds L, is numbered.
-closures counts the closures made for the representatives only; an
-abelian group has one subgroup per class and gets the plain walk.
+Automorphisms: the walk visits one representative per orbit of subgroups
+under the group A of automorphisms that the movers generate. The movers
+are element maps: conjugation by each member of g.generators that
+commutes with some generator (the others act trivially), and the
+non-inner automorphisms that iso.automorphisms finds. When a cover K is
+new, its whole orbit is numbered at once, by a breadth-first walk over
+the movers. An automorphism a maps the subgroup order onto itself, so a
+member a(R) of the orbit of a representative R has the upper covers
+{a(C) : C a cover of R}. Every subgroup is still numbered: if L covers
+some numbered M = a(R), then a^-1(L) covers R, so it is found when R is
+visited and its orbit, which holds L, is numbered. The proof uses only
+that each mover is an automorphism, and each is one: a conjugation, or a
+homomorphism that the search extended onto all n elements. The search
+decides only how many orbits merge, never the answer.
+
+Degrees per orbit: members get no closure and no cover gather. up(a(R))
+= up(R), the number of covers of R. Let c(R -> O) count the covers of R
+that lie in the orbit O. Counting the edges from the orbit O_R into the
+orbit O_K from both ends gives |O_R| c(R -> O_K) = |O_K| times the
+number of members of O_R that K covers, so
+
+    down(K) = sum over representatives R of |O_R| c(R -> O_K) / |O_K|,
+
+and edge_count = sum over R of |O_R| up(R). The edge lists themselves
+(upper, lower, covers, export_dot) are built on first access. closures
+counts the closures made for the representatives, orbits the orbits.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arith import factorize, is_prime, split_power
-from .core import FiniteGroup, Subgroup, extend_closure
+from .core import FiniteGroup, Subgroup, _mask_elements, compose_rows, extend_closure
 from .errors import GroupError, GroupTooLarge
+from .iso import automorphisms
 
 DEFAULT_LATTICE_CAP = 256
 DEFAULT_MAX_SUBGROUPS = 100_000
@@ -59,27 +77,70 @@ class SubgroupLattice:
     """The covering graph of all subgroups of one finite group.
 
     Subgroups are sorted by (order, membership bitset); index 0 is the
-    trivial subgroup and the last index is the whole group. upper[i] and
-    lower[i] list, ascending, the subgroups covering and covered by
-    subgroup i. closures counts the subgroup closures the walk computed.
+    trivial subgroup and the last index is the whole group. The walk
+    leaves one orbit of subgroups under automorphisms of the group per
+    representative with that representative's upper covers; degrees,
+    edge_count, atoms and maximal subgroups come from those counts.
+    upper[i] and lower[i], the subgroups covering and covered by subgroup
+    i in ascending order, are built on first access by carrying the
+    representatives' covers along their orbits. closures counts the
+    subgroup closures the walk computed, orbits the orbits it found.
     """
 
-    def __init__(self, parent: FiniteGroup, subgroups, upper, closures: int):
+    def __init__(self, parent: FiniteGroup, orbit_of: dict[int, int], reps, movers, closures: int):
         self.parent = parent
-        self.subgroups: tuple[Subgroup, ...] = tuple(subgroups)
-        self.upper: tuple[tuple[int, ...], ...] = tuple(upper)
-        lower: list[list[int]] = [[] for _ in self.upper]
+        self.masks: tuple[int, ...] = tuple(sorted(orbit_of, key=lambda m: (m.bit_count(), m)))
+        self._vertex_orbit = tuple(orbit_of[m] for m in self.masks)
+        self._reps = reps  # orbit -> (representative mask, its upper covers' masks)
+        self._movers = movers
+        self.closures = closures
+        self.orbits = len(reps)
+        size = [0] * self.orbits
+        for o in self._vertex_orbit:
+            size[o] += 1
+        # the edges whose upper end lies in the orbit O of K number |O| down(K),
+        # and sum_R |O_R| c(R -> O) counted from their lower ends
+        below = [0] * self.orbits
+        for (_, covers), n in zip(reps, size):
+            for c in covers:
+                below[orbit_of[c]] += n
+        up = [len(covers) for _, covers in reps]
+        self.edge_count = sum(map(operator.mul, up, size))
+        self._up = tuple(up[o] for o in self._vertex_orbit)
+        self._down = tuple(below[o] // size[o] for o in self._vertex_orbit)
+
+    @cached_property
+    def subgroups(self) -> tuple[Subgroup, ...]:
+        return tuple(Subgroup(self.parent, m, check=False) for m in self.masks)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.masks)}
+
+    @cached_property
+    def upper(self) -> tuple[tuple[int, ...], ...]:
+        """A member phi(R) of the orbit of a representative R has the upper
+        covers phi(C) for C a cover of R; the orbit walk is run again from
+        each R, carrying phi^-1, in place of keeping a map per member."""
+        index, upper = self._index, [()] * len(self.masks)
+        identity = bytes(range(256))
+        for rep, covers in self._reps:
+            rep_vector = _vector(_mask_elements(rep))
+            cover_vectors = [_vector(_mask_elements(c)) for c in covers]
+            for mask, psi in _orbit(identity, self._movers, rep_vector):
+                upper[index[mask]] = tuple(sorted(index[_vector_mask(psi.translate(c))] for c in cover_vectors))
+        return tuple(upper)
+
+    @cached_property
+    def lower(self) -> tuple[tuple[int, ...], ...]:
+        lower: list[list[int]] = [[] for _ in self.masks]
         for i, above in enumerate(self.upper):
             for j in above:
                 lower[j].append(i)
-        self.lower = tuple(map(tuple, lower))
-        self.edge_count = sum(map(len, self.upper))
-        self.closures = closures
-        self._index = {s.mask: i for i, s in enumerate(self.subgroups)}
-        self._up, self._down = tuple(map(len, self.upper)), tuple(map(len, self.lower))
+        return tuple(map(tuple, lower))
 
     def __len__(self) -> int:
-        return len(self.subgroups)
+        return len(self.masks)
 
     def index_of(self, h: Subgroup) -> int:
         if h.parent is not self.parent or h.mask not in self._index:
@@ -101,21 +162,24 @@ class SubgroupLattice:
     def max_degree(self) -> tuple[Subgroup, int]:
         """The vertex of largest degree; ties broken by smallest order,
         then smallest membership bitset (index order, hence -i)."""
-        best = max(range(len(self.subgroups)), key=lambda i: (self._up[i] + self._down[i], -i))
+        best = max(range(len(self.masks)), key=lambda i: (self._up[i] + self._down[i], -i))
         return self.subgroups[best], self._up[best] + self._down[best]
 
     def atoms(self) -> list[Subgroup]:
-        return [self.subgroups[j] for j in self.upper[0]]
+        return [s for s in self.subgroups if is_prime(s.order)]
 
     def maximal_subgroups(self) -> list[Subgroup]:
-        return [self.subgroups[i] for i in self.lower[-1]]
+        # the group is an orbit of its own; the orbits whose representative it covers are maximal
+        top = self.masks[-1]
+        maximal = {o for o, (_, covers) in enumerate(self._reps) if top in covers}
+        return [s for s, o in zip(self.subgroups, self._vertex_orbit) if o in maximal]
 
     def max_p(self, p: int) -> list[Subgroup]:
         """Maximal subgroups of index a power of p."""
         return [h for h in self.maximal_subgroups() if split_power(h.index, p)[1] == 1]
 
     def frattini(self) -> Subgroup:
-        mask = self.subgroups[-1].mask
+        mask = self.masks[-1]
         for h in self.maximal_subgroups():
             mask &= h.mask
         return self.subgroups[self._index[mask]]
@@ -123,7 +187,7 @@ class SubgroupLattice:
     def o_p(self, p: int) -> Subgroup:
         """Smallest normal subgroup whose index is a power of p, as the
         intersection of all normal subgroups of p-power index."""
-        mask = self.subgroups[-1].mask
+        mask = self.masks[-1]
         for s in self.subgroups:
             if split_power(s.index, p)[1] == 1 and s.is_normal:
                 mask &= s.mask
@@ -189,47 +253,84 @@ def _double_coset(rows, h_elems, x: int) -> int:
     return mask
 
 
-def _conjugate(rows, inv, elems, u: int) -> int:
-    """Mask of u^-1 K u, for K given by its elements."""
-    left, mask = rows[inv[u]], 0
-    for k in elems:
-        mask |= 1 << rows[left[k]][u]
-    return mask
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _vector(elems) -> bytes:
+    """The membership vector of a set of elements: 256 bytes, 1 at each."""
+    vector = bytearray(256)
+    for x in elems:
+        vector[x] = 1
+    return bytes(vector)
+
+
+def _vector_mask(vector: bytes) -> int:
+    return int(vector.translate(_BITS)[::-1], 2)
+
+
+def _orbit(label: bytes, movers, rep: bytes | None = None):
+    """Breadth-first walk of the orbit of a subgroup under the group that
+    the movers generate; yields (mask, label) once per member.
+
+    Everything is a 256-byte string (the lattice cap keeps the order
+    within 256), so one C-level translate applies a map. A mover is the
+    inverse a^-1 of an automorphism a, padded with fixed points, and
+    a^-1.translate(v) is the membership vector of a(S) when v is that of
+    S. A label is the member's vector; or, given the vector rep of a
+    subgroup R, the inverse psi of a map phi that carries R onto the
+    member, whose vector is then psi.translate(rep). The mover a turns
+    psi into (a phi)^-1 = a^-1.translate(psi) in the same way."""
+    first = label if rep is None else label.translate(rep)
+    seen = {first}
+    yield _vector_mask(first), label
+    frontier = [label]
+    for label in frontier:
+        for s in movers:
+            image = s.translate(label)
+            vector = image if rep is None else image.translate(rep)
+            if vector not in seen:
+                seen.add(vector)
+                frontier.append(image)
+                yield _vector_mask(vector), image
+
+
+def _movers(g: FiniteGroup) -> list[bytes]:
+    """The inverses, padded to 256 bytes, of automorphisms of g:
+    conjugation x -> s^-1 x s by each member of g.generators that commutes
+    with some generator (the others act trivially), then the non-inner
+    automorphisms that the search finds."""
+    rows, inv, n = g.table, g.inverses, g.order
+    maps = [
+        compose_rows(bytes(rows[x][s] for x in range(n)), rows[inv[s]])
+        for s in g.generators
+        if any(rows[s][t] != rows[t][s] for t in g.generators)
+    ]
+    identity = bytes(range(n))
+    return [bytes.maketrans(a, identity) for a in maps + [bytes(m) for m in automorphisms(g)]]
 
 
 def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
-    rows, inv = g.table, g.inverses
+    rows = g.table
     gens = _cyclic_prime_power_generators(g)
-    # conjugation by a generator that commutes with every generator is trivial
-    movers = [s for s in g.generators if any(rows[s][t] != rows[t][s] for t in g.generators)]
-    found: dict[int, int] = {}  # mask -> discovery number
-    upper: list = []  # discovery number -> those of its upper covers
-    queue: deque = deque()  # (mask, elements, generators, conjugates) of class representatives
+    movers = _movers(g)
+    orbit_of: dict[int, int] = {}  # mask -> orbit number
+    reps: list = []  # orbit number -> (representative mask, masks of its upper covers)
+    queue: deque = deque()  # (orbit, mask, elements, generators) of representatives
 
     def register(k_mask: int, k_elems: tuple[int, ...], basis: tuple[int, ...]) -> None:
-        """Number the conjugacy class of K and queue K as its representative,
-        with (number, u) for each other member K^u."""
-        orbit = {k_mask: 0}
-        frontier = [0]
-        for t in frontier:
-            for s in movers:
-                u = rows[t][s]
-                m = _conjugate(rows, inv, k_elems, u)
-                if m not in orbit:
-                    orbit[m] = u
-                    frontier.append(u)
-        for m in orbit:
-            found[m] = len(found)
-            upper.append(None)
-            if len(found) > DEFAULT_MAX_SUBGROUPS:
-                raise GroupTooLarge(f"{g.name} has more than {DEFAULT_MAX_SUBGROUPS} subgroups: {len(found)} reached")
-        del orbit[k_mask]
-        queue.append((k_mask, k_elems, basis, tuple((found[m], u) for m, u in orbit.items())))
+        """Number the orbit of K and queue K as its representative."""
+        orbit = len(reps)
+        for mask, _ in _orbit(_vector(k_elems), movers):
+            orbit_of[mask] = orbit
+            if len(orbit_of) > DEFAULT_MAX_SUBGROUPS:
+                raise GroupTooLarge(f"{g.name} has more than {DEFAULT_MAX_SUBGROUPS} subgroups: {len(orbit_of)} reached")
+        reps.append(None)
+        queue.append((orbit, k_mask, k_elems, basis))
 
     register(1, (0,), ())
     closures = 0
     while queue:
-        mask, elems, basis, conjugates = queue.popleft()
+        orbit, mask, elems, basis = queue.popleft()
         skip = mask  # H, then each cover of rule (a) and double coset of rule (b)
         candidates: dict[int, tuple[tuple[int, ...], int]] = {}
         for x, same in gens:
@@ -244,18 +345,11 @@ def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
             if any(c & k_mask == c for c in covers):
                 continue
             covers.append(k_mask)
-            if k_mask not in found:
+            if k_mask not in orbit_of:
                 new, x = candidates[k_mask]
                 register(k_mask, elems + new, basis + (x,))
-        upper[found[mask]] = [found[c] for c in covers]
-        if conjugates:
-            cover_elems = [elems + candidates[c][0] for c in covers]
-            for number, u in conjugates:
-                upper[number] = [found[_conjugate(rows, inv, k, u)] for k in cover_elems]
-    masks = sorted(found, key=lambda m: (m.bit_count(), m))
-    position = {found[m]: r for r, m in enumerate(masks)}
-    upper_index = [tuple(sorted(position[e] for e in upper[found[m]])) for m in masks]
-    return SubgroupLattice(g, [Subgroup(g, m, check=False) for m in masks], upper_index, closures)
+        reps[orbit] = (mask, tuple(covers))
+    return SubgroupLattice(g, orbit_of, reps, movers, closures)
 
 
 def all_subgroups(g: FiniteGroup) -> SubgroupLattice:

@@ -3,9 +3,12 @@
 Runs every `verify` target in process through `grouplattice.cli.main` at
 `--max-order 64` (lemma23 at its default bounds), and `lattice` (JSON and
 dot) and `degrees` on six non-abelian groups written to a temporary group
-file, and writes the sha256 of each stdout with its exit code to
-tests/golden_stdout.json. Record from a commit whose output is known good,
-before a refactor:
+file, and `lattice` (JSON) and `degrees` on the ten tables of the
+benchmark's lattice-big workload (perfbench/groups.py, relabelled as with
+seed 3), and writes the sha256 of each stdout with its exit code to
+tests/golden_stdout.json. It also writes one sha256 of the per-vertex
+(mask, up-degree, down-degree) of every catalog(64) lattice. Record
+from a commit whose output is known good, before a refactor:
 
     PYTHONPATH=src python tests/record_golden.py
 """
@@ -15,9 +18,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -25,6 +30,9 @@ GOLDEN = pathlib.Path(__file__).with_name("golden_stdout.json")
 TARGETS = ("theorem-1.1", "theorem-a", "wall", "cor-1.2", "cor-1.3", "bounds", "lemma21", "lemma23", "orders")
 GROUPS = ("S5", "A5", "S4xS3", "T(2)", "D8xD8", "S3xD8")
 GROUP_COMMANDS = (("lattice",), ("lattice", "--format", "dot"), ("degrees",))
+BIG_SEED = 3
+BIG_COMMANDS = (("lattice",), ("degrees",))
+VERTEX_DIGEST_KEY = "vertex (mask, up, down) of every catalog(64) lattice"
 
 
 def argv_for(target: str) -> list[str]:
@@ -33,6 +41,10 @@ def argv_for(target: str) -> list[str]:
 
 def group_key(name: str, command: tuple[str, ...]) -> str:
     return " ".join((command[0], name, *command[1:]))
+
+
+def big_key(name: str, command: tuple[str, ...]) -> str:
+    return f"{group_key(name, command)} (lattice-big, seed {BIG_SEED})"
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,6 +62,34 @@ def group_text(name: str) -> str:
     return gl.dumps_group(build())
 
 
+@functools.lru_cache(maxsize=None)
+def big_texts() -> dict[str, str]:
+    """The lattice-big tables in group-file form, relabelled in turn by one
+    random.Random(BIG_SEED) as the benchmark does, read from
+    perfbench/groups.py without importing the benchmark's runner."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "groups.py"
+    spec = importlib.util.spec_from_file_location("perfbench_groups", path)
+    groups = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(groups)
+    rng = random.Random(BIG_SEED)
+    texts = {}
+    for name, build in groups.LATTICE_BIG.items():
+        table = groups.relabel(build(), rng)
+        texts[name] = json.dumps({"name": name, "order": len(table), "table": table}, separators=(",", ":")) + "\n"
+    return texts
+
+
+def vertex_digest(lattices) -> dict:
+    """sha256 of one line per vertex: group name, mask, up and down degree."""
+    digest, vertices = hashlib.sha256(), 0
+    for lattice in lattices:
+        profile = lattice.degree_profile()
+        for s, up, down in zip(lattice.subgroups, profile.up, profile.down):
+            digest.update(f"{lattice.parent.name} {s.mask:x} {up} {down}\n".encode())
+            vertices += 1
+    return {"sha256": digest.hexdigest(), "vertices": vertices}
+
+
 def run(argv: list[str]) -> dict:
     from grouplattice.cli import main
 
@@ -59,11 +99,11 @@ def run(argv: list[str]) -> dict:
     return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": code}
 
 
-def run_on_group(name: str, command: tuple[str, ...]) -> dict:
-    """Run `command` on the named group, written to a temporary group file."""
+def run_on_text(text: str, command: tuple[str, ...]) -> dict:
+    """Run `command` on a group file holding text, in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "group.json"
-        path.write_text(group_text(name))
+        path.write_text(text)
         return run([command[0], str(path), *command[1:]])
 
 
@@ -71,7 +111,13 @@ def record() -> dict:
     golden = {" ".join(argv_for(t)): run(argv_for(t)) for t in TARGETS}
     for name in GROUPS:
         for command in GROUP_COMMANDS:
-            golden[group_key(name, command)] = run_on_group(name, command)
+            golden[group_key(name, command)] = run_on_text(group_text(name), command)
+    for name, text in big_texts().items():
+        for command in BIG_COMMANDS:
+            golden[big_key(name, command)] = run_on_text(text, command)
+    import grouplattice as gl
+
+    golden[VERTEX_DIGEST_KEY] = vertex_digest(gl.all_subgroups(e.group) for e in gl.catalog(64))
     return golden
 
 

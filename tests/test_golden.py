@@ -1,5 +1,6 @@
-"""Golden stdout for every `verify` target and for `lattice`/`degrees` on
-six non-abelian groups, a guard for refactors.
+"""Golden stdout for every `verify` target, for `lattice`/`degrees` on six
+non-abelian groups and on the ten lattice-big tables, and a digest of the
+per-vertex degrees of every catalog(64) lattice: a guard for refactors.
 
 tests/golden_stdout.json holds the sha256 of the stdout and the exit code
 of each run, recorded by tests/record_golden.py from a commit whose output
@@ -11,7 +12,22 @@ import json
 
 import pytest
 
-from record_golden import GOLDEN, GROUP_COMMANDS, GROUPS, TARGETS, argv_for, group_key, run, run_on_group
+from record_golden import (
+    BIG_COMMANDS,
+    GOLDEN,
+    GROUP_COMMANDS,
+    GROUPS,
+    TARGETS,
+    VERTEX_DIGEST_KEY,
+    argv_for,
+    big_key,
+    big_texts,
+    group_key,
+    group_text,
+    run,
+    run_on_text,
+    vertex_digest,
+)
 
 EXPECTED = json.loads(GOLDEN.read_text())
 
@@ -22,7 +38,8 @@ def test_golden_file_covers_every_verify_target():
     assert sorted(TARGETS) == sorted(VERIFY_TARGETS)
     keys = [" ".join(argv_for(t)) for t in TARGETS]
     keys += [group_key(name, command) for name in GROUPS for command in GROUP_COMMANDS]
-    assert sorted(EXPECTED) == sorted(keys)
+    keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
+    assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY])
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -35,4 +52,15 @@ def test_verify_stdout_matches_golden(target):
 @pytest.mark.parametrize("name", GROUPS)
 def test_group_command_stdout_matches_golden(name, command):
     key = group_key(name, command)
-    assert run_on_group(name, command) == EXPECTED[key], key
+    assert run_on_text(group_text(name), command) == EXPECTED[key], key
+
+
+@pytest.mark.parametrize("command", BIG_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", list(big_texts()))
+def test_lattice_big_stdout_matches_golden(name, command):
+    key = big_key(name, command)
+    assert run_on_text(big_texts()[name], command) == EXPECTED[key], key
+
+
+def test_vertex_degrees_match_golden(lattices64):
+    assert vertex_digest(lattices64) == EXPECTED[VERTEX_DIGEST_KEY]

@@ -7,12 +7,14 @@ import grouplattice as gl
 from grouplattice.errors import GroupError, GroupTooLarge
 from grouplattice.iso import (
     Isomorphism,
+    automorphisms,
     element_invariants,
     fingerprint,
     is_isomorphic,
     minimal_generating_set,
 )
 
+from record_golden import big_texts
 from test_core import relabel
 
 
@@ -129,3 +131,40 @@ def test_relabeled_dihedral_group_recognized(perm):
     base = gl.dihedral(4)
     g = gl.from_cayley_table(relabel(base.table, list(perm)))
     assert is_isomorphic(base, g) is not None
+
+
+def is_inner(g, map_) -> bool:
+    """map_ is conjugation x -> u^-1 x u by some u, checked on every element."""
+    rows = [list(row) for row in g.table]
+    inv = [row.index(0) for row in rows]
+    return any(all(rows[rows[inv[u]][x]][u] == map_[x] for x in range(g.order)) for u in range(g.order))
+
+
+def test_automorphisms_are_outer_automorphisms(catalog64):
+    groups = [entry.group for entry in catalog64] + [gl.loads_group(text) for text in big_texts().values()]
+    for g in groups:
+        maps = automorphisms(g)
+        assert len(set(maps)) == len(maps) <= 3, g.name
+        for map_ in maps:
+            Isomorphism(g, g, map_)
+            assert not is_inner(g, map_), g.name
+
+
+OUTER = {
+    "C2^6": lambda: gl.elementary_abelian(2, 6),
+    "H(3)": lambda: gl.wall_H(3),
+    "T(3)": lambda: gl.wall_T(3),
+    "D8*D8xC2xC2": lambda: gl.direct_product(gl.direct_product(gl.wall_H(2), gl.cyclic(2)), gl.cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", OUTER)
+def test_automorphism_search_finds_an_outer_automorphism(name):
+    assert automorphisms(OUTER[name]())
+
+
+def test_automorphisms_of_a_complete_group_are_none_and_repeatable():
+    # every automorphism of S4 and S5 is inner; the search is seeded
+    assert automorphisms(gl.symmetric(4)) == automorphisms(gl.symmetric(5)) == []
+    g = gl.elementary_abelian(2, 4)
+    assert automorphisms(g) == automorphisms(gl.elementary_abelian(2, 4))

@@ -12,9 +12,12 @@ from hypothesis import given, settings, strategies as st
 import grouplattice as gl
 from grouplattice.arith import divisors, is_prime
 from grouplattice.errors import GroupError, GroupTooLarge
+from grouplattice.iso import automorphisms
 from grouplattice.lattice import DEFAULT_LATTICE_CAP, DEFAULT_MAX_SUBGROUPS, all_subgroups
 
 from oracle_lattice import naive_covers, naive_degrees, naive_subgroups
+from oracle_pgroup import check_lattice, frobenius_counts, prime_factors
+from test_iso import OUTER as OUTER_AUT
 
 
 def sl_2_3():
@@ -309,42 +312,58 @@ def test_c2_7_closed_form():
 
 
 @pytest.mark.parametrize("p,n", [(2, 5), (3, 3), (5, 2), (7, 2)])
-def test_elementary_abelian_closures_equal_edges(p, n):
+def test_elementary_abelian_closures_equal_representative_covers(p, n):
     # every <H, x> has prime index over H, so rule (a) leaves exactly one
-    # closure per cover edge
+    # closure per cover of a representative; the other members of its
+    # orbit get no closure
     lat = all_subgroups(gl.elementary_abelian(p, n))
-    assert lat.closures == lat.edge_count
+    assert lat.closures == sum(len(covers) for _, covers in lat._reps)
+
+
+def test_orbit_walk_closes_fewer_subgroups_than_edges():
+    # the walk closes only orbit representatives: C2^5 has 374 subgroups
+    # and 2077 edges, but its subgroups of one rank form one orbit under
+    # GL(5, 2) once the automorphism search has found enough of it
+    lat = all_subgroups(gl.elementary_abelian(2, 5))
+    assert lat.closures < lat.edge_count == 2077
+    assert lat.orbits < len(lat) == 374
 
 
 def test_class_walk_closes_fewer_subgroups_than_edges():
-    # S5 has 156 subgroups in 19 conjugacy classes: only the class
-    # representatives are closed, the other members' covers are conjugated
+    # S5 has 156 subgroups in 19 conjugacy classes, which are its orbits
+    # under automorphisms (all inner): only the representatives are closed
     lat = all_subgroups(gl.symmetric(5))
     assert lat.edge_count == 501
     assert lat.closures < lat.edge_count
 
 
 def test_conjugation_by_a_generator_is_a_lattice_automorphism(lattices64):
-    # for every vertex H and generator s, H^s is a vertex with the same
-    # degrees and covers(H)^s = covers(H^s); catalog(64) holds A5
-    for lat in lattices64 + (all_subgroups(gl.symmetric(5)),):
+    # for every vertex H and every automorphism a (conjugation by a
+    # generator, or a non-inner map that the search found), a(H) is a
+    # vertex with the same degrees and a(covers(H)) = covers(a(H)), with
+    # the covers that lattice.upper builds on demand; catalog(64) holds A5
+    extra = [gl.symmetric(5), gl.wall_H(3), gl.wall_T(3), OUTER_AUT["D8*D8xC2xC2"]()]
+    outer_checked = 0
+    for lat in lattices64 + tuple(all_subgroups(g) for g in extra):
         g = lat.parent
         rows, n = g.table, g.order
         inv = [row.index(0) for row in rows]
         index = {h.mask: i for i, h in enumerate(lat.subgroups)}
         profile = lat.degree_profile()
-        for s in g.generators:
-            conj = [rows[rows[inv[s]][x]][s] for x in range(n)]  # x -> s^-1 x s
+        outer = automorphisms(g)
+        outer_checked += len(outer)
+        for a in [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in g.generators] + outer:
             image = []
             for h in lat.subgroups:
                 mask = 0
                 for x in h.elements:
-                    mask |= 1 << conj[x]
-                assert mask in index, (g.name, h.elements, s)
+                    mask |= 1 << a[x]
+                assert mask in index, (g.name, h.elements, a)
                 image.append(index[mask])
             for i, j in enumerate(image):
-                assert (profile.up[i], profile.down[i]) == (profile.up[j], profile.down[j]), (g.name, i, s)
-                assert sorted(image[k] for k in lat.upper[i]) == list(lat.upper[j]), (g.name, i, s)
+                assert (profile.up[i], profile.down[i]) == (profile.up[j], profile.down[j]), (g.name, i, a)
+                assert sorted(image[k] for k in lat.upper[i]) == list(lat.upper[j]), (g.name, i, a)
+    assert outer_checked > 200
 
 
 def test_lattice_cap_enforced(monkeypatch):
@@ -373,3 +392,50 @@ def test_cyclic_lattice_matches_divisor_poset(n):
         1 for d in ds for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) if d * p in ds
     )
     assert lat.edge_count == expect_edges
+
+
+def test_pgroup_degree_certificate(lattices64):
+    # every p-group of catalog(64): per-vertex (up, down) from closed forms
+    # computed by tests/oracle_pgroup.py on the raw table, and every listed
+    # edge a cover; that certifies the vertex set and the edges
+    certified = 0
+    for lat in lattices64:
+        g = lat.parent
+        if g.order == 1 or len(prime_factors(g.order)) != 1:
+            continue
+        profile = lat.degree_profile()
+        vertices = [s.elements for s in lat.subgroups]
+        table = [list(row) for row in g.table]
+        assert check_lattice(table, vertices, profile.up, profile.down, lat.upper) == [], g.name
+        certified += 1
+    assert certified == 46
+
+
+def test_frobenius_subgroup_counts(lattices64):
+    # the number of subgroups of order p^k is 1 mod p, on every catalog(64) group
+    for lat in lattices64:
+        assert frobenius_counts(lat.parent.order, [s.order for s in lat.subgroups]) == [], lat.parent.name
+
+
+def test_pgroup_certificate_catches_a_wrong_lattice():
+    lat = all_subgroups(gl.dihedral(4))
+    profile = lat.degree_profile()
+    table = [list(row) for row in lat.parent.table]
+    vertices = [s.elements for s in lat.subgroups]
+    up, down, upper = list(profile.up), list(profile.down), list(lat.upper)
+    assert check_lattice(table, vertices, up, down, upper) == []
+    assert check_lattice(table, vertices, up[:1] + [4] + up[2:], down, upper) == [
+        "vertex 1 of order 2: (up, down) (4, 1), certificate (3, 1)",
+        "vertex 1 lists 3 distinct covers, up-degree 4",
+    ]
+    # drop the vertex <(0, 2)> of order 2 and its edges, keeping every degree
+    keep = [i for i in range(len(vertices)) if i != 1]
+    renumber = {i: r for r, i in enumerate(keep)}
+    problems = check_lattice(
+        table,
+        [vertices[i] for i in keep],
+        [up[i] for i in keep],
+        [down[i] for i in keep],
+        [tuple(renumber[j] for j in upper[i] if j != 1) for i in keep],
+    )
+    assert problems == ["vertex 0 lists 4 distinct covers, up-degree 5"]
