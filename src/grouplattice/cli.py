@@ -267,10 +267,16 @@ def _run_verify(args) -> int:
                     ok = ok and rep.holds
                     lines.append(_bound_line(entry.name, g.order, rep))
             else:
-                for h in lattice.subgroups:
-                    rep = lemma_2_1(lattice, h)
-                    ok = ok and rep.holds and rep.equality == rep.equality_condition
-                    lines.append(_bound_line(entry.name, g.order, rep, subgroup_order=h.order))
+                # the report is invariant under automorphisms (lattice module
+                # docstring): one call and one line per orbit
+                line_of: dict[int, str] = {}
+                for h, orbit in zip(lattice.subgroups, lattice.vertex_orbit):
+                    line = line_of.get(orbit)
+                    if line is None:
+                        rep = lemma_2_1(lattice, h)
+                        ok = ok and rep.holds and rep.equality == rep.equality_condition
+                        line = line_of[orbit] = _bound_line(entry.name, g.order, rep, subgroup_order=h.order)
+                    lines.append(line)
         _emit_lines(lines, args.output)
         return 0 if ok else 1
 

@@ -45,6 +45,15 @@ number of members of O_R that K covers, so
 and edge_count = sum over R of |O_R| up(R). The edge lists themselves
 (upper, lower, covers, export_dot) are built on first access. closures
 counts the closures made for the representatives, orbits the orbits.
+
+Per-vertex answers per orbit: vertex_orbit maps each subgroup to its
+orbit. An automorphism a preserves the order and the degree of a
+subgroup H; H is normal iff a(H) is, since a(x H x^-1) = a(x) a(H) a(x)^-1
+and a is onto; H has exponent 2 iff a(H) has, since a preserves element
+orders; and x H -> a(x) a(H) is an isomorphism G/H -> G/a(H). So a
+per-subgroup answer built from these (the Lemma 2.1 report of
+`verify lemma21`) is the same on every member of an orbit, and a caller
+may compute it once per orbit.
 """
 
 from __future__ import annotations
@@ -81,6 +90,8 @@ class SubgroupLattice:
     leaves one orbit of subgroups under automorphisms of the group per
     representative with that representative's upper covers; degrees,
     edge_count, atoms and maximal subgroups come from those counts.
+    vertex_orbit[i] is the number of the orbit of subgroup i; the first
+    vertex of each orbit in index order need not be its representative.
     upper[i] and lower[i], the subgroups covering and covered by subgroup
     i in ascending order, are built on first access by carrying the
     representatives' covers along their orbits. closures counts the
@@ -90,13 +101,13 @@ class SubgroupLattice:
     def __init__(self, parent: FiniteGroup, orbit_of: dict[int, int], reps, movers, closures: int):
         self.parent = parent
         self.masks: tuple[int, ...] = tuple(sorted(orbit_of, key=lambda m: (m.bit_count(), m)))
-        self._vertex_orbit = tuple(orbit_of[m] for m in self.masks)
+        self.vertex_orbit = tuple(orbit_of[m] for m in self.masks)
         self._reps = reps  # orbit -> (representative mask, its upper covers' masks)
         self._movers = movers
         self.closures = closures
         self.orbits = len(reps)
         size = [0] * self.orbits
-        for o in self._vertex_orbit:
+        for o in self.vertex_orbit:
             size[o] += 1
         # the edges whose upper end lies in the orbit O of K number |O| down(K),
         # and sum_R |O_R| c(R -> O) counted from their lower ends
@@ -106,8 +117,8 @@ class SubgroupLattice:
                 below[orbit_of[c]] += n
         up = [len(covers) for _, covers in reps]
         self.edge_count = sum(map(operator.mul, up, size))
-        self._up = tuple(up[o] for o in self._vertex_orbit)
-        self._down = tuple(below[o] // size[o] for o in self._vertex_orbit)
+        self._up = tuple(up[o] for o in self.vertex_orbit)
+        self._down = tuple(below[o] // size[o] for o in self.vertex_orbit)
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
@@ -172,7 +183,7 @@ class SubgroupLattice:
         # the group is an orbit of its own; the orbits whose representative it covers are maximal
         top = self.masks[-1]
         maximal = {o for o, (_, covers) in enumerate(self._reps) if top in covers}
-        return [s for s, o in zip(self.subgroups, self._vertex_orbit) if o in maximal]
+        return [s for s, o in zip(self.subgroups, self.vertex_orbit) if o in maximal]
 
     def max_p(self, p: int) -> list[Subgroup]:
         """Maximal subgroups of index a power of p."""
@@ -185,17 +196,19 @@ class SubgroupLattice:
         return self.subgroups[self._index[mask]]
 
     def o_p(self, p: int) -> Subgroup:
-        """Smallest normal subgroup whose index is a power of p, as the
-        intersection of all normal subgroups of p-power index."""
-        mask = self.masks[-1]
-        for s in self.subgroups:
-            if split_power(s.index, p)[1] == 1 and s.is_normal:
-                mask &= s.mask
+        """O^p(G), the smallest normal subgroup whose index is a power of p,
+        as the closure N of the p'-elements (order prime to p). They form
+        a union of conjugacy classes, so N is normal. Each x in G is the
+        product of a p-element and a p'-element that are powers of x, so
+        xN has p-power order and G/N is a p-group. A normal subgroup of
+        p-power index holds every p'-element, so it contains N."""
+        g = self.parent
+        mask = g.closure_mask(x for x, k in enumerate(g.element_orders) if k % p)
         if mask not in self._index:
-            raise GroupError(f"normal p-power-index intersection is not a vertex for p={p}")
+            raise GroupError(f"closure of the {p}'-elements is not a vertex")
         result = self.subgroups[self._index[mask]]
         if split_power(result.index, p)[1] != 1:
-            raise GroupError(f"intersection has index {result.index}, not a power of {p}")
+            raise GroupError(f"closure of the {p}'-elements has index {result.index}, not a power of {p}")
         return result
 
     def interval_atoms(self, h: Subgroup) -> list[Subgroup]:

@@ -1,14 +1,15 @@
 """Record the stdout digests that tests/test_golden.py compares against.
 
 Runs every `verify` target in process through `grouplattice.cli.main` at
-`--max-order 64` (lemma23 at its default bounds), and `lattice` (JSON and
-dot) and `degrees` on six non-abelian groups written to a temporary group
-file, and `lattice` (JSON) and `degrees` on the ten tables of the
-benchmark's lattice-big workload (perfbench/groups.py, relabelled as with
-seed 3), and writes the sha256 of each stdout with its exit code to
+`--max-order 64` (lemma23 at its default bounds), `bounds` and `lemma21`
+also at `--max-order 128`, and `lattice` (JSON and dot) and `degrees` on
+six non-abelian groups written to a temporary group file, and `lattice`
+(JSON) and `degrees` on the ten tables of the benchmark's lattice-big
+workload (perfbench/groups.py, relabelled as with seed 3), and writes
+the sha256 of each stdout with its exit code to
 tests/golden_stdout.json. It also writes one sha256 of the per-vertex
-(mask, up-degree, down-degree) of every catalog(64) lattice. Record
-from a commit whose output is known good, before a refactor:
+(mask, up-degree, down-degree) of every catalog(64) lattice. Record from
+a commit whose output is known good, before a refactor:
 
     PYTHONPATH=src python tests/record_golden.py
 """
@@ -28,6 +29,8 @@ import tempfile
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_stdout.json")
 TARGETS = ("theorem-1.1", "theorem-a", "wall", "cor-1.2", "cor-1.3", "bounds", "lemma21", "lemma23", "orders")
+WIDE_TARGETS = ("bounds", "lemma21")  # also recorded at WIDE_ORDER
+WIDE_ORDER = 128
 GROUPS = ("S5", "A5", "S4xS3", "T(2)", "D8xD8", "S3xD8")
 GROUP_COMMANDS = (("lattice",), ("lattice", "--format", "dot"), ("degrees",))
 BIG_SEED = 3
@@ -35,8 +38,8 @@ BIG_COMMANDS = (("lattice",), ("degrees",))
 VERTEX_DIGEST_KEY = "vertex (mask, up, down) of every catalog(64) lattice"
 
 
-def argv_for(target: str) -> list[str]:
-    return ["verify", target] if target == "lemma23" else ["verify", target, "--max-order", "64"]
+def argv_for(target: str, max_order: int = 64) -> list[str]:
+    return ["verify", target] if target == "lemma23" else ["verify", target, "--max-order", str(max_order)]
 
 
 def group_key(name: str, command: tuple[str, ...]) -> str:
@@ -109,6 +112,8 @@ def run_on_text(text: str, command: tuple[str, ...]) -> dict:
 
 def record() -> dict:
     golden = {" ".join(argv_for(t)): run(argv_for(t)) for t in TARGETS}
+    for t in WIDE_TARGETS:
+        golden[" ".join(argv_for(t, WIDE_ORDER))] = run(argv_for(t, WIDE_ORDER))
     for name in GROUPS:
         for command in GROUP_COMMANDS:
             golden[group_key(name, command)] = run_on_text(group_text(name), command)

@@ -38,6 +38,22 @@ def lat(g):
 # per-subgroup degree bound
 
 
+def test_lemma_2_1_is_constant_on_automorphism_orbits(lattices64):
+    # `verify lemma21` evaluates the bound on the first vertex of each orbit
+    # and reuses that report for the orbit's other members
+    checked = 0
+    for lattice in lattices64:
+        if not lattice.parent.is_solvable:
+            continue
+        first: dict = {}
+        for h, orbit in zip(lattice.subgroups, lattice.vertex_orbit):
+            answer = (h.order, lemma_2_1(lattice, h))
+            assert answer == first.setdefault(orbit, answer), (lattice.parent.name, h.order)
+            checked += 1
+        assert len(first) == lattice.orbits
+    assert checked == 11_576
+
+
 def test_degree_bound_elementary_abelian_equality():
     g = gl.elementary_abelian(2, 3)
     lattice = lat(g)

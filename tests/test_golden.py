@@ -1,6 +1,7 @@
-"""Golden stdout for every `verify` target, for `lattice`/`degrees` on six
-non-abelian groups and on the ten lattice-big tables, and a digest of the
-per-vertex degrees of every catalog(64) lattice: a guard for refactors.
+"""Golden stdout for every `verify` target (`bounds` and `lemma21` also at
+order 128), for `lattice`/`degrees` on six non-abelian groups and on the
+ten lattice-big tables, and a digest of the per-vertex degrees of every
+catalog(64) lattice: a guard for refactors.
 
 tests/golden_stdout.json holds the sha256 of the stdout and the exit code
 of each run, recorded by tests/record_golden.py from a commit whose output
@@ -19,6 +20,8 @@ from record_golden import (
     GROUPS,
     TARGETS,
     VERTEX_DIGEST_KEY,
+    WIDE_ORDER,
+    WIDE_TARGETS,
     argv_for,
     big_key,
     big_texts,
@@ -37,6 +40,7 @@ def test_golden_file_covers_every_verify_target():
 
     assert sorted(TARGETS) == sorted(VERIFY_TARGETS)
     keys = [" ".join(argv_for(t)) for t in TARGETS]
+    keys += [" ".join(argv_for(t, WIDE_ORDER)) for t in WIDE_TARGETS]
     keys += [group_key(name, command) for name in GROUPS for command in GROUP_COMMANDS]
     keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
     assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY])
@@ -46,6 +50,13 @@ def test_golden_file_covers_every_verify_target():
 def test_verify_stdout_matches_golden(target):
     key = " ".join(argv_for(target))
     assert run(argv_for(target)) == EXPECTED[key], key
+
+
+@pytest.mark.parametrize("target", WIDE_TARGETS)
+def test_wide_verify_stdout_matches_golden(target):
+    argv = argv_for(target, WIDE_ORDER)
+    key = " ".join(argv)
+    assert run(argv) == EXPECTED[key], key
 
 
 @pytest.mark.parametrize("command", GROUP_COMMANDS, ids=" ".join)

@@ -211,6 +211,26 @@ def test_residual_o_p_examples(s3):
     assert all_subgroups(gl.dihedral(4)).o_p(2).order == 1
 
 
+def test_o_p_is_the_intersection_of_normal_p_power_index_vertices(lattices64):
+    # O^p(G) by its definition, sharing nothing with the closure of the
+    # p'-elements that o_p computes: the intersection of all normal
+    # vertices of p-power index
+    pairs = 0
+    for lat in lattices64:
+        g = lat.parent
+        for p in prime_factors(g.order):
+            mask = lat.masks[-1]
+            for s in lat.subgroups:
+                index = s.index
+                while index % p == 0:
+                    index //= p
+                if index == 1 and s.is_normal:
+                    mask &= s.mask
+            assert lat.o_p(p).mask == mask, (g.name, p)
+            pairs += 1
+    assert pairs == 172
+
+
 def test_o_p_result_is_normal(catalog36):
     for entry in catalog36:
         g = entry.group
@@ -395,11 +415,12 @@ def test_cyclic_lattice_matches_divisor_poset(n):
 
 
 def test_pgroup_degree_certificate(lattices64):
-    # every p-group of catalog(64): per-vertex (up, down) from closed forms
-    # computed by tests/oracle_pgroup.py on the raw table, and every listed
-    # edge a cover; that certifies the vertex set and the edges
+    # every p-group of catalog(64), and H(3) and S(3) of order 128:
+    # per-vertex (up, down) from closed forms computed by
+    # tests/oracle_pgroup.py on the raw table, and every listed edge a
+    # cover; that certifies the vertex set and the edges
     certified = 0
-    for lat in lattices64:
+    for lat in (*lattices64, all_subgroups(gl.wall_H(3)), all_subgroups(gl.wall_S(3))):
         g = lat.parent
         if g.order == 1 or len(prime_factors(g.order)) != 1:
             continue
@@ -408,7 +429,7 @@ def test_pgroup_degree_certificate(lattices64):
         table = [list(row) for row in g.table]
         assert check_lattice(table, vertices, profile.up, profile.down, lat.upper) == [], g.name
         certified += 1
-    assert certified == 46
+    assert certified == 48
 
 
 def test_frobenius_subgroup_counts(lattices64):
