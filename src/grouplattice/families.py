@@ -48,6 +48,10 @@ def _product_rows(t1: Sequence, t2: Sequence) -> tuple:
     return tuple(compose_rows(lrow, rrow) for lrow in left for rrow in right)
 
 
+def _abelian_rows(factors: Sequence[int]) -> tuple:
+    return reduce(_product_rows, map(_cyclic_rows, factors)) if factors else _cyclic_rows(1)
+
+
 def cyclic(n: int) -> FiniteGroup:
     require_int(n, "cyclic order", 1)
     check_cap(n)
@@ -62,7 +66,7 @@ def abelian(factors: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
     for f in factors:
         require_int(f, "cyclic factor", 2)
     check_cap(math.prod(factors))
-    table = reduce(_product_rows, map(_cyclic_rows, factors))
+    table = _abelian_rows(factors)
     if name is None:
         name = "x".join(f"C{f}" for f in factors)
     return FiniteGroup(table, name=name)
@@ -77,23 +81,27 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     return abelian([p] * k, name=name)
 
 
-def generalized_dihedral(a: FiniteGroup) -> FiniteGroup:
-    """Extension of an abelian group by an involution acting by inversion.
+def _dihedral_rows(rows: Sequence, inverses: Sequence[int]) -> list:
+    """Rows of Dih(A) from the rows and inverses of an abelian group A.
 
     Elements are pairs (eps, x) indexed eps*|A| + x; (1, x) elements all
     invert A under conjugation.
     """
-    if not a.is_abelian:
-        raise NotAbelian(f"{a.name} is not abelian")
-    m = a.order
+    m = len(rows)
     check_cap(2 * m)
     ref = row_type(2 * m)(range(2 * m))
     low, high = ref[:m], ref[m:]  # x -> (0, x) and x -> (1, x)
-    inv = row_type(m)(a.inverses)
-    quotients = [compose_rows(row, inv) for row in a.table]  # y -> x * y^-1
-    table = [compose_rows(low, row) + compose_rows(high, row) for row in a.table]
-    table += [compose_rows(high, row) + compose_rows(low, row) for row in quotients]
-    return FiniteGroup(table, name=f"D({a.name})")
+    inv = row_type(m)(inverses)
+    quotients = [compose_rows(row, inv) for row in rows]  # y -> x * y^-1
+    table = [compose_rows(low, row) + compose_rows(high, row) for row in rows]
+    return table + [compose_rows(high, row) + compose_rows(low, row) for row in quotients]
+
+
+def generalized_dihedral(a: FiniteGroup) -> FiniteGroup:
+    """Extension of an abelian group by an involution acting by inversion."""
+    if not a.is_abelian:
+        raise NotAbelian(f"{a.name} is not abelian")
+    return FiniteGroup(_dihedral_rows(a.table, a.inverses), name=f"D({a.name})")
 
 
 def dihedral(m: int) -> FiniteGroup:
@@ -335,19 +343,26 @@ def _swap_action(p: int) -> list[int]:
 
 def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     """All isomorphism types through order min(max_order, 15), plus named
-    family representatives up to max_order, pairwise non-isomorphic."""
+    family representatives up to max_order, pairwise non-isomorphic.
+
+    Raises GroupTooLarge only if two groups with the same element orders
+    meet above the isomorphism cap (iso.DEFAULT_ISO_CAP)."""
     require_int(max_order, "max_order", 1)
-    buckets: dict[int, list[tuple[FiniteGroup, set[str]]]] = {}
+    found: list[tuple[FiniteGroup, set[str]]] = []
+    # isomorphic groups have equal sorted element orders, so a group is
+    # compared only with the earlier groups that share them
+    by_orders: dict[tuple[int, ...], list[tuple[FiniteGroup, set[str]]]] = {}
 
     def add(g: FiniteGroup, *tags: str) -> None:
         if g.order > max_order:
             return
-        bucket = buckets.setdefault(g.order, [])
+        bucket = by_orders.setdefault(tuple(sorted(g.element_orders)), [])
         for other, known in bucket:
             if is_isomorphic(other, g) is not None:
                 known.update(tags)
                 return
         bucket.append((g, set(tags)))
+        found.append(bucket[-1])
 
     small = min(max_order, 15)
     for n in range(1, small + 1):
@@ -386,8 +401,13 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
         s += 1
     for a_order in range(1, max_order // 2 + 1):
         for typ in abelian_type_list(a_order):
-            a = abelian(list(typ)) if typ else cyclic(1)
-            add(generalized_dihedral(a), "generalized-dihedral")
+            # built from A's rows: A is the index-2 subgroup of Dih(A), so
+            # validating Dih(A) also validates A's table
+            rows = _abelian_rows(typ)
+            name = "x".join(f"C{f}" for f in typ) or "C1"
+            g = FiniteGroup(_dihedral_rows(rows, [row.index(0) for row in rows]), name=f"D({name})")
+            odd_elementary = len(set(typ)) == 1 and typ[0] > 2 and is_prime(typ[0])
+            add(g, "generalized-dihedral", *("cpn-c2",) * odd_elementary)
     r = 1
     while 2 ** (2 * r + 1) <= max_order:
         add(wall_H(r), "wall-H", "generalized-extraspecial-seed")
@@ -425,7 +445,6 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
         while 2 * p ** nexp <= max_order:
             a = elementary_abelian(p, nexp)
             add(direct_product(a, cyclic(2)), "cpn-c2")
-            add(generalized_dihedral(a), "cpn-c2", "generalized-dihedral")
             if nexp == 2:
                 add(semidirect_C2(a, _swap_action(p), name=f"{a.name}:C2swap"), "cpn-c2")
             nexp += 1
@@ -443,8 +462,5 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     if max_order >= 60:
         add(alternating(5), "a5")
 
-    entries = []
-    for n in sorted(buckets):
-        for g, tags in sorted(buckets[n], key=lambda pair: pair[0].name):
-            entries.append(CatalogEntry(name=g.name, group=g, known_tags=frozenset(tags)))
-    return tuple(entries)
+    found.sort(key=lambda pair: (pair[0].order, pair[0].name))
+    return tuple(CatalogEntry(name=g.name, group=g, known_tags=frozenset(tags)) for g, tags in found)

@@ -179,11 +179,16 @@ class SubgroupLattice:
     def atoms(self) -> list[Subgroup]:
         return [s for s in self.subgroups if is_prime(s.order)]
 
-    def maximal_subgroups(self) -> list[Subgroup]:
+    @cached_property
+    def _maximal(self) -> tuple[Subgroup, ...]:
         # the group is an orbit of its own; the orbits whose representative it covers are maximal
         top = self.masks[-1]
         maximal = {o for o, (_, covers) in enumerate(self._reps) if top in covers}
-        return [s for s, o in zip(self.subgroups, self.vertex_orbit) if o in maximal]
+        return tuple(s for s, o in zip(self.subgroups, self.vertex_orbit) if o in maximal)
+
+    def maximal_subgroups(self) -> list[Subgroup]:
+        """The maximal subgroups, in vertex order, as a new list each call."""
+        return list(self._maximal)
 
     def max_p(self, p: int) -> list[Subgroup]:
         """Maximal subgroups of index a power of p."""

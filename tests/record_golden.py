@@ -7,9 +7,12 @@ six non-abelian groups written to a temporary group file, and `lattice`
 (JSON) and `degrees` on the ten tables of the benchmark's lattice-big
 workload (perfbench/groups.py, relabelled as with seed 3), and writes
 the sha256 of each stdout with its exit code to
-tests/golden_stdout.json. It also writes one sha256 of the per-vertex
-(mask, up-degree, down-degree) of every catalog(64) lattice. Record from
-a commit whose output is known good, before a refactor:
+tests/golden_stdout.json. It also records the lattice-free commands
+`catalog --list`, `verify theorem-a` and `verify wall` at `--max-order
+256`, one sha256 of the per-vertex (mask, up-degree, down-degree) of
+every catalog(64) lattice, and one sha256 of the (name, sorted tags,
+order, table bytes) of every catalog(256) entry. Record from a commit
+whose output is known good, before a refactor:
 
     PYTHONPATH=src python tests/record_golden.py
 """
@@ -36,6 +39,13 @@ GROUP_COMMANDS = (("lattice",), ("lattice", "--format", "dot"), ("degrees",))
 BIG_SEED = 3
 BIG_COMMANDS = (("lattice",), ("degrees",))
 VERTEX_DIGEST_KEY = "vertex (mask, up, down) of every catalog(64) lattice"
+CATALOG_ORDER = 256
+CATALOG_COMMANDS = (
+    ("catalog", "--list", "--max-order", str(CATALOG_ORDER)),
+    ("verify", "theorem-a", "--max-order", str(CATALOG_ORDER)),
+    ("verify", "wall", "--max-order", str(CATALOG_ORDER)),
+)
+CATALOG_DIGEST_KEY = f"(name, tags, order, table) of every catalog({CATALOG_ORDER}) entry"
 
 
 def argv_for(target: str, max_order: int = 64) -> list[str]:
@@ -93,6 +103,17 @@ def vertex_digest(lattices) -> dict:
     return {"sha256": digest.hexdigest(), "vertices": vertices}
 
 
+def catalog_digest(entries) -> dict:
+    """sha256 of each entry's name, sorted tags and order, one line each,
+    followed by the bytes of its table rows."""
+    digest = hashlib.sha256()
+    for entry in entries:
+        g = entry.group
+        digest.update(f"{entry.name} {','.join(sorted(entry.known_tags))} {g.order}\n".encode())
+        digest.update(b"".join(g.table))
+    return {"sha256": digest.hexdigest(), "entries": len(entries)}
+
+
 def run(argv: list[str]) -> dict:
     from grouplattice.cli import main
 
@@ -120,8 +141,11 @@ def record() -> dict:
     for name, text in big_texts().items():
         for command in BIG_COMMANDS:
             golden[big_key(name, command)] = run_on_text(text, command)
+    for command in CATALOG_COMMANDS:
+        golden[" ".join(command)] = run(list(command))
     import grouplattice as gl
 
+    golden[CATALOG_DIGEST_KEY] = catalog_digest(gl.catalog(CATALOG_ORDER))
     golden[VERTEX_DIGEST_KEY] = vertex_digest(gl.all_subgroups(e.group) for e in gl.catalog(64))
     return golden
 

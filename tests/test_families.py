@@ -373,14 +373,30 @@ def test_catalog_order_12_entries():
     assert "generalized-dihedral" in entries["D12"]
 
 
-def test_catalog_pairwise_distinct_within_order(catalog36):
+def test_catalog_pairwise_distinct_within_order(catalog64):
+    # every pair, not only those with equal element orders: an isomorphic
+    # pair that the catalog's element-order screen kept apart fails here
     by_order = {}
-    for e in catalog36:
+    for e in catalog64:
         by_order.setdefault(e.group.order, []).append(e.group)
     for groups in by_order.values():
         for i, a in enumerate(groups):
             for b in groups[i + 1 :]:
                 assert is_isomorphic(a, b) is None
+
+
+def test_catalog_above_the_isomorphism_cap(monkeypatch):
+    monkeypatch.setattr("grouplattice.iso.DEFAULT_ISO_CAP", 16)
+    # above the cap, groups with different element orders need no
+    # isomorphism test and are listed
+    above = [e.group for e in gl.catalog(26) if e.group.order > 16]
+    assert len(above) == 12
+    profiles = {(g.order, tuple(sorted(g.element_orders))) for g in above}
+    assert len(profiles) == len(above)
+    # C3^3 and Heis3 both have 26 elements of order 3: that pair needs a
+    # test above the cap, which is refused
+    with pytest.raises(GroupTooLarge, match="order 27 exceeds cap 16"):
+        gl.catalog(27)
 
 
 def test_catalog_rejects_bad_bound():

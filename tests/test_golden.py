@@ -1,7 +1,9 @@
 """Golden stdout for every `verify` target (`bounds` and `lemma21` also at
 order 128), for `lattice`/`degrees` on six non-abelian groups and on the
-ten lattice-big tables, and a digest of the per-vertex degrees of every
-catalog(64) lattice: a guard for refactors.
+ten lattice-big tables, for `catalog --list`, `verify theorem-a` and
+`verify wall` at order 256, a digest of the per-vertex degrees of every
+catalog(64) lattice and a digest of every catalog(256) entry's name,
+tags and table: a guard for refactors.
 
 tests/golden_stdout.json holds the sha256 of the stdout and the exit code
 of each run, recorded by tests/record_golden.py from a commit whose output
@@ -15,6 +17,9 @@ import pytest
 
 from record_golden import (
     BIG_COMMANDS,
+    CATALOG_COMMANDS,
+    CATALOG_DIGEST_KEY,
+    CATALOG_ORDER,
     GOLDEN,
     GROUP_COMMANDS,
     GROUPS,
@@ -25,6 +30,7 @@ from record_golden import (
     argv_for,
     big_key,
     big_texts,
+    catalog_digest,
     group_key,
     group_text,
     run,
@@ -43,7 +49,8 @@ def test_golden_file_covers_every_verify_target():
     keys += [" ".join(argv_for(t, WIDE_ORDER)) for t in WIDE_TARGETS]
     keys += [group_key(name, command) for name in GROUPS for command in GROUP_COMMANDS]
     keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
-    assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY])
+    keys += [" ".join(command) for command in CATALOG_COMMANDS]
+    assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY, CATALOG_DIGEST_KEY])
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -75,3 +82,15 @@ def test_lattice_big_stdout_matches_golden(name, command):
 
 def test_vertex_degrees_match_golden(lattices64):
     assert vertex_digest(lattices64) == EXPECTED[VERTEX_DIGEST_KEY]
+
+
+@pytest.mark.parametrize("command", CATALOG_COMMANDS, ids=" ".join)
+def test_catalog_command_stdout_matches_golden(command):
+    key = " ".join(command)
+    assert run(list(command)) == EXPECTED[key], key
+
+
+def test_catalog_entries_match_golden():
+    import grouplattice as gl
+
+    assert catalog_digest(gl.catalog(CATALOG_ORDER)) == EXPECTED[CATALOG_DIGEST_KEY]

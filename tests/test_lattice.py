@@ -231,6 +231,20 @@ def test_o_p_is_the_intersection_of_normal_p_power_index_vertices(lattices64):
     assert pairs == 172
 
 
+def test_maximal_subgroups_match_the_orbit_definition(lattices64):
+    # the maximal vertices as SubgroupLattice.maximal_subgroups defined them
+    # before it kept them: every member of an orbit whose representative
+    # the whole group covers
+    for lat in lattices64:
+        top = lat.masks[-1]
+        maximal = {o for o, (_, covers) in enumerate(lat._reps) if top in covers}
+        expected = [s for s, o in zip(lat.subgroups, lat.vertex_orbit) if o in maximal]
+        first = lat.maximal_subgroups()
+        assert first == expected, lat.parent.name
+        first.clear()
+        assert lat.maximal_subgroups() == expected, lat.parent.name
+
+
 def test_o_p_result_is_normal(catalog36):
     for entry in catalog36:
         g = entry.group
