@@ -18,8 +18,9 @@ from .core import FiniteGroup, _mask_elements, sylow_p_elements_form_subgroup
 from .errors import GroupTooLarge, TrivialGroup
 from .families import (
     CatalogEntry,
+    _abelian_rows,
+    _product_rows,
     alternating,
-    cyclic,
     dihedral,
     direct_product,
     elementary_abelian,
@@ -157,6 +158,9 @@ def _is_generalized_dihedral(g: FiniteGroup) -> bool:
 
 @lru_cache(maxsize=None)
 def _candidate(subtype_key: str, param: int, edim: int) -> FiniteGroup:
+    """The group of a Theorem A subtype (or D12) times C2^edim, built once.
+    Product indexing is associative, so base x C2^edim has the same table
+    as edim products with C2 in turn."""
     base = {
         "II": lambda _: direct_product(dihedral(4), dihedral(4)),
         "III": wall_H,
@@ -166,10 +170,11 @@ def _candidate(subtype_key: str, param: int, edim: int) -> FiniteGroup:
         "VIII": lambda _: direct_product(symmetric(3), symmetric(3)),
         "IX": lambda _: symmetric(4),
         "X": lambda _: alternating(5),
+        F7_D12: dihedral,
     }[subtype_key](param)
-    for _ in range(edim):
-        base = direct_product(base, cyclic(2))
-    return base
+    if not edim:
+        return base
+    return FiniteGroup(_product_rows(base.table, _abelian_rows([2] * edim)), name=base.name + "xC2" * edim)
 
 
 def recognize(g: FiniteGroup) -> Recognition:
@@ -207,7 +212,7 @@ def recognize(g: FiniteGroup) -> Recognition:
 
     if n == 12:
         try:
-            if is_isomorphic(g, dihedral(6)) is not None:
+            if is_isomorphic(g, _candidate(F7_D12, 6, 0)) is not None:
                 tags.add(FamilyTag(F7_D12))
         except GroupTooLarge:
             undecided.add(F7_D12)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from functools import cached_property, partial
 from operator import itemgetter
@@ -55,12 +56,33 @@ def compose_rows(p, q):
     return array("H", itemgetter(*q)(p) if len(q) > 1 else map(p.__getitem__, q))
 
 
-def _is_permutation(line, ref) -> bool:
-    """True iff line holds each entry of ref = 0..n-1 once. For bytes:
-    nothing outside ref, and maketrans(line, ref) undoes line (no repeat)."""
-    if type(line) is bytes:
-        return not line.translate(None, ref) and line.translate(bytes.maketrans(line, ref)) == ref
-    return max(line) < len(ref) == len(set(line))
+def _in_range(joined: bytes, n: int) -> bool:
+    """True iff every entry of the joined rows is below n, at C speed. A
+    uint16 entry hi*256 + lo is below n = top*256 + low iff hi < top, or
+    hi == top and lo < low."""
+    if n <= 256:
+        return not joined.translate(None, bytes(range(n)))
+    hi, lo = (joined[1::2], joined[::2]) if sys.byteorder == "little" else (joined[::2], joined[1::2])
+    top, low = divmod(n, 256)
+    at_top = int.from_bytes(hi.translate(bytes(h == top for h in range(256))), "big")
+    lo_over = int.from_bytes(lo.translate(bytes(x >= low for x in range(256))), "big")
+    return not hi.translate(None, bytes(range(top + 1))) and not at_top & lo_over
+
+
+def _is_permutation(line, n: int) -> bool:
+    """True iff the n entries of line, none negative, are 0..n-1."""
+    return max(line) < n == len(set(line))
+
+
+def _check_latin(rows) -> None:
+    """Raise NotLatinSquare naming the first row, then the first column,
+    that is not a permutation of 0..n-1."""
+    n = len(rows)
+    flat = row_type(n)(b"".join(rows))
+    for kind, lines in (("row", rows), ("column", (flat[c::n] for c in range(n)))):
+        for r, line in enumerate(lines):
+            if not _is_permutation(line, n):
+                raise NotLatinSquare(f"{kind} {r} is not a permutation of 0..{n - 1}")
 
 
 def _frozen(rows) -> tuple:
@@ -107,16 +129,20 @@ class FiniteGroup:
 
     The table is a tuple of immutable rows, table[a][b] = a*b: bytes up to
     order 256 (every group the lattice cap admits), read-only uint16
-    memoryviews above.
-    Validation happens in the constructor: entry types and range,
-    Latin-square rows and columns, a two-sided identity (relocated to index
-    0 if found elsewhere), two-sided inverses, and associativity.
-    Associativity is checked with a generating-set test: (a*g)*c = a*(g*c)
-    for every a, c and every g in a set that generates the whole table,
-    which is equivalent to full associativity and keeps validation at
-    O(n^2 log n) instead of O(n^3). That set is kept as generators (and
-    the inverse of each element as inverses); commutativity, the center,
-    the derived series and normality are computed from it.
+    memoryviews above. The constructor screens entry types and range, then
+    checks for a two-sided identity (relocated to 0 if found elsewhere),
+    two-sided inverses, and (a*g)*c = a*(g*c) for all a, c and every g in
+    generators, in O(n^2 log n). These checks alone prove a group:
+    - generators comes from closing range(1, n), and each element the
+      closure adds is a product of earlier ones, so every element is a
+      product of generators, in any table;
+    - the middle elements m, with (a*m)*c = a*(m*c) for all a, c, are
+      closed under products, so all elements are middle elements: the
+      table is associative, hence a group, whose rows and columns are
+      permutations.
+    The Latin-square scan runs only once a check fails, so that a row or
+    column that is no permutation is still reported first. Commutativity,
+    the center, the derived series and normality use generators.
     """
 
     def __init__(self, table, name: str = "G"):
@@ -126,21 +152,19 @@ class FiniteGroup:
         self._validate_and_normalize()
 
     def _validate_and_normalize(self) -> None:
-        """Check self.table, move its identity to 0, set inverses and generators.
-        Each check runs on whole rows at C speed where it can; a witness is
-        searched for only once a check fails."""
-        rows, n = self.table, self.order
+        """Check self.table, move its identity to 0, set inverses and generators."""
+        table = self.table
+        try:
+            self._check_axioms(table)
+        except (NoIdentity, NoInverse, NotAssociative):
+            _check_latin(table)
+            raise
+
+    def _check_axioms(self, table) -> None:
+        rows, n = table, self.order
         pack = row_type(n)
         ref = pack(range(n))
-        for r, row in enumerate(rows):
-            if not _is_permutation(row, ref):
-                raise NotLatinSquare(f"row {r} is not a permutation of 0..{n - 1}")
         flat = pack(b"".join(rows))
-        for c in range(n):
-            if not _is_permutation(flat[c::n], ref):
-                raise NotLatinSquare(f"column {c} is not a permutation of 0..{n - 1}")
-
-        # rows are distinct, so at most one of them is ref
         e = rows.index(ref) if ref in rows else -1
         if e < 0 or flat[e::n] != ref:
             raise NoIdentity("no element acts as a two-sided identity")
@@ -152,21 +176,36 @@ class FiniteGroup:
 
         # two-sided inverses: the right inverse of each row must also work
         # on the left
-        inv = tuple(flat.index(0, a * n, a * n + n) - a * n for a in range(n))
+        try:
+            inv = tuple(flat.index(0, a * n, a * n + n) - a * n for a in range(n))
+        except ValueError:
+            raise NoInverse("some row has no identity entry") from None
         for a, b in enumerate(inv):
             if rows[b][a]:
                 raise NoInverse(f"element {a}: right inverse {b} is not a left inverse")
         self.table, self.inverses = rows, inv
 
-        # associativity via a generating set (middle-element test): the row
-        # of a*g must be the row of a composed with the row of g
         self.generators: tuple[int, ...] = self._normal_closure(range(1, n), ())[1]
+        if len(self.generators) >= n.bit_length():
+            # each generator of a group at least doubles the closure, so this
+            # is no group: scan it before a test that would take O(n^3)
+            _check_latin(table)
+        # associativity via the generators (middle-element test): the row of
+        # a*g must be the row of g read through the row of a; above order 256,
+        # column c of the rows a*g must be column g*c of the table
+        pads = [row.ljust(256, b"\0") for row in rows] if pack is bytes else None
         for g in self.generators:
-            for a, row in enumerate(rows):
-                lhs, rhs = rows[row[g]], compose_rows(row, rows[g])
-                if lhs != rhs:
-                    c = next(c for c in range(n) if lhs[c] != rhs[c])
-                    raise NotAssociative(f"({a}*{g})*{c} != {a}*({g}*{c})")
+            q = rows[g]
+            lhs = b"".join(map(rows.__getitem__, flat[g::n]))
+            if pads:
+                holds = lhs == b"".join(map(q.translate, pads))
+            else:
+                lhs = pack(lhs)
+                holds = all(lhs[c::n] == flat[x::n] for c, x in enumerate(q))
+            if not holds:
+                a = next(a for a, row in enumerate(rows) if rows[row[g]] != compose_rows(row, q))
+                c = next(c for c in range(n) if rows[rows[a][g]][c] != rows[a][q[c]])
+                raise NotAssociative(f"({a}*{g})*{c} != {a}*({g}*{c})")
 
     def revalidate(self) -> bool:
         """Re-run all construction checks on the stored table."""
@@ -316,7 +355,7 @@ def _screen_table(table) -> tuple:
     dtype) needs an integer dtype. A row is a list or tuple of n ints in
     0..n-1 (no bools, floats or strings; the first bad entry is named), or
     a packed row of length n (bytes up to 256, uint16 above), as the
-    families build them, whose entries validation checks."""
+    families build them, whose entries are range-checked together."""
     if hasattr(table, "dtype"):
         if table.dtype.kind not in "iu":
             raise NotLatinSquare(f"table dtype {table.dtype} is not an integer type")
@@ -331,10 +370,11 @@ def _screen_table(table) -> tuple:
     check_cap(n)
     pack = row_type(n)
     packed = (bytes,) if n <= 256 else (array, memoryview)
-    rows = []
+    rows, packed_rows = [], []
     for r, row in enumerate(table):
         if type(row) in packed and getattr(row, "typecode", getattr(row, "format", "H")) == "H" and len(row) == n:
             rows.append(row)
+            packed_rows.append(row)
             continue
         if type(row) not in (list, tuple) or len(row) != n:
             raise NotLatinSquare(f"table row {r} is not a list of {n} entries: {row!r:.40}")
@@ -344,7 +384,10 @@ def _screen_table(table) -> tuple:
             why = "outside the element range" if type(v) is int else f"a {type(v).__name__}"
             raise NotLatinSquare(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{n - 1} ({why})")
         rows.append(pack(row))
-    return _frozen(rows)
+    rows = _frozen(rows)
+    if not _in_range(b"".join(packed_rows), n):
+        _check_latin(rows)  # a row with an entry out of range is no permutation
+    return rows
 
 
 def _mask_elements(mask: int) -> list[int]:

@@ -107,9 +107,8 @@ def generalized_dihedral(a: FiniteGroup) -> FiniteGroup:
 def dihedral(m: int) -> FiniteGroup:
     """Dihedral group of order 2m."""
     require_int(m, "dihedral parameter", 1)
-    g = generalized_dihedral(cyclic(m))
-    g.name = f"D{2 * m}"
-    return g
+    check_cap(2 * m)
+    return FiniteGroup(_dihedral_rows(_cyclic_rows(m), [-x % m for x in range(m)]), name=f"D{2 * m}")
 
 
 def semidirect(
@@ -120,8 +119,15 @@ def semidirect(
 ) -> FiniteGroup:
     """Split extension A : C_m where the C_m generator acts by the given
     automorphism (a permutation of A's elements)."""
+    if name is None:
+        name = f"{a.name}:C{m}"
+    return FiniteGroup(_semidirect_rows(a.table, action, m), name=name)
+
+
+def _semidirect_rows(rows: Sequence, action: Sequence[int], m: int) -> list:
+    """Rows of A : C_m from the rows of A, after checking the action."""
     require_int(m, "cyclic factor order", 1)
-    na = a.order
+    na = len(rows)
     action = list(action)
     bad = next((i for i, v in enumerate(action) if type(v) is not int), None)
     if bad is not None:
@@ -130,8 +136,8 @@ def semidirect(
         raise NotAutomorphism(f"action is not a permutation of 0..{na - 1}")
     pack = row_type(na)
     act = pack(action)
-    for x, row in enumerate(a.table):
-        lhs, rhs = compose_rows(act, row), compose_rows(a.table[act[x]], act)
+    for x, row in enumerate(rows):
+        lhs, rhs = compose_rows(act, row), compose_rows(rows[act[x]], act)
         if lhs != rhs:
             y = next(y for y in range(na) if lhs[y] != rhs[y])
             raise NotAutomorphism(f"action breaks the product at pair ({x}, {y})")
@@ -147,12 +153,10 @@ def semidirect(
     blocks = [ref[k * na:(k + 1) * na] for k in range(m)]
     table = []
     for c in range(m):
-        for row in a.table:
+        for row in rows:
             twisted = compose_rows(row, powers[c])
             table.append(pack(b"".join(compose_rows(blocks[(c + d) % m], twisted) for d in range(m))))
-    if name is None:
-        name = f"{a.name}:C{m}"
-    return FiniteGroup(table, name=name)
+    return table
 
 
 def semidirect_C2(a: FiniteGroup, action: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
@@ -191,10 +195,9 @@ def wall_S(r: int) -> FiniteGroup:
     x_i y_i and fixing every y_i. Order 2^(2r+1)."""
     require_int(r, "r", 1)
     check_cap(1 << (2 * r + 1))
-    a = elementary_abelian(2, 2 * r)
     xmask = (1 << r) - 1
-    action = [v ^ ((v & xmask) << r) for v in range(a.order)]
-    return semidirect(a, action, 2, name=f"S({r})")
+    action = [v ^ ((v & xmask) << r) for v in range(1 << (2 * r))]
+    return FiniteGroup(_semidirect_rows(_abelian_rows([2] * (2 * r)), action, 2), name=f"S({r})")
 
 
 def wall_T(r: int) -> FiniteGroup:
@@ -202,14 +205,13 @@ def wall_T(r: int) -> FiniteGroup:
     x_i -> y_i -> x_i y_i -> x_i. Order 3*4^r."""
     require_int(r, "r", 1)
     check_cap(3 << (2 * r))
-    a = elementary_abelian(2, 2 * r)
     xmask = (1 << r) - 1
     action = []
-    for v in range(a.order):
+    for v in range(1 << (2 * r)):
         xpart = v & xmask
         ypart = v >> r
         action.append(ypart | ((xpart ^ ypart) << r))
-    return semidirect(a, action, 3, name=f"T({r})")
+    return FiniteGroup(_semidirect_rows(_abelian_rows([2] * (2 * r)), action, 3), name=f"T({r})")
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: Optional[str] = None) -> FiniteGroup:
@@ -364,6 +366,13 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
         bucket.append((g, set(tags)))
         found.append(bucket[-1])
 
+    # factors that are only multiplied in are built as rows, not as groups
+    c2 = _cyclic_rows(2)
+
+    def times_c2(g: FiniteGroup) -> FiniteGroup:
+        check_cap(2 * g.order)
+        return FiniteGroup(_product_rows(g.table, c2), name=f"{g.name}xC2")
+
     small = min(max_order, 15)
     for n in range(1, small + 1):
         add(cyclic(n), "small-order")
@@ -430,7 +439,7 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
             g = seed
             add(g, "generalized-extraspecial-seed")
             while g.order * 2 <= max_order:
-                g = direct_product(g, cyclic(2))
+                g = times_c2(g)
                 add(g, "generalized-extraspecial-seed")
     k = 1
     while 3 ** k <= max_order and k <= 3:
@@ -443,20 +452,20 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
             continue
         nexp = 1
         while 2 * p ** nexp <= max_order:
-            a = elementary_abelian(p, nexp)
-            add(direct_product(a, cyclic(2)), "cpn-c2")
+            rows, name = _abelian_rows([p] * nexp), f"C{p}" if nexp == 1 else f"C{p}^{nexp}"
+            add(FiniteGroup(_product_rows(rows, c2), name=f"{name}xC2"), "cpn-c2")
             if nexp == 2:
-                add(semidirect_C2(a, _swap_action(p), name=f"{a.name}:C2swap"), "cpn-c2")
+                add(FiniteGroup(_semidirect_rows(rows, _swap_action(p), 2), name=f"{name}:C2swap"), "cpn-c2")
             nexp += 1
-    if max_order >= 48:
-        g = direct_product(symmetric(3), dihedral(4))
-        add(g, "s3xd8xE")
-        while g.order * 2 <= max_order:
-            g = direct_product(g, cyclic(2))
-            add(g, "s3xd8xE")
     if max_order >= 36:
         s3 = symmetric(3)
         add(direct_product(s3, s3), "s3xs3")
+    if max_order >= 48:
+        g = direct_product(s3, d8)
+        add(g, "s3xd8xE")
+        while g.order * 2 <= max_order:
+            g = times_c2(g)
+            add(g, "s3xd8xE")
     if max_order >= 24:
         add(symmetric(4), "s4")
     if max_order >= 60:

@@ -147,25 +147,27 @@ def _search(rows1, rows2, gens: tuple[int, ...], cand: list[list[int]], budget: 
 
     def dfs(depth: int):
         nonlocal steps
-        if depth == len(gens):
-            map_, size = _extend_homomorphism(rows1, rows2, gens, images)  # never None here
-            # map_(a*s) = map_(a)*map_(s) for every a and generator s, so a
-            # map onto all n elements is a homomorphism; Isomorphism checks
-            # the full table all the same
-            return tuple(map_) if size == n else None
         for h in cand[depth]:
             if steps <= 0:
                 return None
             steps -= 1
             images.append(h)
-            if _extend_homomorphism(rows1, rows2, gens, images) is not None:
-                result = dfs(depth + 1)
-                if result is not None:
-                    return result
+            found = _extend_homomorphism(rows1, rows2, gens, images)
+            if found is not None:
+                if depth + 1 < len(gens):
+                    result = dfs(depth + 1)
+                    if result is not None:
+                        return result
+                elif found[1] == n:
+                    # the map sends a*s to map(a)*map(s) for every a and
+                    # generator s, so a map onto all n elements is a
+                    # homomorphism; Isomorphism checks the full table all
+                    # the same
+                    return tuple(found[0])
             images.pop()
         return None
 
-    return dfs(0)
+    return dfs(0) if gens else (0,)
 
 
 def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):

@@ -10,9 +10,12 @@ the sha256 of each stdout with its exit code to
 tests/golden_stdout.json. It also records the lattice-free commands
 `catalog --list`, `verify theorem-a` and `verify wall` at `--max-order
 256`, one sha256 of the per-vertex (mask, up-degree, down-degree) of
-every catalog(64) lattice, and one sha256 of the (name, sorted tags,
-order, table bytes) of every catalog(256) entry. Record from a commit
-whose output is known good, before a refactor:
+every catalog(64) lattice, one sha256 of the (name, sorted tags,
+order, table bytes) of every catalog(256) entry, one sha256 of the maps
+`iso.automorphisms` returns for every catalog(128) group, and the stdout
+of `construct symmetric 6` and `construct cyclic 300` (order above 256,
+so uint16 rows). Record from a commit whose output is known good, before
+a refactor:
 
     PYTHONPATH=src python tests/record_golden.py
 """
@@ -46,6 +49,9 @@ CATALOG_COMMANDS = (
     ("verify", "wall", "--max-order", str(CATALOG_ORDER)),
 )
 CATALOG_DIGEST_KEY = f"(name, tags, order, table) of every catalog({CATALOG_ORDER}) entry"
+AUTOMORPHISM_ORDER = 128
+AUTOMORPHISM_DIGEST_KEY = f"automorphisms(g) of every catalog({AUTOMORPHISM_ORDER}) group"
+CONSTRUCT_COMMANDS = (("construct", "symmetric", "6"), ("construct", "cyclic", "300"))
 
 
 def argv_for(target: str, max_order: int = 64) -> list[str]:
@@ -114,6 +120,20 @@ def catalog_digest(entries) -> dict:
     return {"sha256": digest.hexdigest(), "entries": len(entries)}
 
 
+def automorphism_digest(entries) -> dict:
+    """sha256 of each group's name followed by the maps automorphisms(g)
+    returns, in order, one line each."""
+    from grouplattice.iso import automorphisms
+
+    digest, maps = hashlib.sha256(), 0
+    for entry in entries:
+        digest.update(f"{entry.name}\n".encode())
+        for map_ in automorphisms(entry.group):
+            digest.update(f"{' '.join(map(str, map_))}\n".encode())
+            maps += 1
+    return {"sha256": digest.hexdigest(), "maps": maps}
+
+
 def run(argv: list[str]) -> dict:
     from grouplattice.cli import main
 
@@ -141,12 +161,13 @@ def record() -> dict:
     for name, text in big_texts().items():
         for command in BIG_COMMANDS:
             golden[big_key(name, command)] = run_on_text(text, command)
-    for command in CATALOG_COMMANDS:
+    for command in CATALOG_COMMANDS + CONSTRUCT_COMMANDS:
         golden[" ".join(command)] = run(list(command))
     import grouplattice as gl
 
     golden[CATALOG_DIGEST_KEY] = catalog_digest(gl.catalog(CATALOG_ORDER))
     golden[VERTEX_DIGEST_KEY] = vertex_digest(gl.all_subgroups(e.group) for e in gl.catalog(64))
+    golden[AUTOMORPHISM_DIGEST_KEY] = automorphism_digest(gl.catalog(AUTOMORPHISM_ORDER))
     return golden
 
 

@@ -22,6 +22,7 @@ from grouplattice.classify import (
     WALL_SUBTYPES,
     FamilyTag,
     Recognition,
+    _candidate,
     _frattini_mask,
     has_large_degree_vertex,
     recognize,
@@ -385,3 +386,14 @@ def test_verify_corollary_1_3_finds_degree_half_outliers(catalog36):
     assert names == {"D12", "S(2)"}
     for _, detail in report.counterexamples:
         assert "no listed family matched" in detail
+
+
+@pytest.mark.parametrize("key, param, edim", [("II", 0, 2), ("III", 1, 3), ("V", 1, 1), ("VII", 0, 2), (F7_D12, 6, 0)])
+def test_candidate_is_the_repeated_direct_product(key, param, edim):
+    # one product with C2^edim gives the table of edim products with C2
+    base = {"II": gl.direct_product(gl.dihedral(4), gl.dihedral(4)), "III": gl.wall_H(1), "V": gl.wall_T(1),
+            "VII": gl.direct_product(gl.symmetric(3), gl.dihedral(4)), F7_D12: gl.dihedral(6)}[key]
+    for _ in range(edim):
+        base = gl.direct_product(base, gl.cyclic(2))
+    candidate = _candidate(key, param, edim)
+    assert candidate.table == base.table and candidate.name == base.name

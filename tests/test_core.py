@@ -1,5 +1,6 @@
 """Group construction, validation, invariants, quotients, and file I/O."""
 
+import functools
 import json
 import random
 import re
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import grouplattice as gl
+import oracle_validate
+from grouplattice import core
 from grouplattice.core import _mask_elements, extend_closure
 from grouplattice.errors import (
     GroupError,
@@ -337,6 +340,140 @@ def test_nonassociative_loop_above_256_is_refused():
         gl.from_cayley_table(table)
     a, g, c = map(int, re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) != (\d+)\*\((\d+)\*(\d+)\)", str(info.value)).group(1, 2, 3))
     assert table[table[a][g]][c] != table[a][table[g][c]]
+
+
+def test_validation_scans_rows_and_columns_only_on_failure(monkeypatch):
+    calls = []
+    scan = core._is_permutation
+    monkeypatch.setattr(core, "_is_permutation", lambda line, n: calls.append(1) or scan(line, n))
+    gl.catalog(64)
+    assert calls == []
+    with pytest.raises(NotLatinSquare, match="^column 0 "):
+        gl.from_cayley_table([[0, 1], [0, 1]])
+    assert calls
+
+
+def test_table_without_identity_entries_is_no_latin_square():
+    # row 1 has no 0, so it has no right inverse: the row scan names it
+    with pytest.raises(NotLatinSquare, match=r"^row 1 is not a permutation of 0\.\.2$"):
+        gl.from_cayley_table([[0, 1, 2], [1, 1, 2], [2, 2, 1]])
+
+
+def test_magma_with_many_generators_is_scanned_first(monkeypatch):
+    # identity 0, every x*y = 0 for x, y != 0: x is its own inverse, and each
+    # element closes to {0, x}, so all 63 are generators, where a group of
+    # order 64 has at most 6; the scan runs before the associativity test,
+    # which on such a table could take O(n^3), and its witness search
+    n = 64
+    table = [[b if a == 0 else a if b == 0 else 0 for b in range(n)] for a in range(n)]
+    composed = []
+    compose = core.compose_rows
+    monkeypatch.setattr(core, "compose_rows", lambda p, q: composed.append(1) or compose(p, q))
+    with pytest.raises(NotLatinSquare, match=r"^row 1 is not a permutation of 0\.\.63$"):
+        gl.from_cayley_table(table)
+    assert composed == []
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog32_tables():
+    return [[list(row) for row in e.group.table] for e in gl.catalog(32)]
+
+
+def swap_intercalate(table, a, c):
+    """Swap the two values of the 2x2 Latin subsquare at rows a, a*u and
+    columns c, u*c, for the first involution u: the table stays a Latin
+    square, and keeps its identity unless a or c is the identity or u."""
+    e = oracle_validate.identity(table)
+    u = next((u for u, row in enumerate(table) if u != e and row[u] == e), None)
+    if e is None or u is None or {a, c} & {e, u}:
+        return table
+    b, d = table[a][u], table[u][c]
+    table[a][c], table[a][d], table[b][c], table[b][d] = table[a][d], table[a][c], table[b][d], table[b][c]
+    return table
+
+
+@st.composite
+def relabelled_or_corrupted(draw):
+    """A catalog(32) table, relabelled, then (maybe) corrupted; and whether
+    it is passed as packed bytes rows or as lists."""
+    base = draw(st.sampled_from(_catalog32_tables()))
+    n = len(base)
+    table = relabel(base, draw(st.permutations(range(n))))
+    packed = draw(st.booleans())
+    kind = draw(st.sampled_from(["none", "entry", "swap-in-row", "swap-rows", "swap-columns", "map-entries", "intercalate"]))
+    index = st.integers(0, n - 1)
+    if kind == "entry":
+        top = 255 if packed else n + 2
+        table[draw(index)][draw(index)] = draw(st.integers(0 if packed else -2, top))
+    elif kind == "swap-in-row":
+        r, c1, c2 = draw(index), draw(index), draw(index)
+        table[r][c1], table[r][c2] = table[r][c2], table[r][c1]
+    elif kind == "swap-rows":
+        r1, r2 = draw(index), draw(index)
+        table[r1], table[r2] = table[r2], table[r1]
+    elif kind == "swap-columns":
+        c1, c2 = draw(index), draw(index)
+        for row in table:
+            row[c1], row[c2] = row[c2], row[c1]
+    elif kind == "map-entries":
+        sigma = draw(st.permutations(range(n)))
+        table = [[sigma[v] for v in row] for row in table]
+    elif kind == "intercalate":
+        table = swap_intercalate(table, draw(index), draw(index))
+    return table, packed
+
+
+def check_against_reference(table, packed):
+    """The package accepts what the reference validator accepts; otherwise
+    it raises the same class, with the same message where the reference
+    fixes one, and a NotAssociative witness that really fails."""
+    expected = oracle_validate.expected_failure(table, packed)
+    rows = [bytes(row) for row in table] if packed else table
+    if expected is None:
+        assert gl.from_cayley_table(rows).order == len(table)
+        return None
+    with pytest.raises(GroupError) as info:
+        gl.from_cayley_table(rows)
+    name, message = expected
+    assert type(info.value).__name__ == name
+    if message is not None:
+        assert str(info.value) == message
+    if name == "NotAssociative":
+        a, b, c = map(int, re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) != \d+\*\(\d+\*\d+\)", str(info.value)).groups())
+        assert oracle_validate.fails_associativity(table, a, b, c)
+    return name
+
+
+@given(relabelled_or_corrupted())
+def test_validation_matches_the_reference_validator(case):
+    check_against_reference(*case)
+
+
+def test_reference_comparison_meets_every_outcome():
+    # a fixed sweep, so that every exception class (and acceptance) is met
+    rng = random.Random(12)
+    tables = _catalog32_tables()
+    seen = set()
+    for _ in range(400):
+        base = rng.choice(tables)
+        n = len(base)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        table = relabel(base, perm)
+        kind = rng.randrange(5)
+        if kind == 1:
+            table[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        elif kind == 2:
+            r1, r2 = rng.randrange(n), rng.randrange(n)
+            table[r1], table[r2] = table[r2], table[r1]
+        elif kind == 3:
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            table = [[sigma[v] for v in row] for row in table]
+        elif kind == 4:
+            table = swap_intercalate(table, rng.randrange(n), rng.randrange(n))
+        seen.add(check_against_reference(table, packed=rng.random() < 0.5))
+    assert seen == {None, "NotLatinSquare", "NoIdentity", "NoInverse", "NotAssociative"}
 
 
 # ---------------------------------------------------------------------------

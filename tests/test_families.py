@@ -399,6 +399,22 @@ def test_catalog_above_the_isomorphism_cap(monkeypatch):
         gl.catalog(27)
 
 
+def test_catalog_validates_no_scaffold_factors(monkeypatch):
+    # 341 entries, 34 groups isomorphic to an earlier entry, and two
+    # factors used through group methods: the S3 of S3xS3 and S3xD8, and the
+    # C4 of D8*C4. Every C2 factor, every elementary abelian factor of the
+    # cpn-c2, wall-S and wall-T groups and every cyclic half of a dihedral
+    # group is built as rows and validated only inside the group it is in.
+    from grouplattice.core import FiniteGroup
+
+    calls = []
+    validate = FiniteGroup._validate_and_normalize
+    monkeypatch.setattr(FiniteGroup, "_validate_and_normalize", lambda g: calls.append(g.name) or validate(g))
+    entries = gl.catalog(256)
+    assert len(entries) == 341
+    assert len(calls) == 377
+
+
 def test_catalog_rejects_bad_bound():
     with pytest.raises(GroupError):
         gl.catalog(0)

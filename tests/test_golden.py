@@ -1,9 +1,11 @@
 """Golden stdout for every `verify` target (`bounds` and `lemma21` also at
 order 128), for `lattice`/`degrees` on six non-abelian groups and on the
 ten lattice-big tables, for `catalog --list`, `verify theorem-a` and
-`verify wall` at order 256, a digest of the per-vertex degrees of every
-catalog(64) lattice and a digest of every catalog(256) entry's name,
-tags and table: a guard for refactors.
+`verify wall` at order 256, for `construct symmetric 6` and `construct
+cyclic 300`, a digest of the per-vertex degrees of every catalog(64)
+lattice, a digest of every catalog(256) entry's name, tags and table and
+a digest of the automorphisms found for every catalog(128) group: a
+guard for refactors.
 
 tests/golden_stdout.json holds the sha256 of the stdout and the exit code
 of each run, recorded by tests/record_golden.py from a commit whose output
@@ -16,10 +18,13 @@ import json
 import pytest
 
 from record_golden import (
+    AUTOMORPHISM_DIGEST_KEY,
+    AUTOMORPHISM_ORDER,
     BIG_COMMANDS,
     CATALOG_COMMANDS,
     CATALOG_DIGEST_KEY,
     CATALOG_ORDER,
+    CONSTRUCT_COMMANDS,
     GOLDEN,
     GROUP_COMMANDS,
     GROUPS,
@@ -28,6 +33,7 @@ from record_golden import (
     WIDE_ORDER,
     WIDE_TARGETS,
     argv_for,
+    automorphism_digest,
     big_key,
     big_texts,
     catalog_digest,
@@ -49,8 +55,8 @@ def test_golden_file_covers_every_verify_target():
     keys += [" ".join(argv_for(t, WIDE_ORDER)) for t in WIDE_TARGETS]
     keys += [group_key(name, command) for name in GROUPS for command in GROUP_COMMANDS]
     keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
-    keys += [" ".join(command) for command in CATALOG_COMMANDS]
-    assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY, CATALOG_DIGEST_KEY])
+    keys += [" ".join(command) for command in CATALOG_COMMANDS + CONSTRUCT_COMMANDS]
+    assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY, CATALOG_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY])
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -94,3 +100,15 @@ def test_catalog_entries_match_golden():
     import grouplattice as gl
 
     assert catalog_digest(gl.catalog(CATALOG_ORDER)) == EXPECTED[CATALOG_DIGEST_KEY]
+
+
+@pytest.mark.parametrize("command", CONSTRUCT_COMMANDS, ids=" ".join)
+def test_construct_stdout_matches_golden(command):
+    key = " ".join(command)
+    assert run(list(command)) == EXPECTED[key], key
+
+
+def test_automorphisms_match_golden():
+    import grouplattice as gl
+
+    assert automorphism_digest(gl.catalog(AUTOMORPHISM_ORDER)) == EXPECTED[AUTOMORPHISM_DIGEST_KEY]
