@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from array import array
 from functools import cached_property, partial
 from operator import itemgetter
@@ -56,27 +55,13 @@ def compose_rows(p, q):
     return array("H", itemgetter(*q)(p) if len(q) > 1 else map(p.__getitem__, q))
 
 
-def _in_range(joined: bytes, n: int) -> bool:
-    """True iff every entry of the joined rows is below n, at C speed. A
-    uint16 entry hi*256 + lo is below n = top*256 + low iff hi < top, or
-    hi == top and lo < low."""
-    if n <= 256:
-        return not joined.translate(None, bytes(range(n)))
-    hi, lo = (joined[1::2], joined[::2]) if sys.byteorder == "little" else (joined[::2], joined[1::2])
-    top, low = divmod(n, 256)
-    at_top = int.from_bytes(hi.translate(bytes(h == top for h in range(256))), "big")
-    lo_over = int.from_bytes(lo.translate(bytes(x >= low for x in range(256))), "big")
-    return not hi.translate(None, bytes(range(top + 1))) and not at_top & lo_over
-
-
 def _is_permutation(line, n: int) -> bool:
     """True iff the n entries of line, none negative, are 0..n-1."""
     return max(line) < n == len(set(line))
 
 
 def _check_latin(rows) -> None:
-    """Raise NotLatinSquare naming the first row, then the first column,
-    that is not a permutation of 0..n-1."""
+    """Raise NotLatinSquare naming the first row, then column, that is no permutation."""
     n = len(rows)
     flat = row_type(n)(b"".join(rows))
     for kind, lines in (("row", rows), ("column", (flat[c::n] for c in range(n)))):
@@ -130,19 +115,16 @@ class FiniteGroup:
     The table is a tuple of immutable rows, table[a][b] = a*b: bytes up to
     order 256 (every group the lattice cap admits), read-only uint16
     memoryviews above. The constructor screens entry types and range, then
-    checks for a two-sided identity (relocated to 0 if found elsewhere),
+    checks a two-sided identity (relocated to 0 if found elsewhere),
     two-sided inverses, and (a*g)*c = a*(g*c) for all a, c and every g in
-    generators, in O(n^2 log n). These checks alone prove a group:
-    - generators comes from closing range(1, n), and each element the
-      closure adds is a product of earlier ones, so every element is a
-      product of generators, in any table;
-    - the middle elements m, with (a*m)*c = a*(m*c) for all a, c, are
-      closed under products, so all elements are middle elements: the
-      table is associative, hence a group, whose rows and columns are
-      permutations.
-    The Latin-square scan runs only once a check fails, so that a row or
-    column that is no permutation is still reported first. Commutativity,
-    the center, the derived series and normality use generators.
+    generators, in O(n^2 log n). That proves a group: generators closes
+    range(1, n), each element it adds a product of earlier ones, so they
+    generate the table in any magma; the middle elements m, with
+    (a*m)*c = a*(m*c) for all a, c, are closed under products, so the table
+    is associative, with identity and inverses a group, whose rows and
+    columns are permutations. The Latin-square scan runs only once a check
+    fails, to report a bad row or column first. Commutativity, the center,
+    the derived series and normality use generators.
     """
 
     def __init__(self, table, name: str = "G"):
@@ -186,22 +168,16 @@ class FiniteGroup:
         self.table, self.inverses = rows, inv
 
         self.generators: tuple[int, ...] = self._normal_closure(range(1, n), ())[1]
-        if len(self.generators) >= n.bit_length():
-            # each generator of a group at least doubles the closure, so this
-            # is no group: scan it before a test that would take O(n^3)
-            _check_latin(table)
         # associativity via the generators (middle-element test): the row of
-        # a*g must be the row of g read through the row of a; above order 256,
-        # column c of the rows a*g must be column g*c of the table
+        # a*g must be the row of g read through the row of a; bytes rows are
+        # padded for translate once and compared all at once
         pads = [row.ljust(256, b"\0") for row in rows] if pack is bytes else None
         for g in self.generators:
             q = rows[g]
-            lhs = b"".join(map(rows.__getitem__, flat[g::n]))
             if pads:
-                holds = lhs == b"".join(map(q.translate, pads))
+                holds = b"".join(map(rows.__getitem__, flat[g::n])) == b"".join(map(q.translate, pads))
             else:
-                lhs = pack(lhs)
-                holds = all(lhs[c::n] == flat[x::n] for c, x in enumerate(q))
+                holds = all(rows[row[g]] == compose_rows(row, q) for row in rows)
             if not holds:
                 a = next(a for a, row in enumerate(rows) if rows[row[g]] != compose_rows(row, q))
                 c = next(c for c in range(n) if rows[rows[a][g]][c] != rows[a][q[c]])
@@ -355,7 +331,7 @@ def _screen_table(table) -> tuple:
     dtype) needs an integer dtype. A row is a list or tuple of n ints in
     0..n-1 (no bools, floats or strings; the first bad entry is named), or
     a packed row of length n (bytes up to 256, uint16 above), as the
-    families build them, whose entries are range-checked together."""
+    families build them, whose entries are range-checked at the end."""
     if hasattr(table, "dtype"):
         if table.dtype.kind not in "iu":
             raise NotLatinSquare(f"table dtype {table.dtype} is not an integer type")
@@ -370,11 +346,10 @@ def _screen_table(table) -> tuple:
     check_cap(n)
     pack = row_type(n)
     packed = (bytes,) if n <= 256 else (array, memoryview)
-    rows, packed_rows = [], []
+    rows = []
     for r, row in enumerate(table):
         if type(row) in packed and getattr(row, "typecode", getattr(row, "format", "H")) == "H" and len(row) == n:
             rows.append(row)
-            packed_rows.append(row)
             continue
         if type(row) not in (list, tuple) or len(row) != n:
             raise NotLatinSquare(f"table row {r} is not a list of {n} entries: {row!r:.40}")
@@ -385,8 +360,9 @@ def _screen_table(table) -> tuple:
             raise NotLatinSquare(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{n - 1} ({why})")
         rows.append(pack(row))
     rows = _frozen(rows)
-    if not _in_range(b"".join(packed_rows), n):
-        _check_latin(rows)  # a row with an entry out of range is no permutation
+    # list rows are screened above; a packed row out of range is no permutation
+    if b"".join(rows).translate(None, bytes(range(n))) if n <= 256 else max(map(max, rows)) >= n:
+        _check_latin(rows)
     return rows
 
 
