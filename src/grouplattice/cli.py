@@ -11,47 +11,74 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from typing import Optional, Sequence
 
 from .arith import factorize
-from .bounds import (
-    BoundReport,
-    candidate_orders,
-    cww_b,
-    edge_bound,
-    herzog_manz_c,
-    lemma_2_1,
-    lemma_2_3_scan,
-    newton_d,
-    newton_e,
-    wall_a,
-)
-from .classify import (
-    lattice_sweep,
-    verify_corollary_1_2,
-    verify_corollary_1_3,
-    verify_theorem_1_1,
-    verify_theorem_A,
-    verify_wall,
-)
 from .core import dumps_group, read_group
 from .errors import CheckFailed, GroupError, GroupTooLarge, InputError, UsageError
-from .families import (
-    abelian,
-    alternating,
-    catalog,
-    cyclic,
-    dicyclic,
-    dihedral,
-    elementary_abelian,
-    generalized_dihedral,
-    heisenberg,
-    symmetric,
-    wall_H,
-    wall_S,
-    wall_T,
-)
 from .lattice import DEFAULT_LATTICE_CAP, all_subgroups
+
+# The names that construct, catalog and verify take from the layers that
+# lattice and degrees do not run. A handler binds those of the layers it runs
+# with _load_layers, and reading one as a module attribute binds its layer's;
+# either way a name already bound is kept, so a caller may replace one
+# before first use (perfbench/traced_op.py and the tests do).
+_LAYERS = {
+    "bounds": (
+        "BoundReport",
+        "candidate_orders",
+        "cww_b",
+        "edge_bound",
+        "herzog_manz_c",
+        "lemma_2_1",
+        "lemma_2_3_scan",
+        "newton_d",
+        "newton_e",
+        "wall_a",
+    ),
+    "classify": (
+        "lattice_sweep",
+        "verify_corollary_1_2",
+        "verify_corollary_1_3",
+        "verify_theorem_1_1",
+        "verify_theorem_A",
+        "verify_wall",
+    ),
+    "families": (
+        "abelian",
+        "alternating",
+        "catalog",
+        "cyclic",
+        "dicyclic",
+        "dihedral",
+        "elementary_abelian",
+        "generalized_dihedral",
+        "heisenberg",
+        "symmetric",
+        "wall_H",
+        "wall_S",
+        "wall_T",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+
+
+def _load_layers(*layers: str) -> None:
+    scope = globals()
+    for layer in layers:
+        module = import_module(f".{layer}", __package__)
+        for name in _LAYERS[layer]:
+            scope.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_layers(layer)
+    return globals()[name]
+
 
 VERIFY_TARGETS = (
     "theorem-1.1",
@@ -111,7 +138,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 _CONSTRUCTORS = {
     "cyclic": (1, 1, lambda p: cyclic(p[0])),
-    "abelian": (1, None, abelian),
+    "abelian": (1, None, lambda p: abelian(p)),
     "elementary-abelian": (2, 2, lambda p: elementary_abelian(p[0], p[1])),
     "dihedral": (1, 1, lambda p: dihedral(p[0])),
     "dicyclic": (1, 1, lambda p: dicyclic(p[0])),
@@ -135,6 +162,7 @@ def _run_construct(args) -> int:
     if count < lo or (hi is not None and count > hi):
         expected = f"{lo}" if hi == lo else (f">={lo}" if hi is None else f"{lo}..{hi}")
         raise UsageError(f"family {args.family!r} takes {expected} parameters, got {count}")
+    _load_layers("families")
     try:
         g = build(args.params)
     except GroupError as exc:
@@ -146,6 +174,7 @@ def _run_construct(args) -> int:
 def _run_catalog(args) -> int:
     if not args.list_entries:
         raise UsageError("catalog requires --list")
+    _load_layers("families")
     lines = []
     for entry in catalog(args.max_order):
         tags = ",".join(sorted(entry.known_tags)) or "-"
@@ -234,21 +263,23 @@ def _run_verify(args) -> int:
     if needs_lattice and max_order > DEFAULT_LATTICE_CAP:
         raise UsageError(f"--max-order {max_order} exceeds the lattice cap {DEFAULT_LATTICE_CAP}")
 
-    # built per call from the module attributes, which the benchmark's
-    # traced mode (perfbench/traced_op.py) replaces with wrappers
-    verify = {
-        "theorem-1.1": verify_theorem_1_1,
-        "theorem-a": verify_theorem_A,
-        "wall": verify_wall,
-        "cor-1.2": verify_corollary_1_2,
-        "cor-1.3": verify_corollary_1_3,
-    }.get(target)
-    if verify is not None:
+    if target in ("theorem-1.1", "theorem-a", "wall", "cor-1.2", "cor-1.3"):
+        _load_layers("classify", "families")
+        # built per call from the module attributes, which the benchmark's
+        # traced mode (perfbench/traced_op.py) replaces with wrappers
+        verify = {
+            "theorem-1.1": verify_theorem_1_1,
+            "theorem-a": verify_theorem_A,
+            "wall": verify_wall,
+            "cor-1.2": verify_corollary_1_2,
+            "cor-1.3": verify_corollary_1_3,
+        }[target]
         report = verify(catalog(max_order), max_order)
         _emit(_report_json(report), args.output)
         return 0 if report.passed else 1
 
     if target in ("bounds", "lemma21"):
+        _load_layers("bounds", "classify", "families")
         lines = []
         ok = True
         for entry, lattice in lattice_sweep(catalog(max_order), max_order):
@@ -280,6 +311,7 @@ def _run_verify(args) -> int:
         _emit_lines(lines, args.output)
         return 0 if ok else 1
 
+    _load_layers("bounds")
     if target == "lemma23":
         if args.prime_bound < 5 or args.exp_bound < 1:
             raise UsageError("lemma23 needs --prime-bound >= 5 and --exp-bound >= 1")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .arith import require_int
 from .core import FiniteGroup, compose_rows, row_type
@@ -28,28 +27,27 @@ AUTOMORPHISM_ATTEMPTS = 300
 AUTOMORPHISM_SEED = 0
 
 
-@dataclass(frozen=True)
 class Isomorphism:
-    """A witness isomorphism: map[a] is the image of element a."""
+    """A witness isomorphism: map[a] is the image of element a. The
+    constructor checks that map is a bijection and a homomorphism."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    map: tuple[int, ...]
+    __slots__ = ("source", "target", "map")
 
-    def __post_init__(self):
-        n = self.source.order
-        for v in self.map:
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, map: tuple[int, ...]):
+        n = source.order
+        for v in map:
             require_int(v, "map entry")
-        if self.target.order != n or sorted(self.map) != list(range(n)):
+        if target.order != n or sorted(map) != list(range(n)):
             raise GroupError("map is not a bijection between the element sets")
         # the full table check: map[a*b] = map[a]*map[b], a row at a time
-        perm = row_type(n)(self.map)
-        t2 = self.target.table
-        for a, row in enumerate(self.source.table):
+        perm = row_type(n)(map)
+        t2 = target.table
+        for a, row in enumerate(source.table):
             lhs, rhs = compose_rows(perm, row), compose_rows(t2[perm[a]], perm)
             if lhs != rhs:
                 b = next(b for b in range(n) if lhs[b] != rhs[b])
                 raise GroupError(f"map is not a homomorphism at pair ({a}, {b})")
+        self.source, self.target, self.map = source, target, map
 
 
 def element_invariants(g: FiniteGroup) -> tuple[tuple[int, int, int, int], ...]:
@@ -223,7 +221,10 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     them are dropped; so a group whose automorphisms are all inner pays
     only for a few quick solutions. Each map is a homomorphism extended
     onto all n elements, so it is an automorphism whatever the search
-    order; an empty list only means none was found.
+    order; an empty list only means none was found. An automorphism is
+    fixed by its images of gens, each in that generator's invariant class,
+    so there are at most prod(len(c) for c in cand) of them, and the
+    restarts stop once that many are found too.
     """
     n = g.order
     invariants = element_invariants(g)
@@ -234,8 +235,9 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     cand = [by_inv[invariants[s]] for s in gens]
     rows, rng = g.table, random.Random(AUTOMORPHISM_SEED)
     found: dict[tuple[int, ...], None] = {}
+    enough = min(AUTOMORPHISM_SOLUTIONS, math.prod(map(len, cand)))
     for _ in range(AUTOMORPHISM_ATTEMPTS):
-        if len(found) == AUTOMORPHISM_SOLUTIONS:
+        if len(found) == enough:
             break
         map_ = _search(rows, rows, gens, [rng.sample(c, len(c)) for c in cand], AUTOMORPHISM_NODES)
         if map_ is not None:

@@ -60,8 +60,8 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, split_power
 from .core import FiniteGroup, Subgroup, _mask_elements, compose_rows, extend_closure
@@ -72,8 +72,7 @@ DEFAULT_LATTICE_CAP = 256
 DEFAULT_MAX_SUBGROUPS = 100_000
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Per-vertex degree split into down-degree (covered subgroups) and
     up-degree (covering subgroups); degrees[i] = down[i] + up[i]."""
 

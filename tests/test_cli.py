@@ -388,6 +388,16 @@ def test_verify_orders_catches_broken_divisor_formula(flags):
     assert "escape" in payload["violations"][0][1]
 
 
+SRC = Path(gl.__file__).resolve().parents[1]
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package from SRC and writes
+    no bytecode, as each benchmark op runs."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
 def test_package_runs_without_numpy():
     # numpy is a test and benchmark dependency only; an import of it
     # anywhere in the package raises ImportError here
@@ -396,15 +406,85 @@ def test_package_runs_without_numpy():
         "import grouplattice, grouplattice.cli as cli; "
         "sys.exit(cli.main(['verify', 'theorem-1.1', '--max-order', '16']))"
     )
-    src = str(Path(gl.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+LOADED_MODULES = """
+import json, sys
+import grouplattice
+bare = sorted(m for m in sys.modules if m.startswith("grouplattice."))
+import grouplattice.cli as cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, bare, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize("command", ["lattice", "degrees"])
+def test_lattice_commands_load_only_the_layers_they_run(tmp_path, command):
+    # with no bytecode cache each op compiles every module it imports, so
+    # lattice and degrees leave the catalog, classifier and bounds unloaded
+    path = tmp_path / "s4.grp"
+    gl.write_group(gl.symmetric(4), str(path))
+    proc = run_python("-c", LOADED_MODULES, command, str(path), "-o", str(tmp_path / "out"))
+    assert proc.stderr == ""
+    code, bare, loaded = json.loads(proc.stdout)
+    assert (code, bare) == (0, [])
+    unloaded = ["grouplattice.families", "grouplattice.classify", "grouplattice.bounds", "dataclasses", "fractions"]
+    assert [m for m in unloaded if m in loaded] == []
+    assert (tmp_path / "out").read_text().startswith("{")
+
+
+# every public name of the package before its names were loaded lazily
+PUBLIC_NAMES = """
+ActionOrderMismatch BoundReport CandidateOrders CatalogEntry CheckFailed DEFAULT_CONSTRUCTION_CAP
+DEFAULT_ISO_CAP DEFAULT_LATTICE_CAP DEFAULT_MAX_SUBGROUPS DegreeProfile FamilyTag FiniteGroup GroupError
+GroupTooLarge InputError Isomorphism NoIdentity NoInverse NotAbelian NotAssociative NotAutomorphism
+NotCentralInvolution NotLatinSquare NotNormal NotPrime NotSolvable NotSubgroup PrimesNotDistinct Recognition
+Subgroup SubgroupLattice TrivialGroup UsageError VerificationReport abelian abelian_type_list all_subgroups
+alternating candidate_orders catalog central_product coset_indices cww_b cyclic dicyclic dihedral
+direct_product divisors dumps_group edge_bound elementary_abelian factorize from_cayley_table
+from_permutation_generators generalized_dihedral has_large_degree_vertex heisenberg herzog_manz_c
+is_isomorphic is_prime lemma_2_1 lemma_2_3_check lemma_2_3_scan loads_group newton_d newton_e partitions
+primes_upto quotient_group quotient_is_elementary_abelian_2 read_group recognize semidirect semidirect_C2
+sylow_p_elements_form_subgroup symmetric trivial verify_corollary_1_2 verify_corollary_1_3
+verify_theorem_1_1 verify_theorem_A verify_wall wall_H wall_S wall_T wall_a write_group
+""".split()
+SUBMODULES = ["arith", "bounds", "classify", "core", "errors", "families", "iso", "lattice"]
+
+PUBLIC_NAME_SETS = """
+import json, sys, types
+import grouplattice as gl
+listed = sorted(n for n in dir(gl) if not n.startswith("_"))
+names = sys.argv[1:]
+missing = [n for n in names if getattr(gl, n, None) is None]
+modules = sorted(n for n in names if isinstance(getattr(gl, n), types.ModuleType))
+star = {}
+exec("from grouplattice import *", star)
+print(json.dumps([listed, sorted(gl.__all__), sorted(n for n in star if not n.startswith("_")), missing, modules]))
+"""
+
+
+def test_every_public_name_resolves_in_a_fresh_process():
+    proc = run_python("-c", PUBLIC_NAME_SETS, *PUBLIC_NAMES, *SUBMODULES)
+    assert proc.stderr == ""
+    listed, all_, star, missing, modules = json.loads(proc.stdout)
+    expected = sorted(PUBLIC_NAMES + SUBMODULES)
+    assert (listed, all_, star) == (expected, expected, expected)
+    assert (missing, modules) == ([], SUBMODULES)
+
+
+def test_traced_op_keeps_the_names_it_replaces(tmp_path, capsys):
+    # perfbench/traced_op.py wraps cli layer names before the first command
+    # runs; the lazy loading of those layers must keep its wrappers
+    args = ["verify", "bounds", "--max-order", "16"]
+    spans_file = tmp_path / "spans.json"
+    traced = run_python(str(SRC.parent / "perfbench" / "traced_op.py"), str(spans_file), "x", *args)
+    code, out, err = run(capsys, *args)
+    assert (traced.returncode, traced.stdout, traced.stderr) == (code, out, err)
+    names = {span["name"] for span in json.loads(spans_file.read_text())["spans"]}
+    assert {"families.catalog", "bounds", "lattice.all_subgroups"} <= names
 
 
 def test_package_has_no_assert_statements():

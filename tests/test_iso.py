@@ -1,5 +1,7 @@
 """Isomorphism testing and its invariants."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -148,6 +150,22 @@ def test_automorphisms_are_outer_automorphisms(catalog64):
         for map_ in maps:
             Isomorphism(g, g, map_)
             assert not is_inner(g, map_), g.name
+
+
+def test_automorphisms_stop_at_the_count_bound_with_the_same_maps(catalog64, monkeypatch):
+    # the restarts run in the same order and stop only once no new map can
+    # exist, so the maps are those that all AUTOMORPHISM_ATTEMPTS restarts
+    # find; the digest was recorded from those
+    digest = hashlib.sha256()
+    for entry in catalog64:
+        digest.update(repr((entry.name, automorphisms(entry.group))).encode())
+    assert digest.hexdigest() == "c533ce382b6d21697d3a388e04a2adb0a73309fd6ae7fbb0fea4281374c763ab"
+    # C6 has two automorphisms, both found in a few restarts
+    calls = []
+    search = gl.iso._search
+    monkeypatch.setattr(gl.iso, "_search", lambda *a: calls.append(1) or search(*a))
+    assert automorphisms(gl.cyclic(6)) == [(0, 5, 4, 3, 2, 1)]
+    assert 2 <= len(calls) < gl.iso.AUTOMORPHISM_ATTEMPTS
 
 
 OUTER = {
