@@ -14,83 +14,34 @@ import sys
 from importlib import import_module
 from typing import Optional, Sequence
 
+from . import _EXPORTS, _HOME
 from .arith import factorize
 from .core import dumps_group, read_group
 from .errors import CheckFailed, GroupError, GroupTooLarge, InputError, UsageError
 from .lattice import DEFAULT_LATTICE_CAP, all_subgroups
 
-# The names that construct, catalog and verify take from the layers that
-# lattice and degrees do not run. A handler binds those of the layers it runs
-# with _load_layers, and reading one as a module attribute binds its layer's;
-# either way a name already bound is kept, so a caller may replace one
-# before first use (perfbench/traced_op.py and the tests do).
-_LAYERS = {
-    "bounds": (
-        "BoundReport",
-        "candidate_orders",
-        "cww_b",
-        "edge_bound",
-        "herzog_manz_c",
-        "lemma_2_1",
-        "lemma_2_3_scan",
-        "newton_d",
-        "newton_e",
-        "wall_a",
-    ),
-    "classify": (
-        "lattice_sweep",
-        "verify_corollary_1_2",
-        "verify_corollary_1_3",
-        "verify_theorem_1_1",
-        "verify_theorem_A",
-        "verify_wall",
-    ),
-    "families": (
-        "abelian",
-        "alternating",
-        "catalog",
-        "cyclic",
-        "dicyclic",
-        "dihedral",
-        "elementary_abelian",
-        "generalized_dihedral",
-        "heisenberg",
-        "symmetric",
-        "wall_H",
-        "wall_S",
-        "wall_T",
-    ),
-}
-_LAYER_OF = {name: layer for layer, names in _LAYERS.items() for name in names}
+# The layers that lattice and degrees do not run (bounds, classify,
+# families) are imported on first use. A handler binds the names a layer
+# gives the package (grouplattice._EXPORTS) with _load_layers, and reading
+# one as a module attribute binds its layer's; either way a name already
+# bound is kept, so a caller may replace one before first use
+# (perfbench/traced_op.py and the tests do).
 
 
 def _load_layers(*layers: str) -> None:
     scope = globals()
     for layer in layers:
         module = import_module(f".{layer}", __package__)
-        for name in _LAYERS[layer]:
+        for name in _EXPORTS[layer]:
             scope.setdefault(name, getattr(module, name))
 
 
 def __getattr__(name: str):
-    layer = _LAYER_OF.get(name)
+    layer = _HOME.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_layers(layer)
     return globals()[name]
-
-
-VERIFY_TARGETS = (
-    "theorem-1.1",
-    "theorem-a",
-    "wall",
-    "cor-1.2",
-    "cor-1.3",
-    "bounds",
-    "lemma21",
-    "lemma23",
-    "orders",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,12 +122,19 @@ def _run_construct(args) -> int:
     return 0
 
 
+def _checked_max_order(max_order: int) -> int:
+    if max_order < 1:
+        raise UsageError(f"max_order must be >= 1, got {max_order}")
+    return max_order
+
+
 def _run_catalog(args) -> int:
     if not args.list_entries:
         raise UsageError("catalog requires --list")
+    max_order = _checked_max_order(args.max_order)
     _load_layers("families")
     lines = []
-    for entry in catalog(args.max_order):
+    for entry in catalog(max_order):
         tags = ",".join(sorted(entry.known_tags)) or "-"
         lines.append(f"{entry.name} order={entry.group.order} tags={tags}")
     _emit("\n".join(lines) + "\n", args.output)
@@ -219,7 +177,8 @@ def _run_degrees(args) -> int:
     return 0
 
 
-def _report_json(report) -> str:
+def _report(verify, max_order: int) -> tuple[str, bool]:
+    report = verify(catalog(max_order), max_order)
     payload = {
         "theorem": report.theorem,
         "groups_checked": report.groups_checked,
@@ -227,10 +186,10 @@ def _report_json(report) -> str:
         "notes": list(report.notes),
         "passed": report.passed,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n", report.passed
 
 
-def _bound_line(group_name: str, order: int, report: BoundReport, **extra) -> str:
+def _bound_line(group_name: str, order: int, report, **extra) -> str:
     payload = {"group": group_name, "order": order}
     payload.update(extra)
     payload.update(
@@ -246,90 +205,69 @@ def _bound_line(group_name: str, order: int, report: BoundReport, **extra) -> st
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _emit_lines(lines: list[str], output: Optional[str]) -> None:
-    """One JSON record a line; no records print nothing. One join, with no
-    copy of each line or of the joined text."""
-    _emit("\n".join([*lines, ""]), output)
+def _jsonl(records) -> tuple[str, bool]:
+    """One JSON record a line from (line, holds) pairs, and whether every
+    record holds; no records print nothing. One join, with no copy of each
+    line."""
+    lines = []
+    ok = True
+    for line, holds in records:
+        lines.append(line)
+        ok = ok and holds
+    lines.append("")
+    return "\n".join(lines), ok
 
 
-def _run_verify(args) -> int:
-    target = args.target
-    max_order = args.max_order
-    if max_order is None:
-        max_order = 10000 if target == "orders" else 24
-    if max_order < 1:
-        raise UsageError(f"max_order must be >= 1, got {max_order}")
-    needs_lattice = target in ("theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21")
-    if needs_lattice and max_order > DEFAULT_LATTICE_CAP:
-        raise UsageError(f"--max-order {max_order} exceeds the lattice cap {DEFAULT_LATTICE_CAP}")
+def _bounds_records(entry, lattice):
+    order = entry.group.order
+    reports = [wall_a(lattice), cww_b(lattice), herzog_manz_c(lattice)]
+    for p in sorted(factorize(order)):
+        reports.extend(newton_d(lattice, p))
+    reports.append(newton_e(lattice))
+    reports.append(edge_bound(lattice))
+    for rep in reports:
+        yield _bound_line(entry.name, order, rep), rep.holds
 
-    if target in ("theorem-1.1", "theorem-a", "wall", "cor-1.2", "cor-1.3"):
-        _load_layers("classify", "families")
-        # built per call from the module attributes, which the benchmark's
-        # traced mode (perfbench/traced_op.py) replaces with wrappers
-        verify = {
-            "theorem-1.1": verify_theorem_1_1,
-            "theorem-a": verify_theorem_A,
-            "wall": verify_wall,
-            "cor-1.2": verify_corollary_1_2,
-            "cor-1.3": verify_corollary_1_3,
-        }[target]
-        report = verify(catalog(max_order), max_order)
-        _emit(_report_json(report), args.output)
-        return 0 if report.passed else 1
 
-    if target in ("bounds", "lemma21"):
-        _load_layers("bounds", "classify", "families")
-        lines = []
-        ok = True
-        for entry, lattice in lattice_sweep(catalog(max_order), max_order):
-            g = entry.group
-            if isinstance(lattice, GroupTooLarge):
-                ok = False
-                payload = {"group": entry.name, "order": g.order, "undecided": str(lattice)}
-                lines.append(json.dumps(payload, separators=(",", ":")))
-            elif target == "bounds":
-                reports = [wall_a(lattice), cww_b(lattice), herzog_manz_c(lattice)]
-                for p in sorted(factorize(g.order)):
-                    reports.extend(newton_d(lattice, p))
-                reports.append(newton_e(lattice))
-                reports.append(edge_bound(lattice))
-                for rep in reports:
-                    ok = ok and rep.holds
-                    lines.append(_bound_line(entry.name, g.order, rep))
-            else:
-                # the report is invariant under automorphisms (lattice module
-                # docstring): one call and one line per orbit
-                line_of: dict[int, str] = {}
-                for h, orbit in zip(lattice.subgroups, lattice.vertex_orbit):
-                    line = line_of.get(orbit)
-                    if line is None:
-                        rep = lemma_2_1(lattice, h)
-                        ok = ok and rep.holds and rep.equality == rep.equality_condition
-                        line = line_of[orbit] = _bound_line(entry.name, g.order, rep, subgroup_order=h.order)
-                    lines.append(line)
-        _emit_lines(lines, args.output)
-        return 0 if ok else 1
+def _lemma21_records(entry, lattice):
+    # the report is invariant under automorphisms (lattice module
+    # docstring): one call and one line per orbit
+    record_of: dict[int, tuple[str, bool]] = {}
+    for h, orbit in zip(lattice.subgroups, lattice.vertex_orbit):
+        record = record_of.get(orbit)
+        if record is None:
+            rep = lemma_2_1(lattice, h)
+            line = _bound_line(entry.name, entry.group.order, rep, subgroup_order=h.order)
+            record = record_of[orbit] = line, rep.holds and rep.equality == rep.equality_condition
+        yield record
 
-    _load_layers("bounds")
-    if target == "lemma23":
-        if args.prime_bound < 5 or args.exp_bound < 1:
-            raise UsageError("lemma23 needs --prime-bound >= 5 and --exp-bound >= 1")
-        lines = []
-        ok = True
-        for rep in lemma_2_3_scan(args.prime_bound, args.exp_bound):
-            ok = ok and rep.holds
-            lines.append(_bound_line("-", 0, rep))
-        _emit_lines(lines, args.output)
-        return 0 if ok else 1
 
-    # orders: divisor analysis scan, no groups involved
+def _sweep(records_of, max_order: int):
+    """The records of a per-group bound target: records_of(entry, lattice)
+    gives a group's, and a group whose lattice was refused gets one
+    undecided line."""
+    from .classify import lattice_sweep
+
+    for entry, lattice in lattice_sweep(catalog(max_order), max_order):
+        if isinstance(lattice, GroupTooLarge):
+            payload = {"group": entry.name, "order": entry.group.order, "undecided": str(lattice)}
+            yield json.dumps(payload, separators=(",", ":")), False
+        else:
+            yield from records_of(entry, lattice)
+
+
+def _run_lemma23(args, max_order: int) -> tuple[str, bool]:
+    if args.prime_bound < 5 or args.exp_bound < 1:
+        raise UsageError("lemma23 needs --prime-bound >= 5 and --exp-bound >= 1")
+    return _jsonl((_bound_line("-", 0, rep), rep.holds) for rep in lemma_2_3_scan(args.prime_bound, args.exp_bound))
+
+
+def _run_orders(args, max_order: int) -> tuple[str, bool]:
+    # divisor analysis scan, no groups involved
     violations = []
-    small_checked = 0
     for n in range(1, 12):
         if not candidate_orders(n).small_case:
             violations.append([n, "expected small-case branch"])
-        small_checked += 1
     for n in range(12, max_order + 1):
         try:
             result = candidate_orders(n)
@@ -339,14 +277,44 @@ def _run_verify(args) -> int:
         if result.small_case:
             violations.append([n, "unexpected small-case branch"])
     payload = {
-        "target": "orders",
+        "target": args.target,
         "small_case_range": [1, 11],
         "scanned_range": [12, max_order],
         "violations": violations,
         "passed": not violations,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0 if not violations else 1
+    return json.dumps(payload, indent=2) + "\n", not violations
+
+
+# target -> (layers it runs, whether it builds lattices, default --max-order,
+# run), where run(args, max_order) gives (text, passed). The lambdas read the
+# verifier and bound names when the target runs, so a wrapper bound before
+# then (perfbench/traced_op.py) is the one called.
+_REPORT_LAYERS = ("classify", "families")
+_SWEEP_LAYERS = ("bounds", "classify", "families")
+_TARGETS = {
+    "theorem-1.1": (_REPORT_LAYERS, True, 24, lambda args, n: _report(verify_theorem_1_1, n)),
+    "theorem-a": (_REPORT_LAYERS, False, 24, lambda args, n: _report(verify_theorem_A, n)),
+    "wall": (_REPORT_LAYERS, False, 24, lambda args, n: _report(verify_wall, n)),
+    "cor-1.2": (_REPORT_LAYERS, True, 24, lambda args, n: _report(verify_corollary_1_2, n)),
+    "cor-1.3": (_REPORT_LAYERS, True, 24, lambda args, n: _report(verify_corollary_1_3, n)),
+    "bounds": (_SWEEP_LAYERS, True, 24, lambda args, n: _jsonl(_sweep(_bounds_records, n))),
+    "lemma21": (_SWEEP_LAYERS, True, 24, lambda args, n: _jsonl(_sweep(_lemma21_records, n))),
+    "lemma23": (("bounds",), False, 24, _run_lemma23),
+    "orders": (("bounds",), False, 10000, _run_orders),
+}
+VERIFY_TARGETS = tuple(_TARGETS)
+
+
+def _run_verify(args) -> int:
+    layers, builds_lattices, default_max_order, run = _TARGETS[args.target]
+    max_order = _checked_max_order(default_max_order if args.max_order is None else args.max_order)
+    if builds_lattices and max_order > DEFAULT_LATTICE_CAP:
+        raise UsageError(f"--max-order {max_order} exceeds the lattice cap {DEFAULT_LATTICE_CAP}")
+    _load_layers(*layers)
+    text, passed = run(args, max_order)
+    _emit(text, args.output)
+    return 0 if passed else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

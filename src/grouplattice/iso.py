@@ -135,6 +135,22 @@ def _extend_homomorphism(rows1, rows2, gens: tuple[int, ...], images: list[int])
     return map_, len(known)
 
 
+def _generator_candidates(g1: FiniteGroup, g2: FiniteGroup):
+    """The search's setup for maps g1 -> g2: (gens, cand), with gens a
+    generating set of g1 and cand[i] the elements of g2 whose invariants
+    are those of gens[i]; None when a generator has no candidate. The most
+    constrained generators come first, in a stable sort."""
+    inv1, inv2 = element_invariants(g1), element_invariants(g2)
+    by_inv: dict[tuple, list[int]] = {}
+    for x, key in enumerate(inv2):
+        by_inv.setdefault(key, []).append(x)
+    pairs = [(s, by_inv.get(inv1[s])) for s in minimal_generating_set(g1)]
+    if not all(c for _, c in pairs):
+        return None
+    pairs.sort(key=lambda pair: len(pair[1]))
+    return tuple(s for s, _ in pairs), [c for _, c in pairs]
+
+
 def _search(rows1, rows2, gens: tuple[int, ...], cand: list[list[int]], budget: float = math.inf):
     """The first map, trying the images of gens[i] in the order of cand[i],
     that extends onto all n elements, or None; None also once budget
@@ -180,25 +196,12 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
         raise GroupTooLarge(f"isomorphism test at order {n} exceeds cap {DEFAULT_ISO_CAP}")
     if n == 1:
         return Isomorphism(g1, g2, (0,))
-    inv1 = element_invariants(g1)
-    inv2 = element_invariants(g2)
     if fingerprint(g1) != fingerprint(g2):
         return None
-
-    by_inv: dict[tuple, list[int]] = {}
-    for x in range(n):
-        by_inv.setdefault(inv2[x], []).append(x)
-    gens = minimal_generating_set(g1)
-    cand = [by_inv.get(inv1[g], []) for g in gens]
-    if any(not c for c in cand):
+    setup = _generator_candidates(g1, g2)
+    if setup is None:
         return None
-    # assign the most constrained generators first
-    order_idx = sorted(range(len(gens)), key=lambda i: len(cand[i]))
-    gens = tuple(gens[i] for i in order_idx)
-    cand = [cand[i] for i in order_idx]
-
-    rows1, rows2 = g1.table, g2.table
-    found = _search(rows1, rows2, gens, cand)
+    found = _search(g1.table, g2.table, *setup)
     if found is None:
         return None
     return Isomorphism(g1, g2, found)
@@ -226,13 +229,7 @@ def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:
     so there are at most prod(len(c) for c in cand) of them, and the
     restarts stop once that many are found too.
     """
-    n = g.order
-    invariants = element_invariants(g)
-    by_inv: dict[tuple, list[int]] = {}
-    for x in range(n):
-        by_inv.setdefault(invariants[x], []).append(x)
-    gens = tuple(sorted(minimal_generating_set(g), key=lambda s: len(by_inv[invariants[s]])))
-    cand = [by_inv[invariants[s]] for s in gens]
+    gens, cand = _generator_candidates(g, g)
     rows, rng = g.table, random.Random(AUTOMORPHISM_SEED)
     found: dict[tuple[int, ...], None] = {}
     enough = min(AUTOMORPHISM_SOLUTIONS, math.prod(map(len, cand)))

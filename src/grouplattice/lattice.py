@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 from .arith import factorize, is_prime, split_power
 from .core import FiniteGroup, Subgroup, _mask_elements, compose_rows, extend_closure
-from .errors import GroupError, GroupTooLarge
+from .errors import CheckFailed, GroupError, GroupTooLarge
 from .iso import automorphisms
 
 DEFAULT_LATTICE_CAP = 256
@@ -209,10 +209,10 @@ class SubgroupLattice:
         g = self.parent
         mask = g.closure_mask(x for x, k in enumerate(g.element_orders) if k % p)
         if mask not in self._index:
-            raise GroupError(f"closure of the {p}'-elements is not a vertex")
+            raise CheckFailed(f"closure of the {p}'-elements is not a vertex")
         result = self.subgroups[self._index[mask]]
         if split_power(result.index, p)[1] != 1:
-            raise GroupError(f"closure of the {p}'-elements has index {result.index}, not a power of {p}")
+            raise CheckFailed(f"closure of the {p}'-elements has index {result.index}, not a power of {p}")
         return result
 
     def interval_atoms(self, h: Subgroup) -> list[Subgroup]:

@@ -436,6 +436,23 @@ def test_lattice_commands_load_only_the_layers_they_run(tmp_path, command):
     assert (tmp_path / "out").read_text().startswith("{")
 
 
+@pytest.mark.parametrize(
+    "args,unloaded",
+    [
+        (["theorem-a", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
+        (["lemma23", "--prime-bound", "7", "--exp-bound", "1"], ["grouplattice.classify", "grouplattice.families"]),
+        (["orders", "--max-order", "20"], ["grouplattice.classify", "grouplattice.families"]),
+    ],
+)
+def test_verify_targets_load_only_the_layers_they_run(tmp_path, args, unloaded):
+    proc = run_python("-c", LOADED_MODULES, "verify", *args, "-o", str(tmp_path / "out"))
+    assert proc.stderr == ""
+    code, bare, loaded = json.loads(proc.stdout)
+    assert (code, bare) == (0, [])
+    assert [m for m in unloaded if m in loaded] == []
+    assert (tmp_path / "out").read_text()
+
+
 # every public name of the package before its names were loaded lazily
 PUBLIC_NAMES = """
 ActionOrderMismatch BoundReport CandidateOrders CatalogEntry CheckFailed DEFAULT_CONSTRUCTION_CAP
@@ -512,6 +529,39 @@ def test_verify_max_order_over_lattice_cap(capsys):
 def test_verify_rejects_max_order_zero(capsys, target):
     code, out, err = run(capsys, "verify", target, "--max-order", "0")
     assert (code, out, err) == (2, "", "usage error: max_order must be >= 1, got 0\n")
+
+
+def test_catalog_rejects_max_order_zero(capsys):
+    code, out, err = run(capsys, "catalog", "--list", "--max-order", "0")
+    assert (code, out, err) == (2, "", "usage error: max_order must be >= 1, got 0\n")
+
+
+@pytest.mark.parametrize("target", ["theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21"])
+def test_verify_lattice_targets_stop_above_the_lattice_cap(capsys, target):
+    code, out, err = run(capsys, "verify", target, "--max-order", "257")
+    assert (code, out) == (2, "")
+    assert "exceeds the lattice cap 256" in err
+
+
+def test_verify_orders_scans_to_10000_by_default(capsys):
+    code, out, _ = run(capsys, "verify", "orders")
+    assert code == 0
+    assert json.loads(out)["scanned_range"] == [12, 10000]
+
+
+def test_verify_theorem_a_defaults_to_max_order_24(capsys):
+    assert run(capsys, "verify", "theorem-a") == run(capsys, "verify", "theorem-a", "--max-order", "24")
+
+
+def test_verify_reports_a_broken_o_p_closure_as_a_failed_check(capsys, monkeypatch):
+    # o_p's checks guard the closure and lattice code, not the input: a
+    # closure that is no vertex is a failed check (exit 1), not an input error
+    g = gl.symmetric(3)
+    monkeypatch.setattr(g, "closure_mask", lambda seed: 0b110)
+    entry = gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset())
+    monkeypatch.setattr("grouplattice.cli.catalog", lambda max_order: (entry,))
+    code, out, err = run(capsys, "verify", "bounds", "--max-order", "6")
+    assert (code, out, err) == (1, "", "check failed: closure of the 2'-elements is not a vertex\n")
 
 
 @pytest.mark.parametrize("command", ["catalog", "lattice", "degrees", "verify"])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import grouplattice as gl
 from grouplattice.arith import divisors, is_prime
-from grouplattice.errors import GroupError, GroupTooLarge
+from grouplattice.errors import CheckFailed, GroupError, GroupTooLarge
 from grouplattice.iso import automorphisms
 from grouplattice.lattice import DEFAULT_LATTICE_CAP, DEFAULT_MAX_SUBGROUPS, all_subgroups
 
@@ -209,6 +209,19 @@ def test_residual_o_p_examples(s3):
     assert c12.o_p(3).order == 4
 
     assert all_subgroups(gl.dihedral(4)).o_p(2).order == 1
+
+
+def test_o_p_checks_its_closure(monkeypatch):
+    # a closure of the p'-elements that is no vertex, or a vertex whose
+    # index is no power of p, is a fault of the closure or lattice code
+    s3 = gl.symmetric(3)
+    lat = all_subgroups(s3)
+    monkeypatch.setattr(s3, "closure_mask", lambda seed: 0b110)
+    with pytest.raises(CheckFailed, match="not a vertex"):
+        lat.o_p(2)
+    monkeypatch.setattr(s3, "closure_mask", lambda seed: 1)
+    with pytest.raises(CheckFailed, match="has index 6, not a power of 2"):
+        lat.o_p(2)
 
 
 def test_o_p_is_the_intersection_of_normal_p_power_index_vertices(lattices64):
