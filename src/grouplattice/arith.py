@@ -6,6 +6,7 @@ so trial division is plenty.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import GroupError, NotPrime
@@ -73,16 +74,8 @@ def split_power(n: int, p: int) -> tuple[int, int]:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     require_int(n, "n", 1)
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def primes_upto(n: int) -> list[int]:

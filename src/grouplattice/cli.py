@@ -189,6 +189,11 @@ def _report(verify, max_order: int) -> tuple[str, bool]:
     return json.dumps(payload, indent=2) + "\n", report.passed
 
 
+# one encoder for every JSON line: json.dumps with separators builds a new
+# encoder on each call
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def _bound_line(group_name: str, order: int, report, **extra) -> str:
     payload = {"group": group_name, "order": order}
     payload.update(extra)
@@ -202,7 +207,7 @@ def _bound_line(group_name: str, order: int, report, **extra) -> str:
             "equality_condition": report.equality_condition,
         }
     )
-    return json.dumps(payload, separators=(",", ":"))
+    return _COMPACT.encode(payload)
 
 
 def _jsonl(records) -> tuple[str, bool]:
@@ -251,7 +256,7 @@ def _sweep(records_of, max_order: int):
     for entry, lattice in lattice_sweep(catalog(max_order), max_order):
         if isinstance(lattice, GroupTooLarge):
             payload = {"group": entry.name, "order": entry.group.order, "undecided": str(lattice)}
-            yield json.dumps(payload, separators=(",", ":")), False
+            yield _COMPACT.encode(payload), False
         else:
             yield from records_of(entry, lattice)
 

@@ -13,7 +13,8 @@ import json
 import math
 from array import array
 from functools import cached_property, partial
-from operator import itemgetter
+from itertools import repeat
+from operator import eq, getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .arith import is_prime, require_int, split_power
@@ -53,6 +54,14 @@ def compose_rows(p, q):
         return q.translate(p.ljust(256, b"\0"))
     # itemgetter of one index returns that item, not a 1-tuple
     return array("H", itemgetter(*q)(p) if len(q) > 1 else map(p.__getitem__, q))
+
+
+def compose_each(p, rows):
+    """compose_rows(p, q) for each q in rows, lazily: a bytes p is padded to
+    its translate table once, and each translate is called from C."""
+    if type(p) is bytes:
+        return map(bytes.translate, rows, repeat(p.ljust(256, b"\0")))
+    return map(partial(compose_rows, p), rows)
 
 
 def _is_permutation(line, n: int) -> bool:
@@ -116,15 +125,17 @@ class FiniteGroup:
     order 256 (every group the lattice cap admits), read-only uint16
     memoryviews above. The constructor screens entry types and range, then
     checks a two-sided identity (relocated to 0 if found elsewhere),
-    two-sided inverses, and (a*g)*c = a*(g*c) for all a, c and every g in
+    two-sided inverses, and (g*b)*c = g*(b*c) for all b, c and every g in
     generators, in O(n^2 log n). That proves a group: generators closes
     range(1, n), each element it adds a product of earlier ones, so they
-    generate the table in any magma; the middle elements m, with
-    (a*m)*c = a*(m*c) for all a, c, are closed under products, so the table
-    is associative, with identity and inverses a group, whose rows and
-    columns are permutations. The Latin-square scan runs only once a check
-    fails, to report a bad row or column first. Commutativity, the center,
-    the derived series and normality use generators.
+    generate the table in any magma; the left elements l, with
+    (l*b)*c = l*(b*c) for all b, c, include the identity and are closed
+    under products, since for left elements x and y
+    ((x*y)*b)*c = (x*(y*b))*c = x*((y*b)*c) = x*(y*(b*c)) = (x*y)*(b*c);
+    so the table is associative, with identity and inverses a group, whose
+    rows and columns are permutations. The Latin-square scan runs only once
+    a check fails, to report a bad row or column first. Commutativity, the
+    center, the derived series and normality use generators.
     """
 
     def __init__(self, table, name: str = "G"):
@@ -159,29 +170,32 @@ class FiniteGroup:
         # two-sided inverses: the right inverse of each row must also work
         # on the left
         try:
-            inv = tuple(flat.index(0, a * n, a * n + n) - a * n for a in range(n))
+            if pack is bytes:
+                inv = tuple(map(bytes.index, rows, repeat(0)))
+            else:
+                inv = tuple(flat.index(0, a * n, a * n + n) - a * n for a in range(n))
         except ValueError:
             raise NoInverse("some row has no identity entry") from None
-        for a, b in enumerate(inv):
-            if rows[b][a]:
-                raise NoInverse(f"element {a}: right inverse {b} is not a left inverse")
+        if any(map(getitem, map(rows.__getitem__, inv), range(n))):
+            a, b = next((a, b) for a, b in enumerate(inv) if rows[b][a])
+            raise NoInverse(f"element {a}: right inverse {b} is not a left inverse")
         self.table, self.inverses = rows, inv
 
         self.generators: tuple[int, ...] = self._normal_closure(range(1, n), ())[1]
-        # associativity via the generators (middle-element test): the row of
-        # a*g must be the row of g read through the row of a; bytes rows are
-        # padded for translate once and compared all at once
-        pads = [row.ljust(256, b"\0") for row in rows] if pack is bytes else None
+        # associativity via the generators (left-element test): the row of
+        # g*b must be the row of b read through the row of g; bytes rows
+        # compare the whole table with one translate, uint16 rows a row at a
+        # time
         for g in self.generators:
             q = rows[g]
-            if pads:
-                holds = b"".join(map(rows.__getitem__, flat[g::n])) == b"".join(map(q.translate, pads))
+            if pack is bytes:
+                holds = b"".join(map(rows.__getitem__, q)) == flat.translate(q.ljust(256, b"\0"))
             else:
-                holds = all(rows[row[g]] == compose_rows(row, q) for row in rows)
+                holds = all(map(eq, map(rows.__getitem__, q), compose_each(q, rows)))
             if not holds:
-                a = next(a for a, row in enumerate(rows) if rows[row[g]] != compose_rows(row, q))
-                c = next(c for c in range(n) if rows[rows[a][g]][c] != rows[a][q[c]])
-                raise NotAssociative(f"({a}*{g})*{c} != {a}*({g}*{c})")
+                b = next(b for b, row in enumerate(rows) if rows[q[b]] != compose_rows(q, row))
+                c = next(c for c in range(n) if rows[q[b]][c] != q[rows[b][c]])
+                raise NotAssociative(f"({g}*{b})*{c} != {g}*({b}*{c})")
 
     def revalidate(self) -> bool:
         """Re-run all construction checks on the stored table."""
@@ -331,7 +345,9 @@ def _screen_table(table) -> tuple:
     dtype) needs an integer dtype. A row is a list or tuple of n ints in
     0..n-1 (no bools, floats or strings; the first bad entry is named), or
     a packed row of length n (bytes up to 256, uint16 above), as the
-    families build them, whose entries are range-checked at the end."""
+    families build them, whose entries are range-checked at the end. A
+    table whose rows are all bytes of length n is screened by two C-level
+    passes over its rows rather than row by row."""
     if hasattr(table, "dtype"):
         if table.dtype.kind not in "iu":
             raise NotLatinSquare(f"table dtype {table.dtype} is not an integer type")
@@ -344,22 +360,25 @@ def _screen_table(table) -> tuple:
         raise NotLatinSquare(f"table must be square and nonempty, got shape {shape}")
     n = shape[0]
     check_cap(n)
-    pack = row_type(n)
-    packed = (bytes,) if n <= 256 else (array, memoryview)
-    rows = []
-    for r, row in enumerate(table):
-        if type(row) in packed and getattr(row, "typecode", getattr(row, "format", "H")) == "H" and len(row) == n:
-            rows.append(row)
-            continue
-        if type(row) not in (list, tuple) or len(row) != n:
-            raise NotLatinSquare(f"table row {r} is not a list of {n} entries: {row!r:.40}")
-        # C-speed screen first; the witness search runs only on a bad row
-        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
-            c, v = next((c, v) for c, v in enumerate(row) if type(v) is not int or not 0 <= v < n)
-            why = "outside the element range" if type(v) is int else f"a {type(v).__name__}"
-            raise NotLatinSquare(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{n - 1} ({why})")
-        rows.append(pack(row))
-    rows = _frozen(rows)
+    if n <= 256 and set(map(type, table)) == {bytes} and set(map(len, table)) == {n}:
+        rows = tuple(table)
+    else:
+        pack = row_type(n)
+        packed = (bytes,) if n <= 256 else (array, memoryview)
+        rows = []
+        for r, row in enumerate(table):
+            if type(row) in packed and getattr(row, "typecode", getattr(row, "format", "H")) == "H" and len(row) == n:
+                rows.append(row)
+                continue
+            if type(row) not in (list, tuple) or len(row) != n:
+                raise NotLatinSquare(f"table row {r} is not a list of {n} entries: {row!r:.40}")
+            # C-speed screen first; the witness search runs only on a bad row
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+                c, v = next((c, v) for c, v in enumerate(row) if type(v) is not int or not 0 <= v < n)
+                why = "outside the element range" if type(v) is int else f"a {type(v).__name__}"
+                raise NotLatinSquare(f"table entry [{r}][{c}] = {v!r:.40} is not an integer in 0..{n - 1} ({why})")
+            rows.append(pack(row))
+        rows = _frozen(rows)
     # list rows are screened above; a packed row out of range is no permutation
     if b"".join(rows).translate(None, bytes(range(n))) if n <= 256 else max(map(max, rows)) >= n:
         _check_latin(rows)

@@ -3,7 +3,8 @@
 Concrete models only: pairs, triples, and bit vectors with twisted
 products. Every constructor returns a fully validated FiniteGroup. Tables
 of products and extensions are built a row at a time, by slicing the
-identity row and composing rows (core.compose_rows).
+identity row and composing rows (core.compose_rows, and core.compose_each
+where many rows are composed with one).
 """
 
 from __future__ import annotations
@@ -11,12 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
+from operator import add
 from typing import Optional, Sequence
 
 from .arith import abelian_type_list, is_prime, primes_upto, require_int, require_prime
 from .core import (
     FiniteGroup,
     check_cap,
+    compose_each,
     compose_rows,
     from_permutation_generators,
     row_type,
@@ -44,8 +48,8 @@ def _product_rows(t1: Sequence, t2: Sequence) -> tuple:
     ref = pack(range(n1 * n2))
     blocks = [ref[k * n2:(k + 1) * n2] for k in range(n1)]  # b -> k*n2 + b
     left = [pack(b"".join(map(blocks.__getitem__, row))) for row in t1]
-    right = [pack(b"".join(compose_rows(block, row) for block in blocks)) for row in t2]
-    return tuple(compose_rows(lrow, rrow) for lrow in left for rrow in right)
+    right = list(map(pack, map(b"".join, zip(*(compose_each(block, t2) for block in blocks)))))
+    return tuple(chain.from_iterable(compose_each(lrow, right) for lrow in left))
 
 
 def _abelian_rows(factors: Sequence[int]) -> tuple:
@@ -93,8 +97,8 @@ def _dihedral_rows(rows: Sequence, inverses: Sequence[int]) -> list:
     low, high = ref[:m], ref[m:]  # x -> (0, x) and x -> (1, x)
     inv = row_type(m)(inverses)
     quotients = [compose_rows(row, inv) for row in rows]  # y -> x * y^-1
-    table = [compose_rows(low, row) + compose_rows(high, row) for row in rows]
-    return table + [compose_rows(high, row) + compose_rows(low, row) for row in quotients]
+    table = list(map(add, compose_each(low, rows), compose_each(high, rows)))
+    return table + list(map(add, compose_each(high, quotients), compose_each(low, quotients)))
 
 
 def generalized_dihedral(a: FiniteGroup) -> FiniteGroup:

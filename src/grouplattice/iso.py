@@ -83,18 +83,15 @@ def element_invariants(g: FiniteGroup) -> tuple[tuple[int, int, int, int], ...]:
     return inv
 
 
+def _summary(g: FiniteGroup) -> tuple:
+    """Order, abelianness, |Z|, |G'| and exponent: the part of fingerprint
+    that needs no per-element invariants."""
+    return (g.order, g.is_abelian, g.center_mask.bit_count(), g.derived_mask.bit_count(), g.exponent)
+
+
 def fingerprint(g: FiniteGroup) -> tuple:
     """Isomorphism-invariant summary used as a fast necessary condition."""
-    zsize = g.center_mask.bit_count()
-    dsize = g.derived_mask.bit_count()
-    return (
-        g.order,
-        g.is_abelian,
-        zsize,
-        dsize,
-        g.exponent,
-        tuple(sorted(element_invariants(g))),
-    )
+    return _summary(g) + (tuple(sorted(element_invariants(g))),)
 
 
 def minimal_generating_set(g: FiniteGroup) -> tuple[int, ...]:
@@ -196,7 +193,9 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
         raise GroupTooLarge(f"isomorphism test at order {n} exceeds cap {DEFAULT_ISO_CAP}")
     if n == 1:
         return Isomorphism(g1, g2, (0,))
-    if fingerprint(g1) != fingerprint(g2):
+    # fingerprint, with element_invariants run only for groups whose
+    # summaries agree
+    if _summary(g1) != _summary(g2) or sorted(element_invariants(g1)) != sorted(element_invariants(g2)):
         return None
     setup = _generator_candidates(g1, g2)
     if setup is None:

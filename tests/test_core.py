@@ -342,6 +342,33 @@ def test_nonassociative_loop_above_256_is_refused():
     assert table[table[a][g]][c] != table[a][table[g][c]]
 
 
+@pytest.mark.parametrize("m", [2, 51, 60])
+def test_associativity_fails_at_a_later_generator(m):
+    # the order-5 loop times C_m, element l*m + a: generator 1 = (e, 1) is a
+    # left element, so only the next generator, m = (1, 0), can fail;
+    # orders 10 and 255 take the bytes path, 300 the uint16 path
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    n = 5 * m
+    table = [[loop[a // m][b // m] * m + (a + b) % m for b in range(n)] for a in range(n)]
+    with pytest.raises(NotAssociative) as info:
+        gl.from_cayley_table(table)
+    g, b, c, g2, b2, c2 = map(int, re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) != (\d+)\*\((\d+)\*(\d+)\)", str(info.value)).groups())
+    assert (g, b, c) == (g2, b2, c2) and g == m
+    assert table[table[g][b]][c] != table[g][table[b][c]]
+
+
+def test_packed_rows_with_one_odd_row_get_the_per_row_screen():
+    rows = list(gl.dihedral(4).table)
+    mixed = rows[:3] + [list(rows[3])] + rows[4:]
+    assert gl.from_cayley_table(mixed).table == gl.dihedral(4).table
+    mixed[3][5] = 9
+    with pytest.raises(NotLatinSquare, match=r"^table entry \[3\]\[5\] = 9 is not an integer in 0\.\.7 \(outside the element range\)$"):
+        gl.from_cayley_table(mixed)
+    short = rows[:6] + [rows[6][:7]] + rows[7:]
+    with pytest.raises(NotLatinSquare, match=r"^table row 6 is not a list of 8 entries: "):
+        gl.from_cayley_table(short)
+
+
 def test_validation_scans_rows_and_columns_only_on_failure(monkeypatch):
     calls = []
     scan = core._is_permutation

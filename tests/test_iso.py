@@ -88,6 +88,15 @@ def test_fingerprint_invariance():
     assert fingerprint(gl.dihedral(4)) != fingerprint(gl.dicyclic(2))
 
 
+def test_summary_mismatch_skips_element_invariants(monkeypatch):
+    # D16 has a centre of order 2, D8xC2 one of order 4
+    calls = []
+    monkeypatch.setattr(gl.iso, "element_invariants", lambda g: calls.append(g) or ())
+    d16, d8c2 = gl.dihedral(8), gl.direct_product(gl.dihedral(4), gl.cyclic(2))
+    assert is_isomorphic(d16, d8c2) is None
+    assert calls == []
+
+
 def test_element_invariants_shape(s3):
     inv = element_invariants(s3)
     assert len(inv) == 6
