@@ -25,6 +25,7 @@ _EXPORTS = {
         "lemma_2_3_scan",
         "newton_d",
         "newton_e",
+        "quotient_is_elementary_abelian_2",
         "wall_a",
     ),
     "classify": (
@@ -33,6 +34,7 @@ _EXPORTS = {
         "VerificationReport",
         "has_large_degree_vertex",
         "recognize",
+        "sylow_p_elements_form_subgroup",
         "verify_corollary_1_2",
         "verify_corollary_1_3",
         "verify_theorem_1_1",
@@ -43,15 +45,11 @@ _EXPORTS = {
         "DEFAULT_CONSTRUCTION_CAP",
         "FiniteGroup",
         "Subgroup",
-        "coset_indices",
         "dumps_group",
         "from_cayley_table",
-        "from_permutation_generators",
         "loads_group",
         "quotient_group",
-        "quotient_is_elementary_abelian_2",
         "read_group",
-        "sylow_p_elements_form_subgroup",
         "write_group",
     ),
     "errors": (
@@ -86,10 +84,10 @@ _EXPORTS = {
         "dihedral",
         "direct_product",
         "elementary_abelian",
+        "from_permutation_generators",
         "generalized_dihedral",
         "heisenberg",
         "semidirect",
-        "semidirect_C2",
         "symmetric",
         "trivial",
         "wall_H",

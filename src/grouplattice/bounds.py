@@ -13,8 +13,8 @@ from itertools import combinations, product
 from typing import Optional
 
 from .arith import divisors, factorize, is_prime, primes_upto, require_int, require_prime, split_power
-from .core import FiniteGroup, quotient_is_elementary_abelian_2
-from .errors import CheckFailed, GroupError, NotSolvable, PrimesNotDistinct, TrivialGroup
+from .core import FiniteGroup, Subgroup
+from .errors import CheckFailed, GroupError, NotNormal, NotSolvable, PrimesNotDistinct, TrivialGroup
 from .lattice import SubgroupLattice
 
 
@@ -55,6 +55,21 @@ def _require_solvable(g: FiniteGroup) -> None:
 def _require_nontrivial(g: FiniteGroup) -> None:
     if g.order == 1:
         raise TrivialGroup(f"{g.name} is trivial")
+
+
+def quotient_is_elementary_abelian_2(g: FiniteGroup, h: Subgroup) -> bool:
+    """True iff g^2 in H for all g and [g1, g2] in H for all g1, g2.
+
+    No quotient table is built; the commutator condition is equivalent to
+    containing the derived subgroup.
+    """
+    if not h.is_normal:
+        raise NotNormal(f"subgroup of order {h.order} is not normal in {g.name}")
+    rows = g.table
+    mask = h.mask
+    if any(not mask >> rows[a][a] & 1 for a in range(g.order)):
+        return False
+    return g.derived_mask & ~mask == 0
 
 
 def lemma_2_1(lattice: SubgroupLattice, h) -> BoundReport:

@@ -13,13 +13,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .arith import factorize
-from .core import FiniteGroup, _mask_elements, sylow_p_elements_form_subgroup
+from .arith import factorize, split_power
+from .core import FiniteGroup, Subgroup, _mask_elements
 from .errors import GroupTooLarge, TrivialGroup
 from .families import (
     CatalogEntry,
-    _abelian_rows,
-    _product_rows,
     alternating,
     dihedral,
     direct_product,
@@ -125,6 +123,19 @@ def _is_generalized_extraspecial(g: FiniteGroup) -> bool:
     return _frattini_mask(g) == derived
 
 
+def sylow_p_elements_form_subgroup(g: FiniteGroup, p: int) -> Optional[Subgroup]:
+    """The set of all elements of p-power order, if it is a subgroup.
+
+    When that set is product-closed it is the unique (hence normal) Sylow
+    p-subgroup; otherwise returns None.
+    """
+    elems = [x for x, k in enumerate(g.element_orders) if split_power(k, p)[1] == 1]
+    mask = sum(1 << x for x in elems)
+    if g._normal_closure(elems, ())[0] != mask:
+        return None
+    return Subgroup(g, mask, check=False)
+
+
 def _is_cpn_c2(g: FiniteGroup) -> bool:
     fac = factorize(g.order)
     if len(fac) != 2 or fac.get(2) != 1:
@@ -174,7 +185,7 @@ def _candidate(subtype_key: str, param: int, edim: int) -> FiniteGroup:
     }[subtype_key](param)
     if not edim:
         return base
-    return FiniteGroup(_product_rows(base.table, _abelian_rows([2] * edim)), name=base.name + "xC2" * edim)
+    return direct_product(base, elementary_abelian(2, edim), name=base.name + "xC2" * edim)
 
 
 def recognize(g: FiniteGroup) -> Recognition:

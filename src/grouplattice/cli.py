@@ -82,9 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {output}: {exc}") from exc
 
 
 _CONSTRUCTORS = {

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import eq, getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .arith import is_prime, require_int, split_power
+from .arith import is_prime
 from .errors import (
     CheckFailed,
     GroupError,
@@ -197,11 +197,6 @@ class FiniteGroup:
                 c = next(c for c in range(n) if rows[q[b]][c] != q[rows[b][c]])
                 raise NotAssociative(f"({g}*{b})*{c} != {g}*({b}*{c})")
 
-    def revalidate(self) -> bool:
-        """Re-run all construction checks on the stored table."""
-        self._validate_and_normalize()
-        return True
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
@@ -322,12 +317,6 @@ class FiniteGroup:
         for x in members:
             mask |= 1 << x
         return Subgroup(self, mask)
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, 1, check=False)
-
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (1 << self.order) - 1, check=False)
 
     @cached_property
     def is_solvable(self) -> bool:
@@ -471,9 +460,7 @@ class Subgroup:
     @cached_property
     def is_normal(self) -> bool:
         g = self.parent
-        if g.is_abelian or self.order == g.order or self.order == 1:
-            return True
-        if self.index == 2:
+        if g.is_abelian or self.order == 1 or self.index <= 2:
             return True
         # H^s = H for each generator s of G is enough
         rows, inv, mask = g.table, g.inverses, self.mask
@@ -505,115 +492,23 @@ def from_cayley_table(table, name: str = "G") -> FiniteGroup:
     return FiniteGroup(table, name=name)
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p o q)(i) = p(q(i))
-    return tuple(p[j] for j in q)
-
-
-def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]], name: str = "G") -> FiniteGroup:
-    """Build the group generated by permutations of {0..degree-1}.
-
-    Element 0 is the identity permutation; the remaining elements appear in
-    breadth-first discovery order. Raises GroupTooLarge as soon as the
-    closure grows past the construction cap.
-    """
-    require_int(degree, "degree", 1)
-    gens = []
-    for i, g in enumerate(generators):
-        t = tuple(g)
-        bad = next((j for j, v in enumerate(t) if type(v) is not int), None)
-        if bad is not None:
-            raise GroupError(f"generator {i} entry {bad} = {t[bad]!r:.40} is not an integer")
-        if sorted(t) != list(range(degree)):
-            raise GroupError(f"{t} is not a permutation of 0..{degree - 1}")
-        gens.append(t)
-    ident = tuple(range(degree))
-    elems = [ident]
-    index = {ident: 0}
-    via = [(0, 0)]  # elems[i] = elems[j] o gens[k] for (j, k) = via[i]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for k, g in enumerate(gens):
-                q = _compose(p, g)
-                if q not in index:
-                    check_cap(len(elems) + 1)
-                    index[q] = len(elems)
-                    via.append((index[p], k))
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
-    n = len(elems)
-    # (p o g) o q = p o (g o q): the row of p o g is the row of p composed
-    # with the row of g, so only the generators' rows need the index
-    pack = row_type(n)
-    gen_rows = [pack(index[_compose(g, q)] for q in elems) for g in gens]
-    rows = [pack(range(n))]
-    for j, k in via[1:]:
-        rows.append(compose_rows(rows[j], gen_rows[k]))
-    return FiniteGroup(rows, name=name)
-
-
-def coset_indices(g: FiniteGroup, h: Subgroup) -> tuple[list[int], list[int]]:
-    """Right-coset labels for a normal subgroup.
-
-    Returns (labels, reps): labels[x] is the coset index of element x, reps
-    the minimal representative of each coset. The identity coset gets
-    index 0.
-    """
+def quotient_group(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> FiniteGroup:
+    """Coset multiplication table of G/H, the cosets Ha numbered in the
+    order of their least members; requires H normal."""
+    if not h.is_normal:
+        raise NotNormal(f"subgroup of order {h.order} is not normal in {g.name}")
     rows = g.table
-    helems = h.elements
     labels = [-1] * g.order
     reps = []
     for a in range(g.order):
-        if labels[a] != -1:
-            continue
-        c = len(reps)
-        reps.append(a)
-        for x in helems:
-            labels[rows[x][a]] = c
-    return labels, reps
-
-
-def quotient_group(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> FiniteGroup:
-    """Coset multiplication table of G/H; requires H normal."""
-    if not h.is_normal:
-        raise NotNormal(f"subgroup of order {h.order} is not normal in {g.name}")
-    labels, reps = coset_indices(g, h)
-    rows = g.table
+        if labels[a] == -1:
+            for x in h.elements:
+                labels[rows[x][a]] = len(reps)
+            reps.append(a)
     table = [[labels[rows[a][b]] for b in reps] for a in reps]
     if name is None:
         name = f"{g.name}/{h.order}"
     return FiniteGroup(table, name=name)
-
-
-def quotient_is_elementary_abelian_2(g: FiniteGroup, h: Subgroup) -> bool:
-    """True iff g^2 in H for all g and [g1, g2] in H for all g1, g2.
-
-    No quotient table is built; the commutator condition is equivalent to
-    containing the derived subgroup.
-    """
-    if not h.is_normal:
-        raise NotNormal(f"subgroup of order {h.order} is not normal in {g.name}")
-    rows = g.table
-    mask = h.mask
-    if any(not mask >> rows[a][a] & 1 for a in range(g.order)):
-        return False
-    return g.derived_mask & ~mask == 0
-
-
-def sylow_p_elements_form_subgroup(g: FiniteGroup, p: int) -> Optional[Subgroup]:
-    """The set of all elements of p-power order, if it is a subgroup.
-
-    When that set is product-closed it is the unique (hence normal) Sylow
-    p-subgroup; otherwise returns None.
-    """
-    elems = [x for x, k in enumerate(g.element_orders) if split_power(k, p)[1] == 1]
-    mask = sum(1 << x for x in elems)
-    if g._normal_closure(elems, ())[0] != mask:
-        return None
-    return Subgroup(g, mask, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Constructors for named group families and a small-order catalog.
 
-Concrete models only: pairs, triples, and bit vectors with twisted
-products. Every constructor returns a fully validated FiniteGroup. Tables
+Concrete models only: pairs, triples, bit vectors with twisted products,
+and the closure of a set of permutations. Every constructor returns a fully validated FiniteGroup. Tables
 of products and extensions are built a row at a time, by slicing the
 identity row and composing rows (core.compose_rows, and core.compose_each
 where many rows are composed with one).
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .arith import abelian_type_list, is_prime, primes_upto, require_int, require_prime
 from .core import (
@@ -22,7 +22,6 @@ from .core import (
     check_cap,
     compose_each,
     compose_rows,
-    from_permutation_generators,
     row_type,
 )
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     NotAutomorphism,
     NotCentralInvolution,
 )
-from .iso import is_isomorphic
+from .iso import first_broken_pair, is_isomorphic
 
 
 def _cyclic_rows(n: int) -> tuple:
@@ -140,11 +139,9 @@ def _semidirect_rows(rows: Sequence, action: Sequence[int], m: int) -> list:
         raise NotAutomorphism(f"action is not a permutation of 0..{na - 1}")
     pack = row_type(na)
     act = pack(action)
-    for x, row in enumerate(rows):
-        lhs, rhs = compose_rows(act, row), compose_rows(rows[act[x]], act)
-        if lhs != rhs:
-            y = next(y for y in range(na) if lhs[y] != rhs[y])
-            raise NotAutomorphism(f"action breaks the product at pair ({x}, {y})")
+    broken = first_broken_pair(rows, rows, act)
+    if broken is not None:
+        raise NotAutomorphism(f"action breaks the product at pair {broken}")
     powers = [pack(range(na))]
     for _ in range(m - 1):
         powers.append(compose_rows(act, powers[-1]))
@@ -161,10 +158,6 @@ def _semidirect_rows(rows: Sequence, action: Sequence[int], m: int) -> list:
             twisted = compose_rows(row, powers[c])
             table.append(pack(b"".join(compose_rows(blocks[(c + d) % m], twisted) for d in range(m))))
     return table
-
-
-def semidirect_C2(a: FiniteGroup, action: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
-    return semidirect(a, action, 2, name=name)
 
 
 def wall_H(r: int) -> FiniteGroup:
@@ -308,6 +301,56 @@ def heisenberg(p: int) -> FiniteGroup:
         for a1, b1, c1 in triples
     ]
     return FiniteGroup(table, name=f"Heis{p}")
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    # (p o q)(i) = p(q(i))
+    return tuple(p[j] for j in q)
+
+
+def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]], name: str = "G") -> FiniteGroup:
+    """Build the group generated by permutations of {0..degree-1}.
+
+    Element 0 is the identity permutation; the remaining elements appear in
+    breadth-first discovery order. Raises GroupTooLarge as soon as the
+    closure grows past the construction cap.
+    """
+    require_int(degree, "degree", 1)
+    gens = []
+    for i, g in enumerate(generators):
+        t = tuple(g)
+        bad = next((j for j, v in enumerate(t) if type(v) is not int), None)
+        if bad is not None:
+            raise GroupError(f"generator {i} entry {bad} = {t[bad]!r:.40} is not an integer")
+        if sorted(t) != list(range(degree)):
+            raise GroupError(f"{t} is not a permutation of 0..{degree - 1}")
+        gens.append(t)
+    ident = tuple(range(degree))
+    elems = [ident]
+    index = {ident: 0}
+    via = [(0, 0)]  # elems[i] = elems[j] o gens[k] for (j, k) = via[i]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for k, g in enumerate(gens):
+                q = _compose(p, g)
+                if q not in index:
+                    check_cap(len(elems) + 1)
+                    index[q] = len(elems)
+                    via.append((index[p], k))
+                    elems.append(q)
+                    nxt.append(q)
+        frontier = nxt
+    n = len(elems)
+    # (p o g) o q = p o (g o q): the row of p o g is the row of p composed
+    # with the row of g, so only the generators' rows need the index
+    pack = row_type(n)
+    gen_rows = [pack(index[_compose(g, q)] for q in elems) for g in gens]
+    rows = [pack(range(n))]
+    for j, k in via[1:]:
+        rows.append(compose_rows(rows[j], gen_rows[k]))
+    return FiniteGroup(rows, name=name)
 
 
 def symmetric(n: int) -> FiniteGroup:

@@ -39,15 +39,20 @@ class Isomorphism:
             require_int(v, "map entry")
         if target.order != n or sorted(map) != list(range(n)):
             raise GroupError("map is not a bijection between the element sets")
-        # the full table check: map[a*b] = map[a]*map[b], a row at a time
-        perm = row_type(n)(map)
-        t2 = target.table
-        for a, row in enumerate(source.table):
-            lhs, rhs = compose_rows(perm, row), compose_rows(t2[perm[a]], perm)
-            if lhs != rhs:
-                b = next(b for b in range(n) if lhs[b] != rhs[b])
-                raise GroupError(f"map is not a homomorphism at pair ({a}, {b})")
+        broken = first_broken_pair(source.table, target.table, row_type(n)(map))
+        if broken is not None:
+            raise GroupError(f"map is not a homomorphism at pair {broken}")
         self.source, self.target, self.map = source, target, map
+
+
+def first_broken_pair(rows1, rows2, perm):
+    """The first (a, b) with perm[a*b] != perm[a]*perm[b], products read in
+    rows1 and rows2, or None: the packed map perm is a homomorphism."""
+    for a, row in enumerate(rows1):
+        lhs, rhs = compose_rows(perm, row), compose_rows(rows2[perm[a]], perm)
+        if lhs != rhs:
+            return a, next(b for b in range(len(row)) if lhs[b] != rhs[b])
+    return None
 
 
 def element_invariants(g: FiniteGroup) -> tuple[tuple[int, int, int, int], ...]:

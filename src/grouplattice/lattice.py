@@ -43,8 +43,8 @@ number of members of O_R that K covers, so
     down(K) = sum over representatives R of |O_R| c(R -> O_K) / |O_K|,
 
 and edge_count = sum over R of |O_R| up(R). The edge lists themselves
-(upper, lower, covers, export_dot) are built on first access. closures
-counts the closures made for the representatives, orbits the orbits.
+(upper, covers, export_dot) are built on first access. closures counts
+the closures made for the representatives, orbits the orbits.
 
 Per-vertex answers per orbit: vertex_orbit maps each subgroup to its
 orbit. An automorphism a preserves the order and the degree of a
@@ -91,10 +91,11 @@ class SubgroupLattice:
     edge_count, atoms and maximal subgroups come from those counts.
     vertex_orbit[i] is the number of the orbit of subgroup i; the first
     vertex of each orbit in index order need not be its representative.
-    upper[i] and lower[i], the subgroups covering and covered by subgroup
-    i in ascending order, are built on first access by carrying the
-    representatives' covers along their orbits. closures counts the
-    subgroup closures the walk computed, orbits the orbits it found.
+    upper[i], the indices of the subgroups covering subgroup i in
+    ascending order (the atoms of the interval [H_i, G]), is built on
+    first access by carrying the representatives' covers along their
+    orbits. closures counts the subgroup closures the walk computed,
+    orbits the orbits it found.
     """
 
     def __init__(self, parent: FiniteGroup, orbit_of: dict[int, int], reps, movers, closures: int):
@@ -140,14 +141,6 @@ class SubgroupLattice:
             for mask, psi in _orbit(identity, self._movers, rep_vector):
                 upper[index[mask]] = tuple(sorted(index[_vector_mask(psi.translate(c))] for c in cover_vectors))
         return tuple(upper)
-
-    @cached_property
-    def lower(self) -> tuple[tuple[int, ...], ...]:
-        lower: list[list[int]] = [[] for _ in self.masks]
-        for i, above in enumerate(self.upper):
-            for j in above:
-                lower[j].append(i)
-        return tuple(map(tuple, lower))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -214,10 +207,6 @@ class SubgroupLattice:
         if split_power(result.index, p)[1] != 1:
             raise CheckFailed(f"closure of the {p}'-elements has index {result.index}, not a power of {p}")
         return result
-
-    def interval_atoms(self, h: Subgroup) -> list[Subgroup]:
-        """Subgroups covering h, i.e. the atoms of the interval [h, G]."""
-        return [self.subgroups[j] for j in self.upper[self.index_of(h)]]
 
     def export_dot(self) -> str:
         nodes = [f'  n{i} [label="{s.order}"];' for i, s in enumerate(self.subgroups)]

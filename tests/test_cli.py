@@ -460,11 +460,11 @@ DEFAULT_ISO_CAP DEFAULT_LATTICE_CAP DEFAULT_MAX_SUBGROUPS DegreeProfile FamilyTa
 GroupTooLarge InputError Isomorphism NoIdentity NoInverse NotAbelian NotAssociative NotAutomorphism
 NotCentralInvolution NotLatinSquare NotNormal NotPrime NotSolvable NotSubgroup PrimesNotDistinct Recognition
 Subgroup SubgroupLattice TrivialGroup UsageError VerificationReport abelian abelian_type_list all_subgroups
-alternating candidate_orders catalog central_product coset_indices cww_b cyclic dicyclic dihedral
+alternating candidate_orders catalog central_product cww_b cyclic dicyclic dihedral
 direct_product divisors dumps_group edge_bound elementary_abelian factorize from_cayley_table
 from_permutation_generators generalized_dihedral has_large_degree_vertex heisenberg herzog_manz_c
 is_isomorphic is_prime lemma_2_1 lemma_2_3_check lemma_2_3_scan loads_group newton_d newton_e partitions
-primes_upto quotient_group quotient_is_elementary_abelian_2 read_group recognize semidirect semidirect_C2
+primes_upto quotient_group quotient_is_elementary_abelian_2 read_group recognize semidirect
 sylow_p_elements_form_subgroup symmetric trivial verify_corollary_1_2 verify_corollary_1_3
 verify_theorem_1_1 verify_theorem_A verify_wall wall_H wall_S wall_T wall_a write_group
 """.split()
@@ -514,6 +514,23 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_has_no_unused_imports():
+    # each name a module imports at top level is read somewhere in it
+    package = Path(gl.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        # the base of an attribute read such as json.dumps is a Name too
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert unused == []
 
 
 def test_verify_unknown_target(capsys):
@@ -570,6 +587,21 @@ def test_no_cap_flags(capsys, command):
     code, out, _ = run(capsys, command, "--help")
     assert code == 0 and "usage:" in out
     assert "cap" not in out
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+@pytest.mark.parametrize(
+    "args",
+    [["construct", "cyclic", "4"], ["lattice", "D12_FILE"], ["verify", "orders", "--max-order", "20"]],
+    ids=["construct", "lattice", "verify-orders"],
+)
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, d12_file, args, where):
+    # exit 1 means a counterexample, so a failed write must not raise
+    output = tmp_path if where == "directory" else tmp_path / "missing" / "out"
+    argv = [d12_file if a == "D12_FILE" else a for a in args]
+    code, out, err = run(capsys, *argv, "-o", str(output))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {output}: ") and "Traceback" not in err
 
 
 def test_verify_output_to_file(capsys, tmp_path):

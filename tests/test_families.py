@@ -96,7 +96,7 @@ def test_generalized_dihedral_of_klein_group():
 def test_semidirect_inversion_gives_dihedral():
     c5 = gl.cyclic(5)
     inversion = [c5.inv_of(x) for x in range(5)]
-    g = gl.semidirect_C2(c5, inversion)
+    g = gl.semidirect(c5, inversion, 2)
     assert is_isomorphic(g, gl.dihedral(5)) is not None
 
 
@@ -116,13 +116,13 @@ def test_semidirect_order_3_action():
 
 def test_semidirect_rejects_non_permutation():
     with pytest.raises(NotAutomorphism, match="not a permutation"):
-        gl.semidirect_C2(gl.cyclic(3), [0, 0, 1])
+        gl.semidirect(gl.cyclic(3), [0, 0, 1], 2)
 
 
 def test_semidirect_rejects_non_automorphism():
     # swapping two elements of C4 that differ in order cannot be one
-    with pytest.raises(NotAutomorphism, match="breaks the product"):
-        gl.semidirect_C2(gl.cyclic(4), [0, 2, 1, 3])
+    with pytest.raises(NotAutomorphism, match=r"breaks the product at pair \(1, 1\)"):
+        gl.semidirect(gl.cyclic(4), [0, 2, 1, 3], 2)
 
 
 @pytest.mark.parametrize(

@@ -269,18 +269,18 @@ def test_o_p_result_is_normal(catalog36):
 
 
 def test_interval_atoms(d8):
+    # upper[i] lists the atoms of the interval [H_i, G]
     lat = all_subgroups(d8)
-    assert lat.interval_atoms(lat.subgroups[0]) == lat.atoms()
-    z = d8.center()
-    above_center = lat.interval_atoms(lat.subgroups[lat.index_of(z)])
-    assert sorted(h.order for h in above_center) == [4, 4, 4]
-    assert lat.interval_atoms(lat.subgroups[-1]) == []
+    assert [lat.subgroups[j] for j in lat.upper[0]] == lat.atoms()
+    above_center = lat.upper[lat.index_of(d8.center())]
+    assert sorted(lat.subgroups[j].order for j in above_center) == [4, 4, 4]
+    assert lat.upper[-1] == ()
 
 
 def test_index_of_rejects_foreign_subgroup(s3, d8):
     lat = all_subgroups(s3)
     with pytest.raises(GroupError):
-        lat.index_of(d8.trivial_subgroup())
+        lat.index_of(d8.subgroup([0]))
 
 
 def test_export_dot_exact_text_for_c2():
