@@ -9,8 +9,9 @@ workload (perfbench/groups.py, relabelled as with seed 3), and writes
 the sha256 of each stdout with its exit code to
 tests/golden_stdout.json. It also records the lattice-free commands
 `catalog --list`, `verify theorem-a` and `verify wall` at `--max-order
-256`, one sha256 of the per-vertex (mask, up-degree, down-degree) of
-every catalog(64) lattice, one sha256 of the (name, sorted tags,
+256` and `verify orders --max-order 10000` (as the benchmark runs it),
+one sha256 of the per-vertex (mask, up-degree, down-degree) of every
+catalog(64) lattice, one sha256 of the (name, sorted tags,
 order, table bytes) of every catalog(256) entry, one sha256 of the maps
 `iso.automorphisms` returns for every catalog(128) group, and the stdout
 of `construct symmetric 6` and `construct cyclic 300` (order above 256,
@@ -49,6 +50,7 @@ CATALOG_COMMANDS = (
     ("verify", "wall", "--max-order", str(CATALOG_ORDER)),
 )
 CATALOG_DIGEST_KEY = f"(name, tags, order, table) of every catalog({CATALOG_ORDER}) entry"
+BENCH_COMMANDS = (("verify", "orders", "--max-order", "10000"),)  # as the benchmark's lattice-free workload runs it
 AUTOMORPHISM_ORDER = 128
 AUTOMORPHISM_DIGEST_KEY = f"automorphisms(g) of every catalog({AUTOMORPHISM_ORDER}) group"
 CONSTRUCT_COMMANDS = (("construct", "symmetric", "6"), ("construct", "cyclic", "300"))
@@ -161,7 +163,7 @@ def record() -> dict:
     for name, text in big_texts().items():
         for command in BIG_COMMANDS:
             golden[big_key(name, command)] = run_on_text(text, command)
-    for command in CATALOG_COMMANDS + CONSTRUCT_COMMANDS:
+    for command in CATALOG_COMMANDS + BENCH_COMMANDS + CONSTRUCT_COMMANDS:
         golden[" ".join(command)] = run(list(command))
     import grouplattice as gl
 

@@ -1,11 +1,11 @@
 """Golden stdout for every `verify` target (`bounds` and `lemma21` also at
 order 128), for `lattice`/`degrees` on six non-abelian groups and on the
 ten lattice-big tables, for `catalog --list`, `verify theorem-a` and
-`verify wall` at order 256, for `construct symmetric 6` and `construct
-cyclic 300`, a digest of the per-vertex degrees of every catalog(64)
-lattice, a digest of every catalog(256) entry's name, tags and table and
-a digest of the automorphisms found for every catalog(128) group: a
-guard for refactors.
+`verify wall` at order 256, for `verify orders --max-order 10000`, for
+`construct symmetric 6` and `construct cyclic 300`, a digest of the
+per-vertex degrees of every catalog(64) lattice, a digest of every
+catalog(256) entry's name, tags and table and a digest of the
+automorphisms found for every catalog(128) group: a guard for refactors.
 
 tests/golden_stdout.json holds the sha256 of the stdout and the exit code
 of each run, recorded by tests/record_golden.py from a commit whose output
@@ -20,6 +20,7 @@ import pytest
 from record_golden import (
     AUTOMORPHISM_DIGEST_KEY,
     AUTOMORPHISM_ORDER,
+    BENCH_COMMANDS,
     BIG_COMMANDS,
     CATALOG_COMMANDS,
     CATALOG_DIGEST_KEY,
@@ -55,7 +56,7 @@ def test_golden_file_covers_every_verify_target():
     keys += [" ".join(argv_for(t, WIDE_ORDER)) for t in WIDE_TARGETS]
     keys += [group_key(name, command) for name in GROUPS for command in GROUP_COMMANDS]
     keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
-    keys += [" ".join(command) for command in CATALOG_COMMANDS + CONSTRUCT_COMMANDS]
+    keys += [" ".join(command) for command in CATALOG_COMMANDS + BENCH_COMMANDS + CONSTRUCT_COMMANDS]
     assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY, CATALOG_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY])
 
 
@@ -92,6 +93,12 @@ def test_vertex_degrees_match_golden(lattices64):
 
 @pytest.mark.parametrize("command", CATALOG_COMMANDS, ids=" ".join)
 def test_catalog_command_stdout_matches_golden(command):
+    key = " ".join(command)
+    assert run(list(command)) == EXPECTED[key], key
+
+
+@pytest.mark.parametrize("command", BENCH_COMMANDS, ids=" ".join)
+def test_benchmark_command_stdout_matches_golden(command):
     key = " ".join(command)
     assert run(list(command)) == EXPECTED[key], key
 
