@@ -9,9 +9,8 @@ loudly instead of passing by silence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import factorize, split_power
 from .core import FiniteGroup, Subgroup, _mask_elements
@@ -43,23 +42,31 @@ SUBTYPES = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X")
 WALL_SUBTYPES = frozenset({"I", "II", "III", "IV"})
 
 
-@dataclass(frozen=True)
-class FamilyTag:
-    """One family membership; subtype is the roman numeral for
-    F2_THEOREM_A tags and None otherwise."""
-
+class _FamilyTagFields(NamedTuple):
     family: str
     subtype: Optional[str] = None
 
-    def __post_init__(self):
-        if (self.family == F2_THEOREM_A) != (self.subtype is not None):
+
+class FamilyTag(_FamilyTagFields):
+    """One family membership; subtype is the roman numeral for
+    F2_THEOREM_A tags and None otherwise."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, subtype: Optional[str] = None):
+        if (family == F2_THEOREM_A) != (subtype is not None):
             raise ValueError(f"subtype must accompany exactly the {F2_THEOREM_A} family")
-        if self.subtype is not None and self.subtype not in SUBTYPES:
-            raise ValueError(f"unknown subtype {self.subtype!r}")
+        if subtype is not None and subtype not in SUBTYPES:
+            raise ValueError(f"unknown subtype {subtype!r}")
+        return super().__new__(cls, family, subtype)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Recognition:
+class Recognition(NamedTuple):
     """Decided family tags plus the labels left undecided by caps."""
 
     tags: frozenset[FamilyTag]
@@ -75,8 +82,7 @@ class Recognition:
         return any(t.family == family for t in self.tags)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem: str
     groups_checked: int
     counterexamples: tuple[tuple[str, str], ...]
@@ -393,7 +399,7 @@ def verify_corollary_1_2(entries: Sequence[CatalogEntry], max_order: int) -> Ver
         return None
 
     report = _verify("cor-1.2", lattice_sweep(entries, max_order), check)
-    return replace(report, notes=tuple(notes))
+    return report._replace(notes=tuple(notes))
 
 
 def verify_corollary_1_3(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:

@@ -153,12 +153,27 @@ def _load_group(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
+# json.dumps encodes each string with this C function; the writers below
+# give json.dumps's bytes for their fixed-shape reports without its
+# per-value dispatch, which for indent=2 is the pure-Python encoder
+_string = json.encoder.encode_basestring_ascii
+_CONSTANT = {True: "true", False: "false", None: "null"}
+
+
 def _run_lattice(args) -> int:
     lattice = all_subgroups(_load_group(args.file))
     if args.format == "dot":
         _emit(lattice.export_dot(), args.output)
-    else:
-        _emit(json.dumps(lattice.report(), indent=2) + "\n", args.output)
+        return 0
+    r = lattice.report()
+    sequence = ",\n    ".join(map(str, r["degree_sequence"]))
+    text = (
+        f'{{\n  "group": {_string(r["group"])},\n  "order": {r["order"]},\n'
+        f'  "subgroup_count": {r["subgroup_count"]},\n  "degree_sequence": [\n    {sequence}\n  ],\n'
+        f'  "max_degree": {r["max_degree"]},\n  "max_degree_order": {r["max_degree_order"]},\n'
+        f'  "delta": {r["delta"]},\n  "edge_count": {r["edge_count"]}\n}}\n'
+    )
+    _emit(text, args.output)
     return 0
 
 
@@ -166,17 +181,15 @@ def _run_degrees(args) -> int:
     g = _load_group(args.file)
     lattice = all_subgroups(g)
     profile = lattice.degree_profile()
-    vertices = [
-        {"order": s.order, "degree": d, "down": lo, "up": hi}
+    vertices = ",\n".join(
+        f'    {{\n      "order": {s.order},\n      "degree": {d},\n      "down": {lo},\n      "up": {hi}\n    }}'
         for s, d, lo, hi in zip(lattice.subgroups, profile.degrees, profile.down, profile.up)
-    ]
-    payload = {
-        "group": g.name,
-        "order": g.order,
-        "vertices": vertices,
-        "max_degree": max(profile.degrees),
-    }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    )
+    text = (
+        f'{{\n  "group": {_string(g.name)},\n  "order": {g.order},\n  "vertices": [\n{vertices}\n  ],\n'
+        f'  "max_degree": {max(profile.degrees)}\n}}\n'
+    )
+    _emit(text, args.output)
     return 0
 
 
@@ -192,25 +205,15 @@ def _report(verify, max_order: int) -> tuple[str, bool]:
     return json.dumps(payload, indent=2) + "\n", report.passed
 
 
-# one encoder for every JSON line: json.dumps with separators builds a new
-# encoder on each call
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-
-
-def _bound_line(group_name: str, order: int, report, **extra) -> str:
-    payload = {"group": group_name, "order": order}
-    payload.update(extra)
-    payload.update(
-        {
-            "bound": report.bound_name,
-            "computed": report.computed,
-            "limit": str(report.limit),
-            "holds": report.holds,
-            "equality": report.equality,
-            "equality_condition": report.equality_condition,
-        }
+def _bound_line(group_name: str, order: int, report, subgroup_order: Optional[int] = None) -> str:
+    """The compact JSON record of one bound report, as json.dumps with
+    separators (",", ":") writes it."""
+    extra = "" if subgroup_order is None else f'"subgroup_order":{subgroup_order},'
+    return (
+        f'{{"group":{_string(group_name)},"order":{order},{extra}"bound":{_string(report.bound_name)},'
+        f'"computed":{report.computed},"limit":"{report.limit!s}","holds":{_CONSTANT[report.holds]},'
+        f'"equality":{_CONSTANT[report.equality]},"equality_condition":{_CONSTANT[report.equality_condition]}}}'
     )
-    return _COMPACT.encode(payload)
 
 
 def _jsonl(records) -> tuple[str, bool]:
@@ -258,8 +261,8 @@ def _sweep(records_of, max_order: int):
 
     for entry, lattice in lattice_sweep(catalog(max_order), max_order):
         if isinstance(lattice, GroupTooLarge):
-            payload = {"group": entry.name, "order": entry.group.order, "undecided": str(lattice)}
-            yield _COMPACT.encode(payload), False
+            line = f'{{"group":{_string(entry.name)},"order":{entry.group.order},"undecided":{_string(str(lattice))}}}'
+            yield line, False
         else:
             yield from records_of(entry, lattice)
 

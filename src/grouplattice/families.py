@@ -10,11 +10,10 @@ where many rows are composed with one).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arith import abelian_type_list, is_prime, primes_upto, require_int, require_prime
 from .core import (
@@ -376,8 +375,7 @@ def trivial() -> FiniteGroup:
     return cyclic(1)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A catalog group with the family labels asserted at construction."""
 
     name: str

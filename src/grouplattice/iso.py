@@ -212,9 +212,19 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
 
 
 def _is_inner(g: FiniteGroup, map_) -> bool:
-    """True iff map_ is conjugation x -> u^-1 x u by some element u."""
-    rows, inv = g.table, g.inverses
-    return any(all(rows[rows[inv[u]][s]][u] == map_[s] for s in g.generators) for u in range(g.order))
+    """True iff map_ is conjugation x -> u^-1 x u by some element u.
+
+    u^-1 s u = map_[s] iff s u = u map_[s], so each u costs one row and
+    one table lookup for the first generator; the others are tested only
+    for the u that pass it."""
+    rows = g.table
+    if not g.generators:
+        return True
+    first, *rest = g.generators
+    row, image = rows[first], map_[first]
+    return any(
+        row[u] == rows[u][image] and all(rows[s][u] == rows[u][map_[s]] for s in rest) for u in range(g.order)
+    )
 
 
 def automorphisms(g: FiniteGroup) -> list[tuple[int, ...]]:

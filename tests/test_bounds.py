@@ -1,6 +1,8 @@
 """Degree and maximal-subgroup bounds with their equality characterizations."""
 
+import json
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import grouplattice as gl
 from grouplattice.arith import divisors
 from grouplattice.bounds import (
+    BoundReport,
     CandidateOrders,
     candidate_orders,
     cww_b,
@@ -22,6 +25,7 @@ from grouplattice.bounds import (
 )
 from grouplattice.errors import (
     GroupError,
+    GroupTooLarge,
     NotPrime,
     NotSolvable,
     PrimesNotDistinct,
@@ -237,6 +241,42 @@ def test_three_prime_inequality_smallest_case():
     assert (rep.computed, rep.limit, rep.holds) == (10, Fraction(15), True)
 
 
+def test_non_integral_limit_is_the_same_fraction():
+    # 3 + 5 + 7 against 105/2: decided in integers, reported as a Fraction
+    rep = lemma_2_3_check(3, 5, 7, 1, 1, 1)
+    assert (rep.computed, rep.limit, rep.holds, rep.equality) == (15, Fraction(105, 2), True, False)
+    assert type(rep.limit) is Fraction and str(rep.limit) == "105/2"
+    assert str(lemma_2_3_check(2, 3, 5, 1, 1, 1).limit) == "15"
+
+
+def test_bound_line_is_the_encoder_s_line():
+    from grouplattice.cli import _bound_line
+
+    def encoded(name, order, rep, **extra):
+        payload = {"group": name, "order": order, **extra, "bound": rep.bound_name, "computed": rep.computed}
+        payload.update(limit=str(rep.limit), holds=rep.holds, equality=rep.equality)
+        payload["equality_condition"] = rep.equality_condition
+        return json.dumps(payload, separators=(",", ":"))
+
+    s3 = lat(gl.symmetric(3))
+    reports = [lemma_2_3_check(3, 5, 7, 1, 1, 1), lemma_2_3_check(2, 3, 5, 1, 1, 1), cww_b(lat(gl.cyclic(2)))]
+    reports += [lemma_2_1(s3, h) for h in s3.subgroups]
+    assert {r.equality_condition for r in reports} == {None, True, False}
+    for rep in reports:
+        assert _bound_line('S"3\u00e9', 6, rep) == encoded('S"3\u00e9', 6, rep)
+        assert _bound_line("S3", 6, rep, subgroup_order=2) == encoded("S3", 6, rep, subgroup_order=2)
+
+
+def test_records_build_by_keyword():
+    rep = BoundReport(bound_name="b", computed=1, limit=Fraction(3, 2), holds=True, equality=False)
+    assert rep == BoundReport("b", 1, Fraction(3, 2), True, False, None)
+    assert hash(rep) == hash(BoundReport("b", 1, Fraction(3, 2), True, False))
+    assert CandidateOrders(n=12, small_case=False, divisors=frozenset({1, 12})).divisors == {1, 12}
+    entry = gl.CatalogEntry(name="C2", group=gl.cyclic(2), known_tags=frozenset({"x"}))
+    assert (entry.name, entry.group.order, entry.known_tags) == ("C2", 2, {"x"})
+    assert entry == gl.CatalogEntry("C2", entry.group, frozenset({"x"}))
+
+
 def test_three_prime_inequality_rejects_bad_input():
     with pytest.raises(PrimesNotDistinct):
         lemma_2_3_check(2, 3, 3, 1, 1, 1)
@@ -250,6 +290,36 @@ def test_three_prime_scan_is_clean():
     reports = lemma_2_3_scan(31, 4)
     assert reports
     assert all(r.holds for r in reports)
+
+
+def test_three_prime_scan_is_the_checks_in_order():
+    primes = [2, 3, 5, 7, 11, 13, 17]
+    expected = [
+        lemma_2_3_check(*triple, *exps)
+        for triple in combinations(primes, 3)
+        for exps in product(range(1, 4), repeat=3)
+    ]
+    assert lemma_2_3_scan(18, 3) == expected
+
+
+def test_three_prime_scan_budget(monkeypatch):
+    # the default scan, 11 primes and 4 exponents: C(11, 3) * 4^3 checks
+    monkeypatch.setattr("grouplattice.bounds.LEMMA_2_3_MAX_CHECKS", 165 * 64)
+    assert len(lemma_2_3_scan(31, 4)) == 165 * 64
+    monkeypatch.setattr("grouplattice.bounds.LEMMA_2_3_MAX_CHECKS", 165 * 64 - 1)
+    with pytest.raises(GroupTooLarge, match="needs at least 10560 checks .* budget of 10559"):
+        lemma_2_3_scan(31, 4)
+
+
+def test_three_prime_scan_refuses_before_listing_every_prime(monkeypatch):
+    listed = []
+    is_prime = gl.is_prime
+    monkeypatch.setattr("grouplattice.bounds.is_prime", lambda n: listed.append(n) or is_prime(n))
+    with pytest.raises(GroupTooLarge, match="needs at least 1004731 checks .* budget of 1000000"):
+        lemma_2_3_scan(1_000_000, 1)
+    # C(183, 3) > 10^6 >= C(182, 3): the scan stops at the 183rd prime, 1093
+    assert listed[-1] == 1093
+    assert lemma_2_3_scan(4, 10**9) == []
 
 
 def test_three_prime_scan_counts():

@@ -45,7 +45,7 @@ def tags_of(g):
 
 
 # ---------------------------------------------------------------------------
-# dataclass plumbing
+# record plumbing
 
 
 def test_family_tag_subtype_validation():
@@ -57,6 +57,22 @@ def test_family_tag_subtype_validation():
         FamilyTag(F3_ELEM_AB_2, "I")
     with pytest.raises(ValueError):
         FamilyTag(F2_THEOREM_A, "XI")
+
+
+def test_family_tag_equality_and_hash():
+    tag = FamilyTag(F2_THEOREM_A, "I")
+    assert tag == FamilyTag(family=F2_THEOREM_A, subtype="I") and tag != FamilyTag(F2_THEOREM_A, "II")
+    assert FamilyTag(F3_ELEM_AB_2) == FamilyTag(F3_ELEM_AB_2, None)
+    # the hash of the field tuple, as a frozen dataclass hashes
+    assert hash(tag) == hash((F2_THEOREM_A, "I"))
+    assert len({tag, FamilyTag(F2_THEOREM_A, "I"), FamilyTag(F3_ELEM_AB_2)}) == 2
+    assert repr(tag) == "FamilyTag(family='F2_THEOREM_A', subtype='I')"
+    with pytest.raises(AttributeError):
+        tag.subtype = "II"
+    with pytest.raises(ValueError):
+        tag._replace(subtype="XI")
+    with pytest.raises(ValueError):
+        tag._replace(family=F3_ELEM_AB_2)
 
 
 def test_recognition_helpers():

@@ -257,6 +257,18 @@ def test_verify_cor_1_2_with_boundary_note(capsys):
     assert any("boundary" in note for note in payload["notes"])
 
 
+def test_verify_cor_1_2_keeps_the_c2_note_at_order_2(capsys):
+    code, out, _ = run(capsys, "verify", "cor-1.2", "--max-order", "2")
+    assert code == 0
+    assert json.loads(out) == {
+        "theorem": "cor-1.2",
+        "groups_checked": 1,
+        "counterexamples": [],
+        "notes": ["C2: order-2 boundary case, top degree 1 < 3|G|/4 = 3/2"],
+        "passed": True,
+    }
+
+
 def test_verify_cor_1_3_reports_outliers(capsys):
     code, out, _ = run(capsys, "verify", "cor-1.3", "--max-order", "32")
     assert code == 1
@@ -318,6 +330,7 @@ def test_verify_sweeps_survive_a_subgroup_budget_refusal(capsys, monkeypatch, ta
     if target in ("bounds", "lemma21"):
         lines = [json.loads(line) for line in out.splitlines()]
         assert lines[0] == {"group": "C2^4", "order": 16, "undecided": refusal}
+        assert out.splitlines()[0] == json.dumps(lines[0], separators=(",", ":"))
         assert {line["group"] for line in lines[1:]} == {"S3", "D8"}
         assert all(line["holds"] for line in lines[1:])
     else:
@@ -348,6 +361,16 @@ def test_verify_lemma23(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 160  # C(6,3) prime triples times 2^3 exponent picks
     assert all(json.loads(line)["holds"] for line in lines)
+
+
+def test_verify_lemma23_refuses_a_scan_over_budget():
+    # C(78498, 3) checks: refused while the primes are listed, not after
+    proc = run_python("-m", "grouplattice.cli", "verify", "lemma23", "--prime-bound", "1000000", "--exp-bound", "1")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "input error: lemma 2.3 scan to prime 1000000, exponent 1 needs at least 1004731 checks "
+        "(primes up to 1093), over the budget of 1000000\n"
+    )
 
 
 def test_verify_lemma23_rejects_tiny_bound(capsys):
@@ -436,20 +459,41 @@ def test_lattice_commands_load_only_the_layers_they_run(tmp_path, command):
     assert (tmp_path / "out").read_text().startswith("{")
 
 
-@pytest.mark.parametrize(
-    "args,unloaded",
-    [
-        (["theorem-a", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
-        (["lemma23", "--prime-bound", "7", "--exp-bound", "1"], ["grouplattice.classify", "grouplattice.families"]),
-        (["orders", "--max-order", "20"], ["grouplattice.classify", "grouplattice.families"]),
-    ],
-)
+# verify arguments -> modules the target leaves unloaded, besides dataclasses
+VERIFY_LOADING = [
+    (["theorem-a", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
+    (["lemma23", "--prime-bound", "7", "--exp-bound", "1"], ["grouplattice.classify", "grouplattice.families"]),
+    (["orders", "--max-order", "20"], ["grouplattice.classify", "grouplattice.families"]),
+    (["theorem-1.1", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
+    (["wall", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
+    (["cor-1.2", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
+    (["cor-1.3", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
+    (["bounds", "--max-order", "8"], []),
+    (["lemma21", "--max-order", "8"], []),
+]
+
+
+@pytest.mark.parametrize("args,unloaded", VERIFY_LOADING)
 def test_verify_targets_load_only_the_layers_they_run(tmp_path, args, unloaded):
+    # no command loads dataclasses, which imports inspect, ast, dis and tokenize
     proc = run_python("-c", LOADED_MODULES, "verify", *args, "-o", str(tmp_path / "out"))
     assert proc.stderr == ""
     code, bare, loaded = json.loads(proc.stdout)
     assert (code, bare) == (0, [])
-    assert [m for m in unloaded if m in loaded] == []
+    assert [m for m in [*unloaded, "dataclasses"] if m in loaded] == []
+    assert (tmp_path / "out").read_text()
+
+
+def test_verify_loading_covers_every_target():
+    assert {args[0] for args, _ in VERIFY_LOADING} == set(VERIFY_TARGETS)
+
+
+@pytest.mark.parametrize("argv", [["construct", "dihedral", "4"], ["catalog", "--list", "--max-order", "16"]])
+def test_construct_and_catalog_load_no_dataclasses(tmp_path, argv):
+    proc = run_python("-c", LOADED_MODULES, *argv, "-o", str(tmp_path / "out"))
+    assert proc.stderr == ""
+    code, bare, loaded = json.loads(proc.stdout)
+    assert (code, bare, "dataclasses" in loaded) == (0, [], False)
     assert (tmp_path / "out").read_text()
 
 

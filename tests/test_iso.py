@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import grouplattice as gl
+from grouplattice import iso
 from grouplattice.errors import GroupError, GroupTooLarge
 from grouplattice.iso import (
     Isomorphism,
@@ -195,3 +196,26 @@ def test_automorphisms_of_a_complete_group_are_none_and_repeatable():
     assert automorphisms(gl.symmetric(4)) == automorphisms(gl.symmetric(5)) == []
     g = gl.elementary_abelian(2, 4)
     assert automorphisms(g) == automorphisms(gl.elementary_abelian(2, 4))
+
+
+def test_is_inner_matches_the_conjugation_definition(monkeypatch):
+    # every map automorphisms finds for the solvable groups of catalog(64),
+    # inner ones included: _is_inner sees each before the inner are dropped
+    def by_definition(g, map_):
+        rows, inv = g.table, g.inverses
+        return any(all(rows[rows[inv[u]][s]][u] == map_[s] for s in g.generators) for u in range(g.order))
+
+    seen = []
+    is_inner = iso._is_inner
+
+    def recording(g, map_):
+        seen.append((g, map_))
+        return is_inner(g, map_)
+
+    monkeypatch.setattr(iso, "_is_inner", recording)
+    for entry in gl.catalog(64):
+        if entry.group.is_solvable:
+            iso.automorphisms(entry.group)
+    answers = [is_inner(g, map_) for g, map_ in seen]
+    assert answers == [by_definition(g, map_) for g, map_ in seen]
+    assert len(seen) > 300 and 0 < sum(answers) < len(seen)
