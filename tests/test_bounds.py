@@ -249,7 +249,7 @@ def test_non_integral_limit_is_the_same_fraction():
     assert str(lemma_2_3_check(2, 3, 5, 1, 1, 1).limit) == "15"
 
 
-def test_bound_line_is_the_encoder_s_line():
+def test_bound_line_matches_the_json_encoder():
     from grouplattice.cli import _bound_line
 
     def encoded(name, order, rep, **extra):
