@@ -95,7 +95,7 @@ _EXPORTS = {
         "wall_T",
     ),
     "iso": ("DEFAULT_ISO_CAP", "Isomorphism", "is_isomorphic"),
-    "lattice": ("DEFAULT_LATTICE_CAP", "DEFAULT_MAX_SUBGROUPS", "DegreeProfile", "SubgroupLattice", "all_subgroups"),
+    "lattice": ("DEFAULT_LATTICE_CAP", "DegreeProfile", "SubgroupLattice", "all_subgroups"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_HOME]

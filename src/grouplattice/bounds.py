@@ -201,7 +201,8 @@ def lemma_2_3_scan(prime_bound: int, exp_bound: int) -> list[BoundReport]:
     more than LEMMA_2_3_MAX_CHECKS (10^6): the count is updated as each
     prime is listed, so the refusal comes as soon as it passes the budget.
     A scan near the budget holds its reports in memory: 788,900 checks
-    peak at about 354 MB.
+    peak at about 191 MB in `verify lemma23`, which writes their lines
+    one at a time.
 
     The inputs are checked once, not per check: the primes are listed
     ascending by is_prime, so each triple holds three distinct primes, and

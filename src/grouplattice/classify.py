@@ -241,7 +241,7 @@ def recognize(g: FiniteGroup) -> Recognition:
     edim = _two_power_exponent(n // 64) if n % 64 == 0 else None
     if edim is not None:
         iso_check("II", 0, edim)
-    for subtype, builder_order in (("III", 2), ("IV", 2)):
+    for subtype in ("III", "IV"):
         r = 1
         while (base_order := 1 << (2 * r + 1)) <= n:
             if n % base_order == 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from importlib import import_module
 from typing import Optional, Sequence
 
@@ -54,40 +55,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct = sub.add_parser("construct", help="build a group and write its table")
     p_construct.add_argument("family")
     p_construct.add_argument("params", nargs="*", type=int)
-    p_construct.add_argument("-o", "--output")
 
     p_catalog = sub.add_parser("catalog", help="list the built-in catalog")
     p_catalog.add_argument("--list", action="store_true", dest="list_entries")
     p_catalog.add_argument("--max-order", type=int, default=24)
-    p_catalog.add_argument("-o", "--output")
 
     p_lattice = sub.add_parser("lattice", help="subgroup graph of a group file")
     p_lattice.add_argument("file")
     p_lattice.add_argument("--format", choices=("json", "dot"), default="json")
-    p_lattice.add_argument("-o", "--output")
 
     p_degrees = sub.add_parser("degrees", help="per-vertex degrees of a group file")
     p_degrees.add_argument("file")
-    p_degrees.add_argument("-o", "--output")
 
     p_verify = sub.add_parser("verify", help="run a theorem or bound verifier")
     p_verify.add_argument("target", choices=VERIFY_TARGETS)
-    p_verify.add_argument("--max-order", type=int, default=None)
-    p_verify.add_argument("--prime-bound", type=int, default=31)
-    p_verify.add_argument("--exp-bound", type=int, default=4)
-    p_verify.add_argument("-o", "--output")
+    # a target's defaults are in _TARGETS, so a flag left as None was not given
+    p_verify.add_argument("--max-order", type=int)
+    p_verify.add_argument("--prime-bound", type=int)
+    p_verify.add_argument("--exp-bound", type=int)
+
+    for p in sub.choices.values():
+        p.add_argument("-o", "--output")
     return parser
 
 
-def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text)
+@contextmanager
+def _output(path: Optional[str]):
+    """Stdout, or the file at path opened for writing. Each command opens
+    its output once, after its arguments and input are checked, and writes
+    as it goes, so a run that fails midway keeps the lines it wrote. An
+    OSError while opening or writing the file is an input error."""
+    if path is None:
+        yield sys.stdout
         return
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
-        raise InputError(f"cannot write {output}: {exc}") from exc
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 _CONSTRUCTORS = {
@@ -121,7 +126,8 @@ def _run_construct(args) -> int:
         g = build(args.params)
     except GroupError as exc:
         raise UsageError(str(exc)) from exc
-    _emit(dumps_group(g), args.output)
+    with _output(args.output) as out:
+        out.write(dumps_group(g))
     return 0
 
 
@@ -136,11 +142,11 @@ def _run_catalog(args) -> int:
         raise UsageError("catalog requires --list")
     max_order = _checked_max_order(args.max_order)
     _load_layers("families")
-    lines = []
-    for entry in catalog(max_order):
-        tags = ",".join(sorted(entry.known_tags)) or "-"
-        lines.append(f"{entry.name} order={entry.group.order} tags={tags}")
-    _emit("\n".join(lines) + "\n", args.output)
+    entries = catalog(max_order)
+    with _output(args.output) as out:
+        for entry in entries:
+            tags = ",".join(sorted(entry.known_tags)) or "-"
+            out.write(f"{entry.name} order={entry.group.order} tags={tags}\n")
     return 0
 
 
@@ -162,18 +168,18 @@ _CONSTANT = {True: "true", False: "false", None: "null"}
 
 def _run_lattice(args) -> int:
     lattice = all_subgroups(_load_group(args.file))
-    if args.format == "dot":
-        _emit(lattice.export_dot(), args.output)
-        return 0
-    r = lattice.report()
-    sequence = ",\n    ".join(map(str, r["degree_sequence"]))
-    text = (
-        f'{{\n  "group": {_string(r["group"])},\n  "order": {r["order"]},\n'
-        f'  "subgroup_count": {r["subgroup_count"]},\n  "degree_sequence": [\n    {sequence}\n  ],\n'
-        f'  "max_degree": {r["max_degree"]},\n  "max_degree_order": {r["max_degree_order"]},\n'
-        f'  "delta": {r["delta"]},\n  "edge_count": {r["edge_count"]}\n}}\n'
-    )
-    _emit(text, args.output)
+    with _output(args.output) as out:
+        if args.format == "dot":
+            out.writelines(lattice.export_dot())
+            return 0
+        r = lattice.report()
+        sequence = ",\n    ".join(map(str, r["degree_sequence"]))
+        out.write(
+            f'{{\n  "group": {_string(r["group"])},\n  "order": {r["order"]},\n'
+            f'  "subgroup_count": {r["subgroup_count"]},\n  "degree_sequence": [\n    {sequence}\n  ],\n'
+            f'  "max_degree": {r["max_degree"]},\n  "max_degree_order": {r["max_degree_order"]},\n'
+            f'  "delta": {r["delta"]},\n  "edge_count": {r["edge_count"]}\n}}\n'
+        )
     return 0
 
 
@@ -185,16 +191,16 @@ def _run_degrees(args) -> int:
         f'    {{\n      "order": {s.order},\n      "degree": {d},\n      "down": {lo},\n      "up": {hi}\n    }}'
         for s, d, lo, hi in zip(lattice.subgroups, profile.degrees, profile.down, profile.up)
     )
-    text = (
-        f'{{\n  "group": {_string(g.name)},\n  "order": {g.order},\n  "vertices": [\n{vertices}\n  ],\n'
-        f'  "max_degree": {max(profile.degrees)}\n}}\n'
-    )
-    _emit(text, args.output)
+    with _output(args.output) as out:
+        out.write(
+            f'{{\n  "group": {_string(g.name)},\n  "order": {g.order},\n  "vertices": [\n{vertices}\n  ],\n'
+            f'  "max_degree": {max(profile.degrees)}\n}}\n'
+        )
     return 0
 
 
-def _report(verify, max_order: int) -> tuple[str, bool]:
-    report = verify(catalog(max_order), max_order)
+def _report(verify, args) -> bool:
+    report = verify(catalog(args.max_order), args.max_order)
     payload = {
         "theorem": report.theorem,
         "groups_checked": report.groups_checked,
@@ -202,7 +208,9 @@ def _report(verify, max_order: int) -> tuple[str, bool]:
         "notes": list(report.notes),
         "passed": report.passed,
     }
-    return json.dumps(payload, indent=2) + "\n", report.passed
+    with _output(args.output) as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
+    return report.passed
 
 
 def _bound_line(group_name: str, order: int, report, subgroup_order: Optional[int] = None) -> str:
@@ -214,19 +222,6 @@ def _bound_line(group_name: str, order: int, report, subgroup_order: Optional[in
         f'"computed":{report.computed},"limit":"{report.limit!s}","holds":{_CONSTANT[report.holds]},'
         f'"equality":{_CONSTANT[report.equality]},"equality_condition":{_CONSTANT[report.equality_condition]}}}'
     )
-
-
-def _jsonl(records) -> tuple[str, bool]:
-    """One JSON record a line from (line, holds) pairs, and whether every
-    record holds; no records print nothing. One join, with no copy of each
-    line."""
-    lines = []
-    ok = True
-    for line, holds in records:
-        lines.append(line)
-        ok = ok and holds
-    lines.append("")
-    return "\n".join(lines), ok
 
 
 def _bounds_records(entry, lattice):
@@ -249,37 +244,49 @@ def _lemma21_records(entry, lattice):
         if record is None:
             rep = lemma_2_1(lattice, h)
             line = _bound_line(entry.name, entry.group.order, rep, subgroup_order=h.order)
-            record = record_of[orbit] = line, rep.holds and rep.equality == rep.equality_condition
+            # lemma_2_1 raises CheckFailed when equality and its condition differ
+            record = record_of[orbit] = line, rep.holds
         yield record
 
 
-def _sweep(records_of, max_order: int):
-    """The records of a per-group bound target: records_of(entry, lattice)
-    gives a group's, and a group whose lattice was refused gets one
-    undecided line."""
+def _sweep(records_of, args) -> bool:
+    """Write the records of a per-group bound target, one JSON record a
+    line as each is made, and give whether every record holds.
+    records_of(entry, lattice) gives a group's (line, holds) pairs, and a
+    group whose lattice was refused gets one undecided line."""
     from .classify import lattice_sweep
 
-    for entry, lattice in lattice_sweep(catalog(max_order), max_order):
-        if isinstance(lattice, GroupTooLarge):
-            line = f'{{"group":{_string(entry.name)},"order":{entry.group.order},"undecided":{_string(str(lattice))}}}'
-            yield line, False
-        else:
-            yield from records_of(entry, lattice)
+    passed = True
+    with _output(args.output) as out:
+        for entry, lattice in lattice_sweep(catalog(args.max_order), args.max_order):
+            if isinstance(lattice, GroupTooLarge):
+                why = _string(str(lattice))
+                out.write(f'{{"group":{_string(entry.name)},"order":{entry.group.order},"undecided":{why}}}\n')
+                passed = False
+                continue
+            for line, holds in records_of(entry, lattice):
+                out.write(line + "\n")
+                passed = passed and holds
+    return passed
 
 
-def _run_lemma23(args, max_order: int) -> tuple[str, bool]:
+def _run_lemma23(args) -> bool:
     if args.prime_bound < 5 or args.exp_bound < 1:
         raise UsageError("lemma23 needs --prime-bound >= 5 and --exp-bound >= 1")
-    return _jsonl((_bound_line("-", 0, rep), rep.holds) for rep in lemma_2_3_scan(args.prime_bound, args.exp_bound))
+    reports = lemma_2_3_scan(args.prime_bound, args.exp_bound)
+    with _output(args.output) as out:
+        for rep in reports:
+            out.write(_bound_line("-", 0, rep) + "\n")
+    return all(rep.holds for rep in reports)
 
 
-def _run_orders(args, max_order: int) -> tuple[str, bool]:
+def _run_orders(args) -> bool:
     # divisor analysis scan, no groups involved
     violations = []
     for n in range(1, 12):
         if not candidate_orders(n).small_case:
             violations.append([n, "expected small-case branch"])
-    for n in range(12, max_order + 1):
+    for n in range(12, args.max_order + 1):
         try:
             result = candidate_orders(n)
         except CheckFailed as exc:
@@ -290,42 +297,49 @@ def _run_orders(args, max_order: int) -> tuple[str, bool]:
     payload = {
         "target": args.target,
         "small_case_range": [1, 11],
-        "scanned_range": [12, max_order],
+        "scanned_range": [12, args.max_order],
         "violations": violations,
         "passed": not violations,
     }
-    return json.dumps(payload, indent=2) + "\n", not violations
+    with _output(args.output) as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
+    return not violations
 
 
-# target -> (layers it runs, whether it builds lattices, default --max-order,
-# run), where run(args, max_order) gives (text, passed). The lambdas read the
-# verifier and bound names when the target runs, so a wrapper bound before
-# then (perfbench/traced_op.py) is the one called.
+# target -> (layers it runs, whether it builds lattices, the flags it reads
+# with their defaults, run), where run(args) writes the target's output and
+# gives whether it passed. The lambdas read the verifier and bound names
+# when the target runs, so a wrapper bound before then
+# (perfbench/traced_op.py) is the one called.
 _REPORT_LAYERS = ("classify", "families")
 _SWEEP_LAYERS = ("bounds", "classify", "families")
 _TARGETS = {
-    "theorem-1.1": (_REPORT_LAYERS, True, 24, lambda args, n: _report(verify_theorem_1_1, n)),
-    "theorem-a": (_REPORT_LAYERS, False, 24, lambda args, n: _report(verify_theorem_A, n)),
-    "wall": (_REPORT_LAYERS, False, 24, lambda args, n: _report(verify_wall, n)),
-    "cor-1.2": (_REPORT_LAYERS, True, 24, lambda args, n: _report(verify_corollary_1_2, n)),
-    "cor-1.3": (_REPORT_LAYERS, True, 24, lambda args, n: _report(verify_corollary_1_3, n)),
-    "bounds": (_SWEEP_LAYERS, True, 24, lambda args, n: _jsonl(_sweep(_bounds_records, n))),
-    "lemma21": (_SWEEP_LAYERS, True, 24, lambda args, n: _jsonl(_sweep(_lemma21_records, n))),
-    "lemma23": (("bounds",), False, 24, _run_lemma23),
-    "orders": (("bounds",), False, 10000, _run_orders),
+    "theorem-1.1": (_REPORT_LAYERS, True, {"max_order": 24}, lambda args: _report(verify_theorem_1_1, args)),
+    "theorem-a": (_REPORT_LAYERS, False, {"max_order": 24}, lambda args: _report(verify_theorem_A, args)),
+    "wall": (_REPORT_LAYERS, False, {"max_order": 24}, lambda args: _report(verify_wall, args)),
+    "cor-1.2": (_REPORT_LAYERS, True, {"max_order": 24}, lambda args: _report(verify_corollary_1_2, args)),
+    "cor-1.3": (_REPORT_LAYERS, True, {"max_order": 24}, lambda args: _report(verify_corollary_1_3, args)),
+    "bounds": (_SWEEP_LAYERS, True, {"max_order": 24}, lambda args: _sweep(_bounds_records, args)),
+    "lemma21": (_SWEEP_LAYERS, True, {"max_order": 24}, lambda args: _sweep(_lemma21_records, args)),
+    "lemma23": (("bounds",), False, {"prime_bound": 31, "exp_bound": 4}, _run_lemma23),
+    "orders": (("bounds",), False, {"max_order": 10000}, _run_orders),
 }
 VERIFY_TARGETS = tuple(_TARGETS)
 
 
 def _run_verify(args) -> int:
-    layers, builds_lattices, default_max_order, run = _TARGETS[args.target]
-    max_order = _checked_max_order(default_max_order if args.max_order is None else args.max_order)
-    if builds_lattices and max_order > DEFAULT_LATTICE_CAP:
-        raise UsageError(f"--max-order {max_order} exceeds the lattice cap {DEFAULT_LATTICE_CAP}")
+    layers, builds_lattices, defaults, run = _TARGETS[args.target]
+    if args.max_order is not None:
+        _checked_max_order(args.max_order)
+    for flag in ("max_order", "prime_bound", "exp_bound"):
+        if getattr(args, flag) is None:
+            setattr(args, flag, defaults.get(flag))
+        elif flag not in defaults:
+            raise UsageError(f"verify {args.target} does not read --{flag.replace('_', '-')}")
+    if builds_lattices and args.max_order > DEFAULT_LATTICE_CAP:
+        raise UsageError(f"--max-order {args.max_order} exceeds the lattice cap {DEFAULT_LATTICE_CAP}")
     _load_layers(*layers)
-    text, passed = run(args, max_order)
-    _emit(text, args.output)
-    return 0 if passed else 1
+    return 0 if run(args) else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

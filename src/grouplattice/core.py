@@ -497,18 +497,22 @@ def quotient_group(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> F
     order of their least members; requires H normal."""
     if not h.is_normal:
         raise NotNormal(f"subgroup of order {h.order} is not normal in {g.name}")
-    rows = g.table
-    labels = [-1] * g.order
-    reps = []
-    for a in range(g.order):
-        if labels[a] == -1:
-            for x in h.elements:
-                labels[rows[x][a]] = len(reps)
-            reps.append(a)
-    table = [[labels[rows[a][b]] for b in reps] for a in reps]
     if name is None:
         name = f"{g.name}/{h.order}"
-    return FiniteGroup(table, name=name)
+    return FiniteGroup(coset_rows(g.table, h.elements), name=name)
+
+
+def coset_rows(rows, h_elems) -> list:
+    """The table of quotient_group from the rows of G and the elements of a
+    normal subgroup H, which are not checked."""
+    labels = [-1] * len(rows)
+    reps = []
+    for a in range(len(rows)):
+        if labels[a] == -1:
+            for x in h_elems:
+                labels[rows[x][a]] = len(reps)
+            reps.append(a)
+    return [[labels[rows[a][b]] for b in reps] for a in reps]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .core import (
     check_cap,
     compose_each,
     compose_rows,
+    coset_rows,
     row_type,
 )
 from .errors import (
@@ -217,11 +218,6 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup, name: Optional[str] = None)
     return FiniteGroup(_product_rows(g1.table, g2.table), name=name)
 
 
-def _central_involutions(g: FiniteGroup) -> list[int]:
-    zmask = g.center_mask
-    return [x for x in range(g.order) if zmask >> x & 1 and g.element_orders[x] == 2]
-
-
 def central_product(
     g1: FiniteGroup,
     g2: FiniteGroup,
@@ -231,39 +227,23 @@ def central_product(
 ) -> FiniteGroup:
     """Quotient of the direct product identifying (z1, z2) with the
     identity; z1, z2 default to the unique central involutions."""
+    chosen = []
     for g, z, side in ((g1, z1, "first"), (g2, z2, "second")):
         if z is None:
-            found = _central_involutions(g)
+            found = [x for x in range(g.order) if g.center_mask >> x & 1 and g.element_orders[x] == 2]
             if len(found) != 1:
-                raise NotCentralInvolution(
-                    f"{side} factor has {len(found)} central involutions; pass one explicitly"
-                )
-    if z1 is None:
-        z1 = _central_involutions(g1)[0]
-    if z2 is None:
-        z2 = _central_involutions(g2)[0]
-    for g, z, side in ((g1, z1, "first"), (g2, z2, "second")):
-        if type(z) is not int or not 0 <= z < g.order or g.element_orders[z] != 2 or not g.center_mask >> z & 1:
+                raise NotCentralInvolution(f"{side} factor has {len(found)} central involutions; pass one explicitly")
+            z = found[0]
+        elif type(z) is not int or not 0 <= z < g.order or g.element_orders[z] != 2 or not g.center_mask >> z & 1:
             raise NotCentralInvolution(f"element {z!r:.40} of the {side} factor is not a central involution")
-    n1, n2 = g1.order, g2.order
-    n = n1 * n2 // 2
-    check_cap(n)
-    # (a, b) ~ (a z1, b z2). Scanning pairs in index order labels the class
-    # of (a, b) k*n2 + b when a is the k-th a with a < a z1, and as (a z1,
-    # b z2) otherwise; z2 is central, so the class of (a, b)(c, d) is read
-    # from block k of ac shifted by row b, or by row b z2 when ac is flipped.
-    t1, t2 = g1.table, g2.table
-    rank = {a: k for k, a in enumerate(a for a in range(n1) if a < t1[a][z1])}
-    ref = row_type(n)(range(n))
-    blocks = [[compose_rows(ref[k * n2:(k + 1) * n2], row) for row in t2] for k in range(n1 // 2)]
-    flipped = [[block[t2[b][z2]] for b in range(n2)] for block in blocks]
-    table = []
-    for a in rank:
-        parts = [blocks[rank[x]] if x in rank else flipped[rank[t1[x][z1]]] for x in map(t1[a].__getitem__, rank)]
-        table += [row_type(n)(b"".join(part[b] for part in parts)) for b in range(n2)]
+        chosen.append(z)
+    z1, z2 = chosen
+    check_cap(g1.order * g2.order // 2)
     if name is None:
         name = f"{g1.name}*{g2.name}"
-    return FiniteGroup(table, name=name)
+    # the rows of G1 x G2, unvalidated, modulo the central {1, (z1, z2)}
+    rows = _product_rows(g1.table, g2.table)
+    return FiniteGroup(coset_rows(rows, (0, z1 * g2.order + z2)), name=name)
 
 
 def dicyclic(m: int) -> FiniteGroup:
@@ -288,18 +268,15 @@ def dicyclic(m: int) -> FiniteGroup:
 
 def heisenberg(p: int) -> FiniteGroup:
     """Nonabelian group of order p^3 and exponent p (p odd prime): triples
-    (a, b, c) with product (a+a', b+b', c+c'+a*b') mod p."""
+    (a, b, c) with product (a+a', b+b', c+c'+a*b') mod p, indexed
+    a*p^2 + b*p + c. That is (C_p x C_p) : C_p, whose generator a acts on
+    (b, c), indexed b*p + c, by the shear (b, c) -> (b, c + b)."""
     require_prime(p)
     if p == 2:
         raise GroupError("exponent-p model needs an odd prime")
-    n = p ** 3
-    check_cap(n)
-    triples = [(x // (p * p), x // p % p, x % p) for x in range(n)]
-    table = [
-        [(a1 + a2) % p * p * p + (b1 + b2) % p * p + (c1 + c2 + a1 * b2) % p for a2, b2, c2 in triples]
-        for a1, b1, c1 in triples
-    ]
-    return FiniteGroup(table, name=f"Heis{p}")
+    check_cap(p ** 3)
+    shear = [b * p + (c + b) % p for b in range(p) for c in range(p)]
+    return FiniteGroup(_semidirect_rows(_abelian_rows([p, p]), shear, p), name=f"Heis{p}")
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -24,8 +24,10 @@ subgroups of order p^k is 1 mod p whenever p^k divides |G| (Frobenius).
 
     PYTHONPATH=src python tests/oracle_pgroup.py
 
-runs the certificate over every p-group of the catalog to order 256 whose
-lattice the package builds, and prints the time it took.
+runs the certificate over every p-group of the catalog to order 256 but
+C2^8, and prints the time it took. C2^8 has 417,199 subgroups, too many
+for these set computations; tests/test_lattice.py checks its lattice
+report against the closed form instead.
 """
 
 from __future__ import annotations
@@ -158,19 +160,14 @@ def main() -> int:
     import time
 
     import grouplattice as gl
-    from grouplattice.errors import GroupTooLarge
 
     start = time.perf_counter()
-    checked = refused = bad = subgroups = 0
+    checked = bad = subgroups = 0
     for entry in gl.catalog(256):
         g = entry.group
-        if g.order == 1 or len(prime_factors(g.order)) != 1:
+        if g.order == 1 or len(prime_factors(g.order)) != 1 or entry.name == "C2^8":
             continue
-        try:
-            lat = gl.all_subgroups(g)
-        except GroupTooLarge:
-            refused += 1
-            continue
+        lat = gl.all_subgroups(g)
         table = [list(row) for row in g.table]
         profile = lat.degree_profile()
         problems = check_lattice(table, [s.elements for s in lat.subgroups], profile.up, profile.down, lat.upper)
@@ -181,7 +178,7 @@ def main() -> int:
         for line in problems[:5]:
             print(f"{g.name}: {line}")
     seconds = time.perf_counter() - start
-    print(f"{checked} p-groups certified to order 256 ({subgroups} subgroups), {refused} refused by the budget, "
+    print(f"{checked} p-groups certified to order 256 but C2^8 ({subgroups} subgroups), "
           f"{bad} with mismatches, {seconds:.1f} s")
     return 1 if bad else 0
 

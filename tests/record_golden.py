@@ -15,8 +15,11 @@ catalog(64) lattice, one sha256 of the (name, sorted tags,
 order, table bytes) of every catalog(256) entry, one sha256 of the maps
 `iso.automorphisms` returns for every catalog(128) group, and the stdout
 of `construct symmetric 6` and `construct cyclic 300` (order above 256,
-so uint16 rows). Record from a commit whose output is known good, before
-a refactor:
+so uint16 rows). The slow keys, which tests/test_golden.py checks only
+with GROUPLATTICE_SLOW=1, are the five lattice targets at `--max-order
+256` and `lattice --format dot` on C2^8, the largest lattice inside the
+order cap (about 2 minutes together). Record from a commit whose output
+is known good, before a refactor:
 
     PYTHONPATH=src python tests/record_golden.py
 """
@@ -54,6 +57,9 @@ BENCH_COMMANDS = (("verify", "orders", "--max-order", "10000"),)  # as the bench
 AUTOMORPHISM_ORDER = 128
 AUTOMORPHISM_DIGEST_KEY = f"automorphisms(g) of every catalog({AUTOMORPHISM_ORDER}) group"
 CONSTRUCT_COMMANDS = (("construct", "symmetric", "6"), ("construct", "cyclic", "300"))
+SLOW_TARGETS = ("theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21")  # the targets that build lattices
+SLOW_ORDER = 256
+SLOW_GROUP_COMMAND = ("C2^8", ("lattice", "--format", "dot"))
 
 
 def argv_for(target: str, max_order: int = 64) -> list[str]:
@@ -79,6 +85,7 @@ def group_text(name: str) -> str:
         "T(2)": lambda: gl.wall_T(2),
         "D8xD8": lambda: gl.direct_product(gl.dihedral(4), gl.dihedral(4)),
         "S3xD8": lambda: gl.direct_product(gl.symmetric(3), gl.dihedral(4)),
+        "C2^8": lambda: gl.elementary_abelian(2, 8),
     }[name]
     return gl.dumps_group(build())
 
@@ -136,13 +143,24 @@ def automorphism_digest(entries) -> dict:
     return {"sha256": digest.hexdigest(), "maps": maps}
 
 
+class _Digest(io.TextIOBase):
+    """A text stream that keeps only the sha256 of what is written to it."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode())
+        return len(text)
+
+
 def run(argv: list[str]) -> dict:
     from grouplattice.cli import main
 
-    out = io.StringIO()
+    out = _Digest()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": code}
+    return {"sha256": out.sha256.hexdigest(), "exit": code}
 
 
 def run_on_text(text: str, command: tuple[str, ...]) -> dict:
@@ -165,6 +183,10 @@ def record() -> dict:
             golden[big_key(name, command)] = run_on_text(text, command)
     for command in CATALOG_COMMANDS + BENCH_COMMANDS + CONSTRUCT_COMMANDS:
         golden[" ".join(command)] = run(list(command))
+    for t in SLOW_TARGETS:
+        golden[" ".join(argv_for(t, SLOW_ORDER))] = run(argv_for(t, SLOW_ORDER))
+    name, command = SLOW_GROUP_COMMAND
+    golden[group_key(name, command)] = run_on_text(group_text(name), command)
     import grouplattice as gl
 
     golden[CATALOG_DIGEST_KEY] = catalog_digest(gl.catalog(CATALOG_ORDER))

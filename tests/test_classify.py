@@ -365,7 +365,9 @@ def _fresh_entries():
 
 @pytest.mark.parametrize("verify", [verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3])
 def test_sweeps_record_a_subgroup_budget_refusal_and_go_on(monkeypatch, verify):
-    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 20)  # C2^4 has 67
+    # the order cap is the lattice walk's only size rule; lowered to 8, it
+    # refuses C2^4 and admits the groups after it
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
     built = []
 
     def spy(g):
@@ -377,7 +379,7 @@ def test_sweeps_record_a_subgroup_budget_refusal_and_go_on(monkeypatch, verify):
     entries = _fresh_entries()
     report = verify(entries, 16)
     assert report.groups_checked == 4
-    assert report.counterexamples == (("C2^4", "undecided: C2^4 has more than 20 subgroups: 21 reached"),)
+    assert report.counterexamples == (("C2^4", "undecided: C2^4 has order 16, over the lattice cap 8"),)
     assert not report.passed
     # the groups after the refused one were swept, each with its lattice
     assert built == ["S3", "D8", "C2^3"]

@@ -138,10 +138,10 @@ def test_lattice_cap_exceeded(capsys, monkeypatch, d12_file):
 
 
 def test_lattice_subgroup_budget_exceeded(capsys, monkeypatch, d12_file):
-    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 10)  # D12 has 16
+    # the order cap is the lattice's only size rule: no subgroup count is refused
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
     code, out, err = run(capsys, "lattice", d12_file)
-    assert (code, out) == (2, "")
-    assert "input error" in err and "has more than 10 subgroups: 11 reached" in err
+    assert (code, out, err) == (2, "", "input error: D12 has order 12, over the lattice cap 8\n")
 
 
 def test_lattice_missing_file(capsys):
@@ -322,11 +322,13 @@ def test_verify_jsonl_with_no_groups_prints_nothing(capsys, target):
 
 @pytest.mark.parametrize("target", ["theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21"])
 def test_verify_sweeps_survive_a_subgroup_budget_refusal(capsys, monkeypatch, target):
-    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 20)  # C2^4 has 67
+    # the walk's order cap, lowered to 8, refuses C2^4; the CLI's own
+    # --max-order check keeps the copy of the cap bound at its import
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
     monkeypatch.setattr("grouplattice.cli.catalog", _fresh_catalog)
     code, out, err = run(capsys, "verify", target, "--max-order", "16")
     assert (code, err) == (1, "")
-    refusal = "C2^4 has more than 20 subgroups: 21 reached"
+    refusal = "C2^4 has order 16, over the lattice cap 8"
     if target in ("bounds", "lemma21"):
         lines = [json.loads(line) for line in out.splitlines()]
         assert lines[0] == {"group": "C2^4", "order": 16, "undecided": refusal}
@@ -500,7 +502,7 @@ def test_construct_and_catalog_load_no_dataclasses(tmp_path, argv):
 # every public name of the package before its names were loaded lazily
 PUBLIC_NAMES = """
 ActionOrderMismatch BoundReport CandidateOrders CatalogEntry CheckFailed DEFAULT_CONSTRUCTION_CAP
-DEFAULT_ISO_CAP DEFAULT_LATTICE_CAP DEFAULT_MAX_SUBGROUPS DegreeProfile FamilyTag FiniteGroup GroupError
+DEFAULT_ISO_CAP DEFAULT_LATTICE_CAP DegreeProfile FamilyTag FiniteGroup GroupError
 GroupTooLarge InputError Isomorphism NoIdentity NoInverse NotAbelian NotAssociative NotAutomorphism
 NotCentralInvolution NotLatinSquare NotNormal NotPrime NotSolvable NotSubgroup PrimesNotDistinct Recognition
 Subgroup SubgroupLattice TrivialGroup UsageError VerificationReport abelian abelian_type_list all_subgroups
@@ -623,6 +625,70 @@ def test_verify_reports_a_broken_o_p_closure_as_a_failed_check(capsys, monkeypat
     monkeypatch.setattr("grouplattice.cli.catalog", lambda max_order: (entry,))
     code, out, err = run(capsys, "verify", "bounds", "--max-order", "6")
     assert (code, out, err) == (1, "", "check failed: closure of the 2'-elements is not a vertex\n")
+
+
+def test_a_failed_check_midway_keeps_the_lines_written_before_it(capsys, monkeypatch, tmp_path):
+    # output is written as it is made: D8's records stay when S3's broken
+    # closure then stops the sweep with exit 1
+    d8 = gl.dihedral(4)
+    good = gl.CatalogEntry(name=d8.name, group=d8, known_tags=frozenset())
+    monkeypatch.setattr("grouplattice.cli.catalog", lambda max_order: (good,))
+    code, d8_lines, _ = run(capsys, "verify", "bounds", "--max-order", "8")
+    assert code == 0 and d8_lines.count("\n") > 5
+    g = gl.symmetric(3)
+    monkeypatch.setattr(g, "closure_mask", lambda seed: 0b110)
+    broken = gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset())
+    monkeypatch.setattr("grouplattice.cli.catalog", lambda max_order: (good, broken))
+    failure = "check failed: closure of the 2'-elements is not a vertex\n"
+    assert run(capsys, "verify", "bounds", "--max-order", "8") == (1, d8_lines, failure)
+    target = tmp_path / "out.jsonl"
+    assert run(capsys, "verify", "bounds", "--max-order", "8", "-o", str(target)) == (1, "", failure)
+    assert target.read_text() == d8_lines
+
+
+# (target, a flag it does not read): lemma23 reads --prime-bound and
+# --exp-bound, every other target --max-order
+UNREAD_FLAGS = [
+    (target, flag)
+    for target in VERIFY_TARGETS
+    for flag in ("--max-order", "--prime-bound", "--exp-bound")
+    if (flag == "--max-order") == (target == "lemma23")
+]
+
+
+@pytest.mark.parametrize("target,flag", UNREAD_FLAGS)
+def test_verify_refuses_a_flag_its_target_does_not_read(capsys, tmp_path, target, flag):
+    output = tmp_path / "out"
+    code, out, err = run(capsys, "verify", target, flag, "5", "-o", str(output))
+    assert (code, out, err) == (2, "", f"usage error: verify {target} does not read {flag}\n")
+    assert not output.exists()
+
+
+def test_verify_lemma23_defaults_to_prime_bound_31_and_exp_bound_4(capsys):
+    assert run(capsys, "verify", "lemma23") == run(capsys, "verify", "lemma23", "--prime-bound", "31", "--exp-bound", "4")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "nonsense", "4"],
+        ["catalog", "--list", "--max-order", "0"],
+        ["lattice", "MISSING_FILE"],
+        ["lattice", "D12_FILE"],
+        ["verify", "theorem-1.1", "--max-order", "300"],
+        ["verify", "theorem-a", "--exp-bound", "2"],
+        ["verify", "lemma23", "--prime-bound", "3"],
+        ["verify", "lemma23", "--prime-bound", "1000000", "--exp-bound", "1"],
+    ],
+    ids=" ".join,
+)
+def test_a_usage_or_input_error_creates_no_output_file(capsys, monkeypatch, tmp_path, d12_file, args):
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)  # the walk refuses D12
+    files = {"MISSING_FILE": str(tmp_path / "missing.grp"), "D12_FILE": d12_file}
+    output = tmp_path / "out"
+    code, out, err = run(capsys, *(files.get(a, a) for a in args), "-o", str(output))
+    assert (code, out) == (2, "") and err.startswith(("usage error: ", "input error: "))
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("command", ["catalog", "lattice", "degrees", "verify"])

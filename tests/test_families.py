@@ -268,13 +268,20 @@ def test_central_product_explicit_witnesses():
     ids=["D8*Q8", "C2xC4*C2^2", "D32*D16", "D64*D16"],
 )
 def test_central_product_is_the_quotient_of_the_direct_product(g1, g2, z1, z2):
-    # the reference: G1 x G2 modulo {1, (z1, z2)}, labelled by a coset scan
+    # the reference: pairs (a1, a2) of G1 x G2 modulo {1, (z1, z2)}, the
+    # cosets numbered by their least index a1*|G2| + a2, computed here
     g = gl.central_product(g1, g2, z1=z1, z2=z2)
     if z1 is None:  # the factors' unique central involutions
         z1, z2 = (next(x for x in range(1, h.order) if h.center_mask >> x & 1 and h.element_orders[x] == 2) for h in (g1, g2))
-    product = gl.direct_product(g1, g2)
-    ref = gl.quotient_group(product, product.subgroup([0, z1 * g2.order + z2]))
-    assert g.order == ref.order and g.table == ref.table and g.generators == ref.generators
+    n2 = g2.order
+
+    def mul(x, y):
+        return g1.mul(x // n2, y // n2) * n2 + g2.mul(x % n2, y % n2)
+
+    cosets = sorted({min(x, mul(x, z1 * n2 + z2)) for x in range(g1.order * n2)})
+    label = {x: i for i, x in enumerate(cosets)}
+    label.update((mul(x, z1 * n2 + z2), i) for i, x in enumerate(cosets))
+    assert [list(row) for row in g.table] == [[label[mul(a, b)] for b in cosets] for a in cosets]
 
 
 def test_central_product_rejects_non_involution_witness():

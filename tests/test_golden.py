@@ -6,6 +6,8 @@ ten lattice-big tables, for `catalog --list`, `verify theorem-a` and
 per-vertex degrees of every catalog(64) lattice, a digest of every
 catalog(256) entry's name, tags and table and a digest of the
 automorphisms found for every catalog(128) group: a guard for refactors.
+With GROUPLATTICE_SLOW=1 it also checks the five lattice targets at
+order 256 and `lattice --format dot` on C2^8, which take about 2 minutes.
 
 tests/golden_stdout.json holds the sha256 of the stdout and the exit code
 of each run, recorded by tests/record_golden.py from a commit whose output
@@ -14,6 +16,7 @@ re-record only when the output is meant to change.
 """
 
 import json
+import os
 
 import pytest
 
@@ -29,6 +32,9 @@ from record_golden import (
     GOLDEN,
     GROUP_COMMANDS,
     GROUPS,
+    SLOW_GROUP_COMMAND,
+    SLOW_ORDER,
+    SLOW_TARGETS,
     TARGETS,
     VERTEX_DIGEST_KEY,
     WIDE_ORDER,
@@ -46,6 +52,7 @@ from record_golden import (
 )
 
 EXPECTED = json.loads(GOLDEN.read_text())
+slow = pytest.mark.skipif(os.environ.get("GROUPLATTICE_SLOW") != "1", reason="set GROUPLATTICE_SLOW=1 to run")
 
 
 def test_golden_file_covers_every_verify_target():
@@ -57,6 +64,7 @@ def test_golden_file_covers_every_verify_target():
     keys += [group_key(name, command) for name in GROUPS for command in GROUP_COMMANDS]
     keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
     keys += [" ".join(command) for command in CATALOG_COMMANDS + BENCH_COMMANDS + CONSTRUCT_COMMANDS]
+    keys += [" ".join(argv_for(t, SLOW_ORDER)) for t in SLOW_TARGETS] + [group_key(*SLOW_GROUP_COMMAND)]
     assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY, CATALOG_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY])
 
 
@@ -119,3 +127,18 @@ def test_automorphisms_match_golden():
     import grouplattice as gl
 
     assert automorphism_digest(gl.catalog(AUTOMORPHISM_ORDER)) == EXPECTED[AUTOMORPHISM_DIGEST_KEY]
+
+
+@slow
+@pytest.mark.parametrize("target", SLOW_TARGETS)
+def test_lattice_targets_at_order_256_match_golden(target):
+    argv = argv_for(target, SLOW_ORDER)
+    key = " ".join(argv)
+    assert run(argv) == EXPECTED[key], key
+
+
+@slow
+def test_c2_8_dot_matches_golden():
+    name, command = SLOW_GROUP_COMMAND
+    key = group_key(name, command)
+    assert run_on_text(group_text(name), command) == EXPECTED[key], key

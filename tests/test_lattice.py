@@ -6,6 +6,13 @@ package. Counts, vertex sets, edge sets, and degree sequences must agree
 exactly. Frozen constants below were produced by that oracle.
 """
 
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +20,7 @@ import grouplattice as gl
 from grouplattice.arith import divisors, is_prime
 from grouplattice.errors import CheckFailed, GroupError, GroupTooLarge
 from grouplattice.iso import automorphisms
-from grouplattice.lattice import DEFAULT_LATTICE_CAP, DEFAULT_MAX_SUBGROUPS, all_subgroups
+from grouplattice.lattice import DEFAULT_LATTICE_CAP, all_subgroups
 
 from oracle_lattice import naive_covers, naive_degrees, naive_subgroups
 from oracle_pgroup import check_lattice, frobenius_counts, prime_factors
@@ -284,7 +291,7 @@ def test_index_of_rejects_foreign_subgroup(s3, d8):
 
 
 def test_export_dot_exact_text_for_c2():
-    assert all_subgroups(gl.cyclic(2)).export_dot() == (
+    assert "".join(all_subgroups(gl.cyclic(2)).export_dot()) == (
         'digraph "C2" {\n'
         "  rankdir=BT;\n"
         '  n0 [label="1"];\n'
@@ -295,8 +302,8 @@ def test_export_dot_exact_text_for_c2():
 
 
 def test_export_dot_deterministic():
-    a = all_subgroups(gl.dihedral(4)).export_dot()
-    b = all_subgroups(gl.dihedral(4)).export_dot()
+    a = "".join(all_subgroups(gl.dihedral(4)).export_dot())
+    b = "".join(all_subgroups(gl.dihedral(4)).export_dot())
     assert a == b
     assert a.startswith('digraph "D8" {\n  rankdir=BT;')
     assert a.count("->") == 15
@@ -420,13 +427,40 @@ def test_lattice_cap_enforced(monkeypatch):
         all_subgroups(gl.elementary_abelian(2, 5))
 
 
-def test_subgroup_budget_enforced(monkeypatch):
-    assert DEFAULT_MAX_SUBGROUPS == 100_000
-    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 20)
-    with pytest.raises(GroupTooLarge, match=r"C2\^4 has more than 20 subgroups: 21 reached"):
-        all_subgroups(gl.elementary_abelian(2, 4))  # 67 subgroups
-    monkeypatch.setattr("grouplattice.lattice.DEFAULT_MAX_SUBGROUPS", 67)
-    assert len(all_subgroups(gl.elementary_abelian(2, 4))) == 67
+def test_export_dot_lines_match_the_covers():
+    lat = all_subgroups(gl.symmetric(4))
+    lines = list(lat.export_dot())
+    assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+    nodes = [f'  n{i} [label="{s.order}"];\n' for i, s in enumerate(lat.subgroups)]
+    edges = [f"  n{i} -> n{j};\n" for i, j in lat.covers]
+    assert lines == ['digraph "S4" {\n', "  rankdir=BT;\n", *nodes, *edges, "}\n"]
+
+
+C2_8_LATTICE = """
+import resource, sys
+limit = 512 << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from grouplattice.cli import main
+sys.exit(main(["lattice", sys.argv[1]]))
+"""
+
+
+def test_c2_8_lattice_is_decided_under_512_mib(tmp_path):
+    # C2^8, the largest lattice inside the order cap (417,199 subgroups),
+    # is built in a child whose address space is limited to 512 MiB; its
+    # report equals the closed form of perfbench/groups.py
+    path = tmp_path / "c2_8.grp"
+    gl.write_group(gl.elementary_abelian(2, 8), path)
+    src = Path(gl.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", C2_8_LATTICE, str(path)], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    spec = importlib.util.spec_from_file_location("perfbench_groups", src.parent / "perfbench" / "groups.py")
+    groups = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(groups)
+    report = json.loads(proc.stdout)
+    report["degree_sequence"] = groups.degree_counts(report["degree_sequence"])
+    assert report == {"group": "C2^8", **groups.elementary_abelian_report(2, 8)}
 
 
 @settings(deadline=None)
