@@ -9,8 +9,10 @@ exactly. Frozen constants below were produced by that oracle.
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from grouplattice.lattice import DEFAULT_LATTICE_CAP, all_subgroups
 
 from oracle_lattice import naive_covers, naive_degrees, naive_subgroups
 from oracle_pgroup import check_lattice, frobenius_counts, prime_factors
+from test_core import relabel
 from test_iso import OUTER as OUTER_AUT
 
 
@@ -102,12 +105,37 @@ def test_frozen_degree_sequences():
     ]
 
 
-def test_vertices_sorted_by_order_then_mask(d12):
-    lat = all_subgroups(d12)
-    keys = [(s.order, s.mask) for s in lat.subgroups]
-    assert keys == sorted(keys)
-    assert lat.subgroups[0].order == 1
-    assert lat.subgroups[-1].order == 12
+def test_vertices_sorted_by_order_then_mask(lattices64):
+    # the vertex order is built per subgroup order from the orbits' member
+    # lists, so check it with the per-orbit facts the lattice reads from them
+    c2_6 = gl.elementary_abelian(2, 6)
+    moved = gl.from_cayley_table(relabel(c2_6.table, random.Random(6).sample(range(64), 64)), name="C2^6'")
+    for lat in lattices64 + (all_subgroups(moved),):
+        name = lat.parent.name
+        keys = [(s.order, s.mask) for s in lat.subgroups]
+        assert keys == sorted(keys), name
+        assert lat.subgroups[0].order == 1 and lat.subgroups[-1].order == lat.parent.order, name
+        orders: dict[int, set[int]] = {}
+        for s, o in zip(lat.subgroups, lat.vertex_orbit):
+            orders.setdefault(o, set()).add(s.order)
+        assert all(len(k) == 1 for k in orders.values()), name
+        sizes = Counter(lat.vertex_orbit)
+        assert sorted(sizes) == list(range(lat.orbits)) and sum(sizes.values()) == len(lat), name
+        profile = lat.degree_profile()
+        assert lat.edge_count == sum(profile.up), name
+        deg = max(profile.degrees)
+        assert lat.report() == {
+            "group": name,
+            "order": lat.parent.order,
+            "subgroup_count": len(lat.subgroups),
+            "degree_sequence": sorted(profile.degrees),
+            "max_degree": deg,
+            "max_degree_order": lat.subgroups[profile.degrees.index(deg)].order,
+            "delta": lat.parent.delta,
+            "edge_count": sum(profile.down),
+        }, name
+        assert lat.max_degree() == (lat.subgroups[profile.degrees.index(deg)], deg), name
+    assert len(lat) == 2825
 
 
 def test_partial_order_axioms(s4):
