@@ -78,6 +78,17 @@ def divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
+def divisor_lists(limit: int) -> list[list[int]]:
+    """divisors(n) at index n for each 1 <= n <= limit (index 0 empty),
+    from one sieve: each d is appended to the lists of its multiples."""
+    require_int(limit, "limit", 0)
+    out: list[list[int]] = [[] for _ in range(limit + 1)]
+    for d in range(1, limit + 1):
+        for multiple in out[d::d]:
+            multiple.append(d)
+    return out
+
+
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
     require_int(n, "n")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import divisors, factorize, is_prime, require_int, require_prime, split_power
 from .core import FiniteGroup, Subgroup
@@ -243,11 +243,15 @@ class CandidateOrders(NamedTuple):
     divisors: Optional[frozenset[int]]
 
 
-def candidate_orders(n: int) -> CandidateOrders:
+def candidate_orders(n: int, divisors_of_n: Optional[Sequence[int]] = None) -> CandidateOrders:
+    """The analysis for n; divisors_of_n, when given, are the divisors of
+    n (verify orders takes them from one sieve), else divisors(n)."""
     require_int(n, "n", 1)
     if n <= 11:
         return CandidateOrders(n=n, small_case=True, divisors=None)
-    allowed = frozenset(d for d in divisors(n) if 2 * d * d - (n + 2) * d + 2 * n > 0)
+    if divisors_of_n is None:
+        divisors_of_n = divisors(n)
+    allowed = frozenset(d for d in divisors_of_n if 2 * d * d - (n + 2) * d + 2 * n > 0)
     targets = {1, 2, n}
     if n % 2 == 0:
         targets.add(n // 2)

@@ -9,23 +9,12 @@ loudly instead of passing by silence.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import factorize, split_power
 from .core import FiniteGroup, Subgroup, _mask_elements
 from .errors import GroupTooLarge, TrivialGroup
-from .families import (
-    CatalogEntry,
-    alternating,
-    dihedral,
-    direct_product,
-    elementary_abelian,
-    symmetric,
-    wall_H,
-    wall_S,
-    wall_T,
-)
+from .families import CatalogEntry, theorem_a_group
 from .iso import is_isomorphic
 from .lattice import SubgroupLattice, all_subgroups
 
@@ -173,27 +162,6 @@ def _is_generalized_dihedral(g: FiniteGroup) -> bool:
     return n_mask != (1 << g.order) - 1
 
 
-@lru_cache(maxsize=None)
-def _candidate(subtype_key: str, param: int, edim: int) -> FiniteGroup:
-    """The group of a Theorem A subtype (or D12) times C2^edim, built once.
-    Product indexing is associative, so base x C2^edim has the same table
-    as edim products with C2 in turn."""
-    base = {
-        "II": lambda _: direct_product(dihedral(4), dihedral(4)),
-        "III": wall_H,
-        "IV": wall_S,
-        "V": wall_T,
-        "VII": lambda _: direct_product(symmetric(3), dihedral(4)),
-        "VIII": lambda _: direct_product(symmetric(3), symmetric(3)),
-        "IX": lambda _: symmetric(4),
-        "X": lambda _: alternating(5),
-        F7_D12: dihedral,
-    }[subtype_key](param)
-    if not edim:
-        return base
-    return direct_product(base, elementary_abelian(2, edim), name=base.name + "xC2" * edim)
-
-
 def recognize(g: FiniteGroup) -> Recognition:
     """All family memberships of g. The trivial group gets no tags.
     Isomorphism-based recognizers refused by the isomorphism cap land in
@@ -218,7 +186,7 @@ def recognize(g: FiniteGroup) -> Recognition:
 
     def iso_check(subtype: str, param: int, edim: int) -> bool:
         try:
-            found = is_isomorphic(g, _candidate(subtype, param, edim))
+            found = is_isomorphic(g, theorem_a_group(subtype, param, edim))
         except GroupTooLarge:
             undecided.add(subtype)
             return False
@@ -229,7 +197,7 @@ def recognize(g: FiniteGroup) -> Recognition:
 
     if n == 12:
         try:
-            if is_isomorphic(g, _candidate(F7_D12, 6, 0)) is not None:
+            if is_isomorphic(g, theorem_a_group(F7_D12, 6, 0)) is not None:
                 tags.add(FamilyTag(F7_D12))
         except GroupTooLarge:
             undecided.add(F7_D12)

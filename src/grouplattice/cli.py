@@ -16,7 +16,7 @@ from importlib import import_module
 from typing import Optional, Sequence
 
 from . import _EXPORTS, _HOME
-from .arith import factorize
+from .arith import divisor_lists, factorize
 from .core import dumps_group, read_group
 from .errors import CheckFailed, GroupError, GroupTooLarge, InputError, UsageError
 from .lattice import DEFAULT_LATTICE_CAP, all_subgroups
@@ -281,14 +281,16 @@ def _run_lemma23(args) -> bool:
 
 
 def _run_orders(args) -> bool:
-    # divisor analysis scan, no groups involved
+    # divisor analysis scan, no groups involved; the divisors of every n
+    # come from one sieve
     violations = []
     for n in range(1, 12):
         if not candidate_orders(n).small_case:
             violations.append([n, "expected small-case branch"])
+    divisors_of = divisor_lists(args.max_order)
     for n in range(12, args.max_order + 1):
         try:
-            result = candidate_orders(n)
+            result = candidate_orders(n, divisors_of[n])
         except CheckFailed as exc:
             violations.append([n, str(exc)])
             continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
+from collections import Counter
 from functools import cached_property, partial
 from itertools import repeat
 from operator import eq, getitem, itemgetter
@@ -31,6 +32,9 @@ from .errors import (
 )
 
 DEFAULT_CONSTRUCTION_CAP = 4096
+# translate table of a 0/1 membership vector to binary digits: the mask of
+# vector v is int(v[::-1].translate(_BITS), 2)
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def check_cap(elements: int) -> None:
@@ -228,14 +232,17 @@ class FiniteGroup:
         return self.element_orders[x]
 
     @cached_property
+    def _order_counts(self) -> Counter:
+        """The number of elements of each element order."""
+        return Counter(self.element_orders)
+
+    @cached_property
     def delta(self) -> int:
         """Number of prime-order subgroups."""
-        counts: dict[int, int] = {}
-        for k in self.element_orders:
-            if is_prime(k):
-                counts[k] = counts.get(k, 0) + 1
         total = 0
-        for p, cnt in counts.items():
+        for p, cnt in sorted(self._order_counts.items()):
+            if not is_prime(p):
+                continue
             # each subgroup of order p contributes exactly p-1 elements
             if cnt % (p - 1):
                 raise CheckFailed(f"{cnt} elements of order {p} is not a multiple of {p - 1}")
@@ -244,11 +251,11 @@ class FiniteGroup:
 
     @cached_property
     def involution_count(self) -> int:
-        return sum(1 for k in self.element_orders if k == 2)
+        return self._order_counts[2]
 
     @cached_property
     def exponent(self) -> int:
-        return math.lcm(*self.element_orders)
+        return math.lcm(*self._order_counts)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -261,15 +268,26 @@ class FiniteGroup:
 
     @cached_property
     def center_mask(self) -> int:
-        rows, gens = self.table, self.generators
-        return sum(1 << x for x, row in enumerate(rows) if all(row[s] == rows[s][x] for s in gens))
+        """x is central iff it commutes with each generator s, that is iff
+        row s and column s agree at x; one whole-row comparison per s."""
+        rows, n = self.table, self.order
+        flat = row_type(n)(b"".join(rows))
+        mask = (1 << n) - 1
+        for s in self.generators:
+            mask &= int(bytes(map(eq, rows[s], flat[s::n]))[::-1].translate(_BITS), 2)
+        return mask
 
     def center(self) -> "Subgroup":
         return Subgroup(self, self.center_mask, check=False)
 
     @cached_property
+    def _derived(self) -> tuple[int, tuple[int, ...]]:
+        """Mask and generators of G', the first step of the derived series."""
+        return self._derived_of(self.generators)
+
+    @cached_property
     def derived_mask(self) -> int:
-        return self._derived_of(self.generators)[0]
+        return self._derived[0]
 
     def derived_subgroup(self) -> "Subgroup":
         return Subgroup(self, self.derived_mask, check=False)
@@ -320,13 +338,12 @@ class FiniteGroup:
 
     @cached_property
     def is_solvable(self) -> bool:
-        mask, gens = (1 << self.order) - 1, self.generators
-        while mask != 1:
-            nxt, gens = self._derived_of(gens)
-            if nxt == mask:
-                return False
-            mask = nxt
-        return True
+        """The derived series, from the cached G' on, reaches the trivial
+        group before a term equals the one before it."""
+        mask, (nxt, gens) = (1 << self.order) - 1, self._derived
+        while nxt not in (mask, 1):
+            mask, (nxt, gens) = nxt, self._derived_of(gens)
+        return nxt == 1
 
 
 def _screen_table(table) -> tuple:

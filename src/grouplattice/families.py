@@ -10,7 +10,7 @@ where many rows are composed with one).
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -352,6 +352,39 @@ def trivial() -> FiniteGroup:
     return cyclic(1)
 
 
+def _times_c2(g: FiniteGroup) -> FiniteGroup:
+    """g x C2, with C2 built as rows and validated only inside the product."""
+    check_cap(2 * g.order)
+    return FiniteGroup(_product_rows(g.table, _cyclic_rows(2)), name=f"{g.name}xC2")
+
+
+# the base groups of classify.recognize's comparisons: Theorem A subtypes
+# II-V and VII-X (param is r for III-V, unread otherwise), and the
+# dihedral group of order 2*param for the F7_D12 family
+_THEOREM_A_BASES = {
+    "II": lambda _: direct_product(dihedral(4), dihedral(4)),
+    "III": wall_H,
+    "IV": wall_S,
+    "V": wall_T,
+    "VII": lambda _: direct_product(symmetric(3), dihedral(4)),
+    "VIII": lambda _: direct_product(*[symmetric(3)] * 2),
+    "IX": lambda _: symmetric(4),
+    "X": lambda _: alternating(5),
+    "F7_D12": dihedral,
+}
+
+
+@lru_cache(maxsize=None)
+def theorem_a_group(subtype: str, param: int, edim: int) -> FiniteGroup:
+    """The base group of a recipe times C2^edim, built once per process;
+    the catalog and the recognizers share it. The edim group is the
+    edim - 1 group times C2: product indexing is associative, so this is
+    the table of the product with C2^edim."""
+    if edim:
+        return _times_c2(theorem_a_group(subtype, param, edim - 1))
+    return _THEOREM_A_BASES[subtype](param)
+
+
 class CatalogEntry(NamedTuple):
     """A catalog group with the family labels asserted at construction."""
 
@@ -377,23 +410,20 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     # compared only with the earlier groups that share them
     by_orders: dict[tuple[int, ...], list[tuple[FiniteGroup, set[str]]]] = {}
 
-    def add(g: FiniteGroup, *tags: str) -> None:
+    def add(g: FiniteGroup, *tags: str) -> Optional[tuple[FiniteGroup, set[str]]]:
+        """Enter g with its tags, or add them to the earlier entry it is
+        isomorphic to; either way give the kept entry (None above
+        max_order)."""
         if g.order > max_order:
-            return
+            return None
         bucket = by_orders.setdefault(tuple(sorted(g.element_orders)), [])
-        for other, known in bucket:
-            if is_isomorphic(other, g) is not None:
-                known.update(tags)
-                return
+        for kept in bucket:
+            if is_isomorphic(kept[0], g) is not None:
+                kept[1].update(tags)
+                return kept
         bucket.append((g, set(tags)))
         found.append(bucket[-1])
-
-    # factors that are only multiplied in are built as rows, not as groups
-    c2 = _cyclic_rows(2)
-
-    def times_c2(g: FiniteGroup) -> FiniteGroup:
-        check_cap(2 * g.order)
-        return FiniteGroup(_product_rows(g.table, c2), name=f"{g.name}xC2")
+        return bucket[-1]
 
     small = min(max_order, 15)
     for n in range(1, small + 1):
@@ -411,7 +441,7 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
         10: [lambda: dihedral(5)],
         12: [
             lambda: abelian([2, 6]),
-            lambda: dihedral(6),
+            lambda: theorem_a_group("F7_D12", 6, 0),
             lambda: dicyclic(3),
             lambda: alternating(4),
         ],
@@ -423,35 +453,50 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
                 add(build(), "small-order")
 
     k = 1
+    elementary = {}  # k -> the entry of C2^k
     while 2 ** k <= max_order:
-        add(elementary_abelian(2, k), "elementary-abelian-2")
+        elementary[k] = add(elementary_abelian(2, k), "elementary-abelian-2")
         k += 1
     s = 1
     while 2 ** (s + 1) <= max_order:
         add(abelian([2] * (s - 1) + [4]), "c2s-c4")
         s += 1
+    dihedral_of = {}  # abelian type of A -> the entry of Dih(A)
     for a_order in range(1, max_order // 2 + 1):
         for typ in abelian_type_list(a_order):
+            if set(typ) <= {2}:
+                # A = C2^k has exponent at most 2: inversion fixes A, so the
+                # involution centralizes it and Dih(A) = A x C2 = C2^(k+1)
+                elementary[len(typ) + 1][1].add("generalized-dihedral")
+                continue
             # built from A's rows: A is the index-2 subgroup of Dih(A), so
             # validating Dih(A) also validates A's table
             rows = _abelian_rows(typ)
-            name = "x".join(f"C{f}" for f in typ) or "C1"
+            name = "x".join(f"C{f}" for f in typ)
             g = FiniteGroup(_dihedral_rows(rows, [row.index(0) for row in rows]), name=f"D({name})")
             odd_elementary = len(set(typ)) == 1 and typ[0] > 2 and is_prime(typ[0])
-            add(g, "generalized-dihedral", *("cpn-c2",) * odd_elementary)
+            dihedral_of[typ] = add(g, "generalized-dihedral", *("cpn-c2",) * odd_elementary)
     r = 1
     while 2 ** (2 * r + 1) <= max_order:
-        add(wall_H(r), "wall-H", "generalized-extraspecial-seed")
-        add(wall_S(r), "wall-S")
+        add(theorem_a_group("III", r, 0), "wall-H", "generalized-extraspecial-seed")
+        add(theorem_a_group("IV", r, 0), "wall-S")
         r += 1
     r = 1
     while 3 * 4 ** r <= max_order:
-        add(wall_T(r), "wall-T")
+        add(theorem_a_group("V", r, 0), "wall-T")
         r += 1
     if max_order >= 8:
-        d8 = dihedral(4)
-        q8 = dicyclic(2)
-        seeds = [d8, q8]
+        # D8 x E = Dih(C4 x E) for E of exponent 2: the involution inverts
+        # E, that is centralizes it, so E is central, meets Dih(C4) = D8
+        # trivially and splits off. So the D8 chain is the Dih(C4 x C2^k)
+        # entries, which the loop above entered.
+        k = 0
+        while 8 << k <= max_order:
+            dihedral_of[(2,) * k + (4,)][1].add("generalized-extraspecial-seed")
+            k += 1
+        # the kept D8 is the small-order dihedral(4)
+        d8, q8 = dihedral_of[(4,)][0], dicyclic(2)
+        seeds = [q8]
         if max_order >= 16:
             seeds.append(central_product(d8, cyclic(4)))
         if max_order >= 32:
@@ -461,7 +506,7 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
             g = seed
             add(g, "generalized-extraspecial-seed")
             while g.order * 2 <= max_order:
-                g = times_c2(g)
+                g = _times_c2(g)
                 add(g, "generalized-extraspecial-seed")
     k = 1
     while 3 ** k <= max_order and k <= 3:
@@ -469,6 +514,7 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
         k += 1
     if max_order >= 27:
         add(heisenberg(3), "exponent-3")
+    c2 = _cyclic_rows(2)
     for p in primes_upto(max_order // 2):
         if p == 2:
             continue
@@ -480,18 +526,15 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
                 add(FiniteGroup(_semidirect_rows(rows, _swap_action(p), 2), name=f"{name}:C2swap"), "cpn-c2")
             nexp += 1
     if max_order >= 36:
-        s3 = symmetric(3)
-        add(direct_product(s3, s3), "s3xs3")
-    if max_order >= 48:
-        g = direct_product(s3, d8)
-        add(g, "s3xd8xE")
-        while g.order * 2 <= max_order:
-            g = times_c2(g)
-            add(g, "s3xd8xE")
+        add(theorem_a_group("VIII", 0, 0), "s3xs3")
+    e = 0
+    while 48 << e <= max_order:
+        add(theorem_a_group("VII", 0, e), "s3xd8xE")
+        e += 1
     if max_order >= 24:
-        add(symmetric(4), "s4")
+        add(theorem_a_group("IX", 0, 0), "s4")
     if max_order >= 60:
-        add(alternating(5), "a5")
+        add(theorem_a_group("X", 0, 0), "a5")
 
     found.sort(key=lambda pair: (pair[0].order, pair[0].name))
     return tuple(CatalogEntry(name=g.name, group=g, known_tags=frozenset(tags)) for g, tags in found)

@@ -190,14 +190,15 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
     """Exact isomorphism decision: a witness Isomorphism, or None.
 
     Raises GroupTooLarge when the common order exceeds DEFAULT_ISO_CAP.
+    Equal tables give the identity map with no search.
     """
     n = g1.order
     if g2.order != n:
         return None
     if n > DEFAULT_ISO_CAP:
         raise GroupTooLarge(f"isomorphism test at order {n} exceeds cap {DEFAULT_ISO_CAP}")
-    if n == 1:
-        return Isomorphism(g1, g2, (0,))
+    if g1.table == g2.table:
+        return Isomorphism(g1, g2, tuple(range(n)))
     # fingerprint, with element_invariants run only for groups whose
     # summaries agree
     if _summary(g1) != _summary(g2) or sorted(element_invariants(g1)) != sorted(element_invariants(g2)):

@@ -74,7 +74,7 @@ from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from .arith import factorize, is_prime, split_power
-from .core import FiniteGroup, Subgroup, _mask_elements, compose_rows, extend_closure
+from .core import _BITS, FiniteGroup, Subgroup, _mask_elements, compose_rows, extend_closure
 from .errors import CheckFailed, GroupError, GroupTooLarge
 from .iso import automorphisms
 
@@ -285,9 +285,6 @@ def _double_coset(rows, h_elems, x: int) -> int:
             for k in h_elems:
                 mask |= 1 << rows[k][w]
     return mask
-
-
-_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _vector(elems, size: int) -> bytes:

@@ -1,7 +1,8 @@
 """Shared fixtures plus the acceptance-criteria summary section.
 
 The package caches no catalog and no lattice: each catalog() call builds
-new groups and each all_subgroups() call walks the lattice again. So the
+new groups, apart from the Theorem A groups that families.theorem_a_group
+builds once, and each all_subgroups() call walks the lattice again. So the
 session fixtures here are what the tests share: a catalog built once, and
 lattices64, the lattice of every catalog(64) group, walked once for the
 tests that need all of them."""

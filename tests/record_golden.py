@@ -12,10 +12,11 @@ tests/golden_stdout.json. It also records the lattice-free commands
 256` and `verify orders --max-order 10000` (as the benchmark runs it),
 one sha256 of the per-vertex (mask, up-degree, down-degree) of every
 catalog(64) lattice, one sha256 of the (name, sorted tags,
-order, table bytes) of every catalog(256) entry, one sha256 of the maps
-`iso.automorphisms` returns for every catalog(128) group, and the stdout
-of `construct symmetric 6` and `construct cyclic 300` (order above 256,
-so uint16 rows). The slow keys, which tests/test_golden.py checks only
+order, table bytes) of every catalog(256) entry, one sha256 of those
+digests of catalog(m) for every m in 1..64, 128 and 256, one sha256 of
+the maps `iso.automorphisms` returns for every catalog(128) group, and
+the stdout of `construct symmetric 6` and `construct cyclic 300` (order
+above 256, so uint16 rows). The slow keys, which tests/test_golden.py checks only
 with GROUPLATTICE_SLOW=1, are the five lattice targets at `--max-order
 256` and `lattice --format dot` on C2^8, the largest lattice inside the
 order cap (about 2 minutes together). Record from a commit whose output
@@ -53,6 +54,8 @@ CATALOG_COMMANDS = (
     ("verify", "wall", "--max-order", str(CATALOG_ORDER)),
 )
 CATALOG_DIGEST_KEY = f"(name, tags, order, table) of every catalog({CATALOG_ORDER}) entry"
+CATALOG_BOUNDS = (*range(1, 65), 128, 256)
+CATALOG_BOUNDS_DIGEST_KEY = "(name, tags, order, table) of catalog(m) for m in 1..64, 128, 256"
 BENCH_COMMANDS = (("verify", "orders", "--max-order", "10000"),)  # as the benchmark's lattice-free workload runs it
 AUTOMORPHISM_ORDER = 128
 AUTOMORPHISM_DIGEST_KEY = f"automorphisms(g) of every catalog({AUTOMORPHISM_ORDER}) group"
@@ -129,6 +132,17 @@ def catalog_digest(entries) -> dict:
     return {"sha256": digest.hexdigest(), "entries": len(entries)}
 
 
+def catalog_bounds_digest() -> dict:
+    """sha256 of one line per bound m in CATALOG_BOUNDS: m and the
+    catalog_digest of catalog(m)."""
+    import grouplattice as gl
+
+    digest = hashlib.sha256()
+    for m in CATALOG_BOUNDS:
+        digest.update(f"{m} {catalog_digest(gl.catalog(m))['sha256']}\n".encode())
+    return {"sha256": digest.hexdigest(), "catalogs": len(CATALOG_BOUNDS)}
+
+
 def automorphism_digest(entries) -> dict:
     """sha256 of each group's name followed by the maps automorphisms(g)
     returns, in order, one line each."""
@@ -190,6 +204,7 @@ def record() -> dict:
     import grouplattice as gl
 
     golden[CATALOG_DIGEST_KEY] = catalog_digest(gl.catalog(CATALOG_ORDER))
+    golden[CATALOG_BOUNDS_DIGEST_KEY] = catalog_bounds_digest()
     golden[VERTEX_DIGEST_KEY] = vertex_digest(gl.all_subgroups(e.group) for e in gl.catalog(64))
     golden[AUTOMORPHISM_DIGEST_KEY] = automorphism_digest(gl.catalog(AUTOMORPHISM_ORDER))
     return golden

@@ -22,7 +22,6 @@ from grouplattice.classify import (
     WALL_SUBTYPES,
     FamilyTag,
     Recognition,
-    _candidate,
     _frattini_mask,
     has_large_degree_vertex,
     recognize,
@@ -33,6 +32,7 @@ from grouplattice.classify import (
     verify_wall,
 )
 from grouplattice.errors import TrivialGroup
+from grouplattice.families import theorem_a_group
 from grouplattice.lattice import all_subgroups
 
 from test_core import relabel
@@ -413,5 +413,5 @@ def test_candidate_is_the_repeated_direct_product(key, param, edim):
             "VII": gl.direct_product(gl.symmetric(3), gl.dihedral(4)), F7_D12: gl.dihedral(6)}[key]
     for _ in range(edim):
         base = gl.direct_product(base, gl.cyclic(2))
-    candidate = _candidate(key, param, edim)
+    candidate = theorem_a_group(key, param, edim)
     assert candidate.table == base.table and candidate.name == base.name

@@ -393,10 +393,11 @@ def test_verify_orders(capsys):
 def test_verify_orders_catches_broken_divisor_formula(flags):
     # with every integer up to n counted as a divisor, n - 1 passes the
     # quadratic test and escapes {1, 2, n/2, n}; the check must not be an
-    # assert, which python -O strips
+    # assert, which python -O strips. verify orders reads the divisors from
+    # the sieve cli.divisor_lists, so that is the source broken here
     code = (
-        "import sys, grouplattice.bounds as b, grouplattice.cli as cli; "
-        "b.divisors = lambda n: list(range(1, n + 1)); "
+        "import sys, grouplattice.cli as cli; "
+        "cli.divisor_lists = lambda limit: [list(range(1, n + 1)) for n in range(limit + 1)]; "
         "sys.exit(cli.main(['verify', 'orders', '--max-order', '40']))"
     )
     src = str(Path(gl.__file__).resolve().parents[1])

@@ -15,6 +15,7 @@ import oracle_validate
 from grouplattice import core
 from grouplattice.core import _mask_elements, extend_closure
 from grouplattice.errors import (
+    CheckFailed,
     GroupError,
     GroupTooLarge,
     NoIdentity,
@@ -536,6 +537,14 @@ def test_delta_examples():
     assert gl.alternating(4).delta == 7
     assert gl.heisenberg(3).delta == 13
     assert gl.trivial().delta == 0
+
+
+def test_delta_check_names_the_least_failing_prime():
+    # counts no group has: one element of order 3 and two of order 5
+    g = gl.cyclic(4)
+    g.__dict__["element_orders"] = (1, 5, 3, 5)
+    with pytest.raises(CheckFailed, match="^1 elements of order 3 is not a multiple of 2$"):
+        g.delta
 
 
 def test_involution_count_examples():

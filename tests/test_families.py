@@ -407,19 +407,63 @@ def test_catalog_above_the_isomorphism_cap(monkeypatch):
 
 
 def test_catalog_validates_no_scaffold_factors(monkeypatch):
-    # 341 entries, 34 groups isomorphic to an earlier entry, and two
-    # factors used through group methods: the S3 of S3xS3 and S3xD8, and the
-    # C4 of D8*C4. Every C2 factor, every elementary abelian factor of the
+    # 341 entries and 24 tables not returned: 20 groups isomorphic to an
+    # earlier entry, all of order <= 32, and four factors used through group
+    # methods: the S3 of S3xS3, the S3 and D8 of S3xD8, and the C4 of D8*C4.
+    # Dih(C2^k) and D8xC2^k are not built, since they are proved equal to
+    # kept entries. Every C2 factor, every elementary abelian factor of the
     # cpn-c2, wall-S and wall-T groups and every cyclic half of a dihedral
     # group is built as rows and validated only inside the group it is in.
+    # The shared Theorem A groups are memoised, so the memo is cleared first.
     from grouplattice.core import FiniteGroup
+    from grouplattice.families import theorem_a_group
 
+    theorem_a_group.cache_clear()
     calls = []
     validate = FiniteGroup._validate_and_normalize
     monkeypatch.setattr(FiniteGroup, "_validate_and_normalize", lambda g: calls.append(g.name) or validate(g))
     entries = gl.catalog(256)
     assert len(entries) == 341
-    assert len(calls) == 377
+    assert len(calls) == 365
+
+
+def _kept(entries, g):
+    """The catalog entry isomorphic to g."""
+    return next(e for e in entries if e.group.order == g.order and is_isomorphic(e.group, g) is not None)
+
+
+def test_catalog_tags_the_kept_entry_of_each_skipped_group():
+    # the catalog no longer builds Dih(A) for A of exponent at most 2, nor
+    # the D8 seed chain; built here as before, each is isomorphic to an
+    # entry that carries its tags
+    catalog256 = gl.catalog(256)
+    names = {e.name for e in catalog256}
+    for k in range(8):
+        g = gl.generalized_dihedral(gl.elementary_abelian(2, k))
+        kept = _kept(catalog256, g)
+        assert {"elementary-abelian-2", "generalized-dihedral"} <= kept.known_tags, kept.name
+        assert g.name not in names
+    g = gl.dihedral(4)
+    for k in range(6):
+        if k:
+            g = gl.direct_product(g, gl.cyclic(2))
+        kept = _kept(catalog256, g)
+        assert {"generalized-dihedral", "generalized-extraspecial-seed"} <= kept.known_tags, kept.name
+        assert kept.name == ("D8" if k == 0 else f"D({'C2x' * k}C4)")
+    assert g.order == 256
+
+
+def test_catalog_shares_the_theorem_a_groups():
+    # the catalog's wall, S3xS3, S3xD8xC2^e, S4, A5 and D12 entries are the
+    # objects the recognizers compare against
+    from grouplattice.families import theorem_a_group
+
+    by_name = {e.name: e.group for e in gl.catalog(256)}
+    recipes = [(subtype, r, 0) for subtype in ("III", "IV", "V") for r in (2, 3)]
+    recipes += [("VII", 0, e) for e in range(3)] + [("VIII", 0, 0), ("IX", 0, 0), ("X", 0, 0), ("F7_D12", 6, 0)]
+    for recipe in recipes:
+        g = theorem_a_group(*recipe)
+        assert by_name[g.name] is g, recipe
 
 
 def test_catalog_rejects_bad_bound():

@@ -4,7 +4,8 @@ ten lattice-big tables, for `catalog --list`, `verify theorem-a` and
 `verify wall` at order 256, for `verify orders --max-order 10000`, for
 `construct symmetric 6` and `construct cyclic 300`, a digest of the
 per-vertex degrees of every catalog(64) lattice, a digest of every
-catalog(256) entry's name, tags and table and a digest of the
+catalog(256) entry's name, tags and table, the same digest of catalog(m)
+for every m in 1..64, 128 and 256, and a digest of the
 automorphisms found for every catalog(128) group: a guard for refactors.
 With GROUPLATTICE_SLOW=1 it also checks the five lattice targets at
 order 256 and `lattice --format dot` on C2^8, which take about 2 minutes.
@@ -25,6 +26,7 @@ from record_golden import (
     AUTOMORPHISM_ORDER,
     BENCH_COMMANDS,
     BIG_COMMANDS,
+    CATALOG_BOUNDS_DIGEST_KEY,
     CATALOG_COMMANDS,
     CATALOG_DIGEST_KEY,
     CATALOG_ORDER,
@@ -43,6 +45,7 @@ from record_golden import (
     automorphism_digest,
     big_key,
     big_texts,
+    catalog_bounds_digest,
     catalog_digest,
     group_key,
     group_text,
@@ -65,7 +68,8 @@ def test_golden_file_covers_every_verify_target():
     keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
     keys += [" ".join(command) for command in CATALOG_COMMANDS + BENCH_COMMANDS + CONSTRUCT_COMMANDS]
     keys += [" ".join(argv_for(t, SLOW_ORDER)) for t in SLOW_TARGETS] + [group_key(*SLOW_GROUP_COMMAND)]
-    assert sorted(EXPECTED) == sorted(keys + [VERTEX_DIGEST_KEY, CATALOG_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY])
+    digests = [VERTEX_DIGEST_KEY, CATALOG_DIGEST_KEY, CATALOG_BOUNDS_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY]
+    assert sorted(EXPECTED) == sorted(keys + digests)
 
 
 @pytest.mark.parametrize("target", TARGETS)
@@ -115,6 +119,12 @@ def test_catalog_entries_match_golden():
     import grouplattice as gl
 
     assert catalog_digest(gl.catalog(CATALOG_ORDER)) == EXPECTED[CATALOG_DIGEST_KEY]
+
+
+def test_catalog_at_every_bound_matches_golden():
+    # the catalog skips groups it proves isomorphic to kept entries and
+    # shares the Theorem A groups; each bound must give the same entries
+    assert catalog_bounds_digest() == EXPECTED[CATALOG_BOUNDS_DIGEST_KEY]
 
 
 @pytest.mark.parametrize("command", CONSTRUCT_COMMANDS, ids=" ".join)

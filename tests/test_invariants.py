@@ -9,6 +9,7 @@ catalog to order 64 plus relabelled copies of a few groups, with the
 identity moved away from label 0.
 """
 
+import math
 import random
 
 import pytest
@@ -111,3 +112,32 @@ def test_generators_generate_the_group(g):
     # each generator lies outside the subgroup the earlier ones generate
     for i, x in enumerate(g.generators):
         assert x not in naive_closure([list(row) for row in g.table], g.generators[:i])
+
+
+def _per_element_invariants(g):
+    """Centre mask, delta, involution count and exponent by per-element
+    loops: x is central iff x*s = s*x for each generator s, and delta
+    counts the elements of each prime order p in groups of p - 1."""
+    rows, orders = g.table, g.element_orders
+    center = sum(1 << x for x, row in enumerate(rows) if all(row[s] == rows[s][x] for s in g.generators))
+    delta = sum(orders.count(p) // (p - 1) for p in set(orders) if gl.is_prime(p))
+    return center, delta, sum(1 for k in orders if k == 2), math.lcm(*orders)
+
+
+def test_whole_row_invariants_match_per_element_loops():
+    # every catalog(256) group, and tables above 256 with uint16 rows: a
+    # centre of order 2, one of order 10 and a trivial one
+    above = [gl.dihedral(130), gl.direct_product(gl.dicyclic(16), gl.cyclic(5)), gl.symmetric(6)]
+    assert [g.center_mask.bit_count() for g in above] == [2, 10, 1]
+    for g in [e.group for e in gl.catalog(256)] + above:
+        assert (g.center_mask, g.delta, g.involution_count, g.exponent) == _per_element_invariants(g), g.name
+
+
+def test_is_solvable_starts_from_the_derived_subgroup(monkeypatch):
+    # S4 > A4 > V4 > 1: with G' known, two more steps decide solvability
+    g = gl.symmetric(4)
+    assert g.derived_mask.bit_count() == 12
+    calls = []
+    derived_of = g._derived_of
+    monkeypatch.setattr(g, "_derived_of", lambda gens: calls.append(gens) or derived_of(gens))
+    assert g.is_solvable and len(calls) == 2

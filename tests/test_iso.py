@@ -81,6 +81,25 @@ def test_cap_enforced(monkeypatch):
         is_isomorphic(g, g)
 
 
+def test_equal_tables_give_the_identity_without_a_search(monkeypatch):
+    calls = []
+    search = iso._search
+    monkeypatch.setattr(iso, "_search", lambda *args: calls.append(args) or search(*args))
+    d12 = gl.dihedral(6)
+    found = is_isomorphic(d12, gl.dihedral(6))
+    assert found.map == tuple(range(12)) and calls == []
+    # a relabelled copy has another table, so the search runs
+    perm = [0, *range(11, 0, -1)]
+    other = gl.from_cayley_table(relabel([list(row) for row in d12.table], perm))
+    assert is_isomorphic(d12, other) is not None and len(calls) == 1
+
+
+def test_equal_tables_above_the_cap_are_refused():
+    g = gl.cyclic(iso.DEFAULT_ISO_CAP + 2)
+    with pytest.raises(GroupTooLarge):
+        is_isomorphic(g, g)
+
+
 def test_fingerprint_invariance():
     assert fingerprint(gl.cyclic(6)) == fingerprint(
         gl.direct_product(gl.cyclic(2), gl.cyclic(3))
