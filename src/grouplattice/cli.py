@@ -13,13 +13,19 @@ import json
 import sys
 from contextlib import contextmanager
 from importlib import import_module
+from itertools import islice
 from typing import Optional, Sequence
 
 from . import _EXPORTS, _HOME
 from .arith import divisor_lists, factorize
 from .core import dumps_group, read_group
 from .errors import CheckFailed, GroupError, GroupTooLarge, InputError, UsageError
+from .iso import DEFAULT_ISO_CAP
 from .lattice import DEFAULT_LATTICE_CAP, all_subgroups
+
+# verify orders refuses a scan past this --max-order: its divisor sieve
+# holds every divisor list, and 10^6 takes about 10 s at 233 MB
+ORDERS_MAX_ORDER = 1_000_000
 
 # The layers that lattice and degrees do not run (bounds, classify,
 # families) are imported on first use. A handler binds the names a layer
@@ -137,12 +143,20 @@ def _checked_max_order(max_order: int) -> int:
     return max_order
 
 
+def _catalog(max_order: int):
+    """catalog(max_order), refused above the isomorphism cap, where the
+    catalog cannot always decide whether two of its groups are isomorphic."""
+    if max_order > DEFAULT_ISO_CAP:
+        raise GroupTooLarge(f"a catalog to order {max_order} is over the isomorphism cap {DEFAULT_ISO_CAP}")
+    return catalog(max_order)
+
+
 def _run_catalog(args) -> int:
     if not args.list_entries:
         raise UsageError("catalog requires --list")
     max_order = _checked_max_order(args.max_order)
     _load_layers("families")
-    entries = catalog(max_order)
+    entries = _catalog(max_order)
     with _output(args.output) as out:
         for entry in entries:
             tags = ",".join(sorted(entry.known_tags)) or "-"
@@ -170,7 +184,10 @@ def _run_lattice(args) -> int:
     lattice = all_subgroups(_load_group(args.file))
     with _output(args.output) as out:
         if args.format == "dot":
-            out.writelines(lattice.export_dot())
+            # thousands of lines a write: C2^8 has 7,449,060 edges, and stdout may be unbuffered
+            lines = lattice.export_dot()
+            while chunk := "".join(islice(lines, 4096)):
+                out.write(chunk)
             return 0
         r = lattice.report()
         sequence = ",\n    ".join(map(str, r["degree_sequence"]))
@@ -200,7 +217,7 @@ def _run_degrees(args) -> int:
 
 
 def _report(verify, args) -> bool:
-    report = verify(catalog(args.max_order), args.max_order)
+    report = verify(_catalog(args.max_order), args.max_order)
     payload = {
         "theorem": report.theorem,
         "groups_checked": report.groups_checked,
@@ -283,6 +300,8 @@ def _run_lemma23(args) -> bool:
 def _run_orders(args) -> bool:
     # divisor analysis scan, no groups involved; the divisors of every n
     # come from one sieve
+    if args.max_order > ORDERS_MAX_ORDER:
+        raise GroupTooLarge(f"verify orders to {args.max_order} is over the budget of {ORDERS_MAX_ORDER}")
     violations = []
     for n in range(1, 12):
         if not candidate_orders(n).small_case:

@@ -47,10 +47,12 @@ number of members of O_R that K covers, so
 
     down(K) = sum over representatives R of |O_R| c(R -> O_K) / |O_K|,
 
-and edge_count = sum over R of |O_R| up(R). The edge lists themselves
-(upper, covers) are built on first access, and export_dot yields its
-lines from upper. closures counts the closures made for the
-representatives, orbits the orbits.
+and edge_count = sum over R of |O_R| up(R). The edge list upper is
+built on first access by transport: for the automorphism a of each
+mover, perm[i] is the index of a(H_i), and a walk on indices from the
+representatives gives each vertex first reached as perm[i] the covers
+perm[c] for c in upper[i]. covers and export_dot read upper. closures
+counts the closures made for the representatives, orbits the orbits.
 
 Size: the order cap DEFAULT_LATTICE_CAP is the only size rule. Inside it
 the largest lattice is that of C2^8, with 417,199 subgroups.
@@ -74,7 +76,7 @@ from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from .arith import factorize, is_prime, split_power
-from .core import _BITS, FiniteGroup, Subgroup, _mask_elements, compose_rows, extend_closure
+from .core import _BITS, FiniteGroup, Subgroup, compose_rows, extend_closure
 from .errors import CheckFailed, GroupError, GroupTooLarge
 from .iso import automorphisms
 
@@ -102,9 +104,9 @@ class SubgroupLattice:
     vertex of each orbit in index order need not be its representative.
     upper[i], the indices of the subgroups covering subgroup i in
     ascending order (the atoms of the interval [H_i, G]), is built on
-    first access by carrying the representatives' covers along their
-    orbits. closures counts the subgroup closures the walk computed,
-    orbits the orbits it found.
+    first access by carrying the representatives' covers along one
+    vertex permutation per mover. closures counts the subgroup closures
+    the walk computed, orbits the orbits it found.
     """
 
     def __init__(self, parent: FiniteGroup, orbit_of: dict[int, int], reps, members, movers, closures: int):
@@ -144,17 +146,23 @@ class SubgroupLattice:
 
     @cached_property
     def upper(self) -> tuple[tuple[int, ...], ...]:
-        """A member phi(R) of the orbit of a representative R has the upper
-        covers phi(C) for C a cover of R; the orbit walk is run again from
-        each R, carrying phi^-1, in place of keeping a map per member."""
-        index, upper = self._index, [()] * len(self.masks)
-        identity = bytes(range(self.parent.order))
-        for rep, covers in self._reps:
-            rep_vector = _vector(_mask_elements(rep), 256)
-            cover_vectors = [_vector(_mask_elements(c), 256) for c in covers]
-            for vector, psi in zip(*_orbit(identity, self._movers, rep_vector)):
-                images = (int(psi.translate(c)[::-1].translate(_BITS), 2) for c in cover_vectors)
-                upper[index[int(vector[::-1].translate(_BITS), 2)]] = tuple(sorted(index[m] for m in images))
+        """Transport along the movers (module docstring); each vertex's
+        table is made once for all the movers."""
+        index, upper = self._index, [None] * len(self.masks)
+        perms = [[] for _ in self._movers]
+        for mask in self.masks:
+            table = bin(mask)[:1:-1].ljust(256, "0").encode()  # ASCII bits: an image is int(image[::-1], 2)
+            for s, perm in zip(self._movers, perms):
+                perm.append(index[int(s.translate(table)[::-1], 2)])
+        frontier = [index[rep] for rep, _ in self._reps]
+        for i, (_, covers) in zip(frontier, self._reps):
+            upper[i] = tuple(sorted(map(index.__getitem__, covers)))
+        for i in frontier:
+            for perm in perms:
+                j = perm[i]
+                if upper[j] is None:
+                    upper[j] = tuple(sorted(map(perm.__getitem__, upper[i])))
+                    frontier.append(j)
         return tuple(upper)
 
     def __len__(self) -> int:
@@ -295,38 +303,28 @@ def _vector(elems, size: int) -> bytes:
     return bytes(vector)
 
 
-def _orbit(label: bytes, movers, rep: bytes | None = None) -> tuple[list[bytes], list[bytes]]:
+def _orbit(vector: bytes, movers) -> list[bytes]:
     """Breadth-first walk of the orbit of a subgroup under the group that
-    the movers generate: the membership vector and the label of each
-    member, n bytes each, in the order found.
+    the movers generate: the n-byte membership vector of each member, in
+    the order found.
 
     A mover is the inverse a^-1 of an automorphism a, as n bytes, and
     a^-1.translate(t) is the membership vector of a(S) when the 256-byte
-    table t is that of S padded with zeros. A label is the member's n-byte
-    vector; or, given the 256-byte vector rep of a subgroup R, the n-byte
-    inverse psi of a map phi that carries R onto the member, whose vector
-    is then psi.translate(rep). The mover a turns psi, padded with fixed
-    points, into (a phi)^-1 = a^-1.translate(psi) in the same way. Images
-    are hashed, compared and kept on their n bytes, and a member's label
-    is padded once, when the movers are applied to it.
-    A caller makes each member's mask once from its vector v, bit x being
-    byte x: int(v[::-1].translate(_BITS), 2)."""
-    n = len(label)
-    pad = bytes(256 - n) if rep is None else bytes(range(n, 256))
-    first = label if rep is None else label.translate(rep)
-    seen = {first}
-    vectors = [first]
-    frontier = [label]
-    for label in frontier:
-        table = label + pad
+    table t is that of S padded with zeros. Images are hashed, compared
+    and kept on their n bytes, and each member is padded once, when the
+    movers are applied to it. A caller makes each member's mask once from
+    its vector v, bit x being byte x: int(v[::-1].translate(_BITS), 2)."""
+    pad = bytes(256 - len(vector))
+    seen = {vector}
+    vectors = [vector]
+    for vector in vectors:
+        table = vector + pad
         for s in movers:
             image = s.translate(table)
-            vector = image if rep is None else image.translate(rep)
-            if vector not in seen:
-                seen.add(vector)
-                vectors.append(vector)
-                frontier.append(image)
-    return vectors, frontier
+            if image not in seen:
+                seen.add(image)
+                vectors.append(image)
+    return vectors
 
 
 def _movers(g: FiniteGroup) -> list[bytes]:
@@ -356,7 +354,7 @@ def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
     def register(k_mask: int, k_elems: tuple[int, ...], basis: tuple[int, ...]) -> None:
         """Number the orbit of K and queue K as its representative."""
         orbit = len(reps)
-        vectors, _ = _orbit(_vector(k_elems, n), movers)
+        vectors = _orbit(_vector(k_elems, n), movers)
         masks = [int(v[::-1].translate(_BITS), 2) for v in vectors]
         orbit_of.update(zip(masks, repeat(orbit)))
         members.append(masks)

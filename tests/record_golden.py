@@ -11,15 +11,17 @@ tests/golden_stdout.json. It also records the lattice-free commands
 `catalog --list`, `verify theorem-a` and `verify wall` at `--max-order
 256` and `verify orders --max-order 10000` (as the benchmark runs it),
 one sha256 of the per-vertex (mask, up-degree, down-degree) of every
-catalog(64) lattice, one sha256 of the (name, sorted tags,
+catalog(64) lattice, one sha256 of the per-vertex (mask, upper covers) of
+every catalog(64) lattice, one sha256 of the (name, sorted tags,
 order, table bytes) of every catalog(256) entry, one sha256 of those
 digests of catalog(m) for every m in 1..64, 128 and 256, one sha256 of
 the maps `iso.automorphisms` returns for every catalog(128) group, and
 the stdout of `construct symmetric 6` and `construct cyclic 300` (order
 above 256, so uint16 rows). The slow keys, which tests/test_golden.py checks only
 with GROUPLATTICE_SLOW=1, are the five lattice targets at `--max-order
-256` and `lattice --format dot` on C2^8, the largest lattice inside the
-order cap (about 2 minutes together). Record from a commit whose output
+256`, `lattice --format dot` on C2^8, the largest lattice inside the
+order cap, and the (mask, upper covers) digest of every catalog(256)
+lattice, C2^8's among them. Record from a commit whose output
 is known good, before a refactor:
 
     PYTHONPATH=src python tests/record_golden.py
@@ -47,6 +49,7 @@ GROUP_COMMANDS = (("lattice",), ("lattice", "--format", "dot"), ("degrees",))
 BIG_SEED = 3
 BIG_COMMANDS = (("lattice",), ("degrees",))
 VERTEX_DIGEST_KEY = "vertex (mask, up, down) of every catalog(64) lattice"
+UPPER_DIGEST_KEY = "vertex (mask, upper covers) of every catalog(64) lattice"
 CATALOG_ORDER = 256
 CATALOG_COMMANDS = (
     ("catalog", "--list", "--max-order", str(CATALOG_ORDER)),
@@ -63,6 +66,7 @@ CONSTRUCT_COMMANDS = (("construct", "symmetric", "6"), ("construct", "cyclic", "
 SLOW_TARGETS = ("theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21")  # the targets that build lattices
 SLOW_ORDER = 256
 SLOW_GROUP_COMMAND = ("C2^8", ("lattice", "--format", "dot"))
+SLOW_UPPER_DIGEST_KEY = f"vertex (mask, upper covers) of every catalog({SLOW_ORDER}) lattice"
 
 
 def argv_for(target: str, max_order: int = 64) -> list[str]:
@@ -119,6 +123,17 @@ def vertex_digest(lattices) -> dict:
             digest.update(f"{lattice.parent.name} {s.mask:x} {up} {down}\n".encode())
             vertices += 1
     return {"sha256": digest.hexdigest(), "vertices": vertices}
+
+
+def upper_digest(lattices) -> dict:
+    """sha256 of one line per vertex: group name, mask and the indices of
+    its upper covers."""
+    digest, edges = hashlib.sha256(), 0
+    for lattice in lattices:
+        for mask, above in zip(lattice.masks, lattice.upper):
+            digest.update(f"{lattice.parent.name} {mask:x} {' '.join(map(str, above))}\n".encode())
+            edges += len(above)
+    return {"sha256": digest.hexdigest(), "edges": edges}
 
 
 def catalog_digest(entries) -> dict:
@@ -206,6 +221,8 @@ def record() -> dict:
     golden[CATALOG_DIGEST_KEY] = catalog_digest(gl.catalog(CATALOG_ORDER))
     golden[CATALOG_BOUNDS_DIGEST_KEY] = catalog_bounds_digest()
     golden[VERTEX_DIGEST_KEY] = vertex_digest(gl.all_subgroups(e.group) for e in gl.catalog(64))
+    golden[UPPER_DIGEST_KEY] = upper_digest(gl.all_subgroups(e.group) for e in gl.catalog(64))
+    golden[SLOW_UPPER_DIGEST_KEY] = upper_digest(gl.all_subgroups(e.group) for e in gl.catalog(SLOW_ORDER))
     golden[AUTOMORPHISM_DIGEST_KEY] = automorphism_digest(gl.catalog(AUTOMORPHISM_ORDER))
     return golden
 

@@ -607,6 +607,26 @@ def test_verify_lattice_targets_stop_above_the_lattice_cap(capsys, target):
     assert "exceeds the lattice cap 256" in err
 
 
+def test_verify_orders_refuses_a_scan_over_budget(capsys):
+    # the divisor sieve would hold 10^6 + 1 lists; refused before it starts
+    code, out, err = run(capsys, "verify", "orders", "--max-order", "1000001")
+    assert (code, out) == (2, "")
+    assert err == "input error: verify orders to 1000001 is over the budget of 1000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("catalog", "--list"), ("verify", "theorem-a"), ("verify", "wall")], ids=" ".join
+)
+def test_catalog_commands_refuse_an_order_over_the_isomorphism_cap(capsys, monkeypatch, argv):
+    def no_catalog(max_order):
+        raise AssertionError("the catalog was built")
+
+    monkeypatch.setattr("grouplattice.cli.catalog", no_catalog, raising=False)
+    code, out, err = run(capsys, *argv, "--max-order", "513")
+    assert (code, out) == (2, "")
+    assert err == "input error: a catalog to order 513 is over the isomorphism cap 512\n"
+
+
 def test_verify_orders_scans_to_10000_by_default(capsys):
     code, out, _ = run(capsys, "verify", "orders")
     assert code == 0

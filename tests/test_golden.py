@@ -3,12 +3,14 @@ order 128), for `lattice`/`degrees` on six non-abelian groups and on the
 ten lattice-big tables, for `catalog --list`, `verify theorem-a` and
 `verify wall` at order 256, for `verify orders --max-order 10000`, for
 `construct symmetric 6` and `construct cyclic 300`, a digest of the
-per-vertex degrees of every catalog(64) lattice, a digest of every
+per-vertex degrees and one of the upper covers of every catalog(64)
+lattice, a digest of every
 catalog(256) entry's name, tags and table, the same digest of catalog(m)
 for every m in 1..64, 128 and 256, and a digest of the
 automorphisms found for every catalog(128) group: a guard for refactors.
 With GROUPLATTICE_SLOW=1 it also checks the five lattice targets at
-order 256 and `lattice --format dot` on C2^8, which take about 2 minutes.
+order 256, `lattice --format dot` on C2^8 and the upper covers of every
+catalog(256) lattice.
 
 tests/golden_stdout.json holds the sha256 of the stdout and the exit code
 of each run, recorded by tests/record_golden.py from a commit whose output
@@ -37,7 +39,9 @@ from record_golden import (
     SLOW_GROUP_COMMAND,
     SLOW_ORDER,
     SLOW_TARGETS,
+    SLOW_UPPER_DIGEST_KEY,
     TARGETS,
+    UPPER_DIGEST_KEY,
     VERTEX_DIGEST_KEY,
     WIDE_ORDER,
     WIDE_TARGETS,
@@ -51,6 +55,7 @@ from record_golden import (
     group_text,
     run,
     run_on_text,
+    upper_digest,
     vertex_digest,
 )
 
@@ -68,7 +73,8 @@ def test_golden_file_covers_every_verify_target():
     keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
     keys += [" ".join(command) for command in CATALOG_COMMANDS + BENCH_COMMANDS + CONSTRUCT_COMMANDS]
     keys += [" ".join(argv_for(t, SLOW_ORDER)) for t in SLOW_TARGETS] + [group_key(*SLOW_GROUP_COMMAND)]
-    digests = [VERTEX_DIGEST_KEY, CATALOG_DIGEST_KEY, CATALOG_BOUNDS_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY]
+    digests = [VERTEX_DIGEST_KEY, UPPER_DIGEST_KEY, SLOW_UPPER_DIGEST_KEY]
+    digests += [CATALOG_DIGEST_KEY, CATALOG_BOUNDS_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY]
     assert sorted(EXPECTED) == sorted(keys + digests)
 
 
@@ -101,6 +107,10 @@ def test_lattice_big_stdout_matches_golden(name, command):
 
 def test_vertex_degrees_match_golden(lattices64):
     assert vertex_digest(lattices64) == EXPECTED[VERTEX_DIGEST_KEY]
+
+
+def test_upper_covers_match_golden(lattices64):
+    assert upper_digest(lattices64) == EXPECTED[UPPER_DIGEST_KEY]
 
 
 @pytest.mark.parametrize("command", CATALOG_COMMANDS, ids=" ".join)
@@ -152,3 +162,11 @@ def test_c2_8_dot_matches_golden():
     name, command = SLOW_GROUP_COMMAND
     key = group_key(name, command)
     assert run_on_text(group_text(name), command) == EXPECTED[key], key
+
+
+@slow
+def test_upper_covers_at_order_256_match_golden():
+    import grouplattice as gl
+
+    lattices = (gl.all_subgroups(entry.group) for entry in gl.catalog(SLOW_ORDER))
+    assert upper_digest(lattices) == EXPECTED[SLOW_UPPER_DIGEST_KEY]
