@@ -87,6 +87,7 @@ _EXPORTS = {
         "from_permutation_generators",
         "generalized_dihedral",
         "heisenberg",
+        "iter_catalog",
         "semidirect",
         "symmetric",
         "trivial",

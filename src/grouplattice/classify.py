@@ -9,7 +9,7 @@ loudly instead of passing by silence.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .arith import factorize, split_power
 from .core import FiniteGroup, Subgroup, _mask_elements
@@ -282,7 +282,7 @@ def _without_lattices(entries: Iterable[CatalogEntry], max_order: int):
     return ((entry, None) for entry in _eligible(entries, max_order, solvable_only=False))
 
 
-def verify_theorem_1_1(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
+def verify_theorem_1_1(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Necessary direction only: every solvable group with a vertex of
     degree above |G|/2 - 1 must land in at least one of the seven
     families (Theorem A types restricted to I..IX)."""
@@ -305,7 +305,7 @@ def verify_theorem_1_1(entries: Sequence[CatalogEntry], max_order: int) -> Verif
     return _verify("theorem-1.1", lattice_sweep(entries, max_order), check)
 
 
-def verify_theorem_A(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
+def verify_theorem_A(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: delta(G) > |G|/2 - 1 iff G has a type I..X tag.
     Lattice-free; delta comes straight from element orders."""
 
@@ -326,7 +326,7 @@ def verify_theorem_A(entries: Sequence[CatalogEntry], max_order: int) -> Verific
     return _verify("theorem-a", _without_lattices(entries, max_order), check)
 
 
-def verify_wall(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
+def verify_wall(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: involution count above |G|/2 - 1 iff type I..IV."""
 
     def check(entry, _):
@@ -346,7 +346,7 @@ def verify_wall(entries: Sequence[CatalogEntry], max_order: int) -> Verification
     return _verify("wall", _without_lattices(entries, max_order), check)
 
 
-def verify_corollary_1_2(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
+def verify_corollary_1_2(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: a vertex of degree >= 3|G|/4 exists iff G is an
     elementary abelian 2-group, in integer form 4D >= 3n. The reverse
     direction starts at order 4: C2's single edge gives top degree
@@ -370,7 +370,7 @@ def verify_corollary_1_2(entries: Sequence[CatalogEntry], max_order: int) -> Ver
     return report._replace(notes=tuple(notes))
 
 
-def verify_corollary_1_3(entries: Sequence[CatalogEntry], max_order: int) -> VerificationReport:
+def verify_corollary_1_3(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: a vertex of degree exactly |G|/2 exists iff G is
     S3 x D8 x E (exp(E) <= 2), elementary abelian 2, C2^(s-1) x C4, or
     generalized extraspecial. Checked faithfully as stated, and as stated

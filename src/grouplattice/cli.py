@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from importlib import import_module
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _EXPORTS, _HOME
 from .arith import divisor_lists, factorize
@@ -101,6 +101,31 @@ def _output(path: Optional[str]):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+# lines a write. Stdout may be unbuffered, and C2^8 has 7,449,060 DOT
+# edges; 1024 bound records are about 190 KB, which a write holds twice
+# (joined and encoded), where 4096 raised verify lemma21's peak by 2 MB
+WRITE_BATCH = 1024
+
+
+def _write_lines(out, lines: Iterable[str]) -> None:
+    """Write the strings of lines to out, WRITE_BATCH of them a write. The
+    strings made before an exception are written before it propagates (a
+    list keeps what extend drew before the exception), so a run that
+    fails midway keeps every line it made."""
+    lines = iter(lines)
+    batch: list[str] = []
+    try:
+        while True:
+            batch.extend(islice(lines, WRITE_BATCH))
+            if len(batch) < WRITE_BATCH:
+                break
+            chunk = "".join(batch)
+            batch.clear()
+            out.write(chunk)
+    finally:
+        out.write("".join(batch))
+
+
 _CONSTRUCTORS = {
     "cyclic": (1, 1, lambda p: cyclic(p[0])),
     "abelian": (1, None, lambda p: abelian(p)),
@@ -144,11 +169,11 @@ def _checked_max_order(max_order: int) -> int:
 
 
 def _catalog(max_order: int):
-    """catalog(max_order), refused above the isomorphism cap, where the
+    """iter_catalog(max_order), refused above the isomorphism cap, where the
     catalog cannot always decide whether two of its groups are isomorphic."""
     if max_order > DEFAULT_ISO_CAP:
         raise GroupTooLarge(f"a catalog to order {max_order} is over the isomorphism cap {DEFAULT_ISO_CAP}")
-    return catalog(max_order)
+    return iter_catalog(max_order)
 
 
 def _run_catalog(args) -> int:
@@ -158,9 +183,10 @@ def _run_catalog(args) -> int:
     _load_layers("families")
     entries = _catalog(max_order)
     with _output(args.output) as out:
-        for entry in entries:
-            tags = ",".join(sorted(entry.known_tags)) or "-"
-            out.write(f"{entry.name} order={entry.group.order} tags={tags}\n")
+        _write_lines(
+            out,
+            (f"{e.name} order={e.group.order} tags={','.join(sorted(e.known_tags)) or '-'}\n" for e in entries),
+        )
     return 0
 
 
@@ -184,10 +210,7 @@ def _run_lattice(args) -> int:
     lattice = all_subgroups(_load_group(args.file))
     with _output(args.output) as out:
         if args.format == "dot":
-            # thousands of lines a write: C2^8 has 7,449,060 edges, and stdout may be unbuffered
-            lines = lattice.export_dot()
-            while chunk := "".join(islice(lines, 4096)):
-                out.write(chunk)
+            _write_lines(out, lattice.export_dot())
             return 0
         r = lattice.report()
         sequence = ",\n    ".join(map(str, r["degree_sequence"]))
@@ -200,19 +223,25 @@ def _run_lattice(args) -> int:
     return 0
 
 
-def _run_degrees(args) -> int:
-    g = _load_group(args.file)
-    lattice = all_subgroups(g)
-    profile = lattice.degree_profile()
-    vertices = ",\n".join(
-        f'    {{\n      "order": {s.order},\n      "degree": {d},\n      "down": {lo},\n      "up": {hi}\n    }}'
-        for s, d, lo, hi in zip(lattice.subgroups, profile.degrees, profile.down, profile.up)
-    )
-    with _output(args.output) as out:
-        out.write(
-            f'{{\n  "group": {_string(g.name)},\n  "order": {g.order},\n  "vertices": [\n{vertices}\n  ],\n'
-            f'  "max_degree": {max(profile.degrees)}\n}}\n'
+def _degree_lines(lattice):
+    """The degrees report, as json.dumps with indent=2 writes it, one
+    vertex record a string; each order is its mask's bit count."""
+    g, profile = lattice.parent, lattice.degree_profile()
+    yield f'{{\n  "group": {_string(g.name)},\n  "order": {g.order},\n  "vertices": [\n'
+    separator = ""
+    for mask, d, lo, hi in zip(lattice.masks, profile.degrees, profile.down, profile.up):
+        yield (
+            f'{separator}    {{\n      "order": {mask.bit_count()},\n      "degree": {d},\n'
+            f'      "down": {lo},\n      "up": {hi}\n    }}'
         )
+        separator = ",\n"
+    yield f'\n  ],\n  "max_degree": {max(profile.degrees)}\n}}\n'
+
+
+def _run_degrees(args) -> int:
+    lattice = all_subgroups(_load_group(args.file))
+    with _output(args.output) as out:
+        _write_lines(out, _degree_lines(lattice))
     return 0
 
 
@@ -274,16 +303,21 @@ def _sweep(records_of, args) -> bool:
     from .classify import lattice_sweep
 
     passed = True
-    with _output(args.output) as out:
-        for entry, lattice in lattice_sweep(catalog(args.max_order), args.max_order):
+
+    def lines():
+        nonlocal passed
+        for entry, lattice in lattice_sweep(iter_catalog(args.max_order), args.max_order):
             if isinstance(lattice, GroupTooLarge):
                 why = _string(str(lattice))
-                out.write(f'{{"group":{_string(entry.name)},"order":{entry.group.order},"undecided":{why}}}\n')
+                yield f'{{"group":{_string(entry.name)},"order":{entry.group.order},"undecided":{why}}}\n'
                 passed = False
                 continue
             for line, holds in records_of(entry, lattice):
-                out.write(line + "\n")
+                yield line + "\n"
                 passed = passed and holds
+
+    with _output(args.output) as out:
+        _write_lines(out, lines())
     return passed
 
 
@@ -292,8 +326,7 @@ def _run_lemma23(args) -> bool:
         raise UsageError("lemma23 needs --prime-bound >= 5 and --exp-bound >= 1")
     reports = lemma_2_3_scan(args.prime_bound, args.exp_bound)
     with _output(args.output) as out:
-        for rep in reports:
-            out.write(_bound_line("-", 0, rep) + "\n")
+        _write_lines(out, (_bound_line("-", 0, rep) + "\n" for rep in reports))
     return all(rep.holds for rep in reports)
 
 

@@ -5,15 +5,19 @@ and the closure of a set of permutations. Every constructor returns a fully vali
 of products and extensions are built a row at a time, by slicing the
 identity row and composing rows (core.compose_rows, and core.compose_each
 where many rows are composed with one).
+
+The catalog is a list of recipes, each with the order of its group, and
+iter_catalog builds and deduplicates it one order at a time, so a caller
+that keeps no entry holds one order's groups, not the whole catalog.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
-from itertools import chain
-from operator import add
-from typing import Iterable, NamedTuple, Optional, Sequence
+from functools import cache, lru_cache, partial, reduce
+from itertools import chain, groupby
+from operator import add, itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import abelian_type_list, is_prime, primes_upto, require_int, require_prime
 from .core import (
@@ -393,148 +397,182 @@ class CatalogEntry(NamedTuple):
     known_tags: frozenset[str]
 
 
-def _swap_action(p: int) -> list[int]:
-    # coordinate swap on C_p x C_p indexed a*p + b
-    return [(v % p) * p + v // p for v in range(p * p)]
+def _dihedral_of_type(typ: tuple[int, ...]) -> FiniteGroup:
+    # built from A's rows: A is the index-2 subgroup of Dih(A), so
+    # validating Dih(A) also validates A's table
+    rows = _abelian_rows(typ)
+    name = "x".join(f"C{f}" for f in typ)
+    return FiniteGroup(_dihedral_rows(rows, [row.index(0) for row in rows]), name=f"D({name})")
 
 
-def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
-    """All isomorphism types through order min(max_order, 15), plus named
-    family representatives up to max_order, pairwise non-isomorphic.
+def _times_c2_power(seed: Callable[[], FiniteGroup], k: int) -> FiniteGroup:
+    """seed() x C2^k in one table, as _times_c2 applied k times gives it
+    (product indexing is associative), with one validation."""
+    g = seed()
+    if not k:
+        return g
+    return FiniteGroup(_product_rows(g.table, _abelian_rows([2] * k)), name=g.name + "xC2" * k)
 
-    Raises GroupTooLarge only if two groups with the same element orders
-    meet above the isomorphism cap (iso.DEFAULT_ISO_CAP)."""
-    require_int(max_order, "max_order", 1)
-    found: list[tuple[FiniteGroup, set[str]]] = []
-    # isomorphic groups have equal sorted element orders, so a group is
-    # compared only with the earlier groups that share them
-    by_orders: dict[tuple[int, ...], list[tuple[FiniteGroup, set[str]]]] = {}
 
-    def add(g: FiniteGroup, *tags: str) -> Optional[tuple[FiniteGroup, set[str]]]:
-        """Enter g with its tags, or add them to the earlier entry it is
-        isomorphic to; either way give the kept entry (None above
-        max_order)."""
-        if g.order > max_order:
-            return None
-        bucket = by_orders.setdefault(tuple(sorted(g.element_orders)), [])
-        for kept in bucket:
-            if is_isomorphic(kept[0], g) is not None:
-                kept[1].update(tags)
-                return kept
-        bucket.append((g, set(tags)))
-        found.append(bucket[-1])
-        return bucket[-1]
+def _cpn_c2(p: int, nexp: int) -> FiniteGroup:
+    name = f"C{p}" if nexp == 1 else f"C{p}^{nexp}"
+    return FiniteGroup(_product_rows(_abelian_rows([p] * nexp), _cyclic_rows(2)), name=f"{name}xC2")
 
-    small = min(max_order, 15)
-    for n in range(1, small + 1):
-        add(cyclic(n), "small-order")
-    extras = {
-        4: [lambda: abelian([2, 2])],
-        6: [lambda: symmetric(3)],
-        8: [
-            lambda: abelian([2, 4]),
-            lambda: elementary_abelian(2, 3),
-            lambda: dihedral(4),
-            lambda: dicyclic(2),
-        ],
-        9: [lambda: abelian([3, 3])],
-        10: [lambda: dihedral(5)],
-        12: [
-            lambda: abelian([2, 6]),
-            lambda: theorem_a_group("F7_D12", 6, 0),
-            lambda: dicyclic(3),
-            lambda: alternating(4),
-        ],
-        14: [lambda: dihedral(7)],
-    }
-    for n, builders in extras.items():
-        if n <= small:
-            for build in builders:
-                add(build(), "small-order")
+
+def _cp2_swap(p: int) -> FiniteGroup:
+    """C_p^2 : C2, the involution swapping the coordinates of C_p x C_p
+    (indexed a*p + b)."""
+    swap = [(v % p) * p + v // p for v in range(p * p)]
+    return FiniteGroup(_semidirect_rows(_abelian_rows([p, p]), swap, 2), name=f"C{p}^2:C2swap")
+
+
+_Recipe = tuple[int, Callable[[], FiniteGroup], tuple[str, ...]]
+
+
+def _recipes(max_order: int) -> list[_Recipe]:
+    """The catalog's groups up to max_order as (order, build, tags), in the
+    order they are entered. Each order is known without building its
+    group, and a group isomorphic to an earlier one of the same order
+    gives that one its tags."""
+    recipes: list[_Recipe] = []
+
+    def add(order: int, build: Callable[[], FiniteGroup], *tags: str) -> None:
+        if order <= max_order:
+            recipes.append((order, build, tags))
+
+    for n in range(1, 16):
+        add(n, partial(cyclic, n), "small-order")
+    # the small-order D8 is the entry Dih(C4) merges into, and the D8
+    # factor of the seeds below
+    d8 = cache(partial(dihedral, 4))
+    extras = [
+        (4, partial(abelian, [2, 2])),
+        (6, partial(symmetric, 3)),
+        (8, partial(abelian, [2, 4])),
+        (8, partial(elementary_abelian, 2, 3)),
+        (8, d8),
+        (8, partial(dicyclic, 2)),
+        (9, partial(abelian, [3, 3])),
+        (10, partial(dihedral, 5)),
+        (12, partial(abelian, [2, 6])),
+        (12, partial(theorem_a_group, "F7_D12", 6, 0)),
+        (12, partial(dicyclic, 3)),
+        (12, partial(alternating, 4)),
+        (14, partial(dihedral, 7)),
+    ]
+    for n, build in extras:
+        add(n, build, "small-order")
 
     k = 1
-    elementary = {}  # k -> the entry of C2^k
     while 2 ** k <= max_order:
-        elementary[k] = add(elementary_abelian(2, k), "elementary-abelian-2")
+        # Dih(C2^(k-1)) is not built: C2^(k-1) has exponent at most 2, so
+        # inversion fixes it, the involution centralizes it and
+        # Dih(C2^(k-1)) = C2^(k-1) x C2 = C2^k
+        add(2 ** k, partial(elementary_abelian, 2, k), "elementary-abelian-2", "generalized-dihedral")
         k += 1
     s = 1
     while 2 ** (s + 1) <= max_order:
-        add(abelian([2] * (s - 1) + [4]), "c2s-c4")
+        add(2 ** (s + 1), partial(abelian, [2] * (s - 1) + [4]), "c2s-c4")
         s += 1
-    dihedral_of = {}  # abelian type of A -> the entry of Dih(A)
     for a_order in range(1, max_order // 2 + 1):
         for typ in abelian_type_list(a_order):
             if set(typ) <= {2}:
-                # A = C2^k has exponent at most 2: inversion fixes A, so the
-                # involution centralizes it and Dih(A) = A x C2 = C2^(k+1)
-                elementary[len(typ) + 1][1].add("generalized-dihedral")
-                continue
-            # built from A's rows: A is the index-2 subgroup of Dih(A), so
-            # validating Dih(A) also validates A's table
-            rows = _abelian_rows(typ)
-            name = "x".join(f"C{f}" for f in typ)
-            g = FiniteGroup(_dihedral_rows(rows, [row.index(0) for row in rows]), name=f"D({name})")
-            odd_elementary = len(set(typ)) == 1 and typ[0] > 2 and is_prime(typ[0])
-            dihedral_of[typ] = add(g, "generalized-dihedral", *("cpn-c2",) * odd_elementary)
+                continue  # C2^(k+1) above
+            tags = ["generalized-dihedral"]
+            if len(set(typ)) == 1 and typ[0] > 2 and is_prime(typ[0]):
+                tags.append("cpn-c2")
+            if set(typ[:-1]) <= {2} and typ[-1] == 4:
+                # D8 x E = Dih(C4 x E) for E of exponent 2: the involution
+                # inverts E, that is centralizes it, so E is central, meets
+                # Dih(C4) = D8 trivially and splits off. So the D8 seed
+                # chain is not built, and these entries carry its tag.
+                tags.append("generalized-extraspecial-seed")
+            add(2 * a_order, partial(_dihedral_of_type, typ), *tags)
     r = 1
     while 2 ** (2 * r + 1) <= max_order:
-        add(theorem_a_group("III", r, 0), "wall-H", "generalized-extraspecial-seed")
-        add(theorem_a_group("IV", r, 0), "wall-S")
+        add(2 ** (2 * r + 1), partial(theorem_a_group, "III", r, 0), "wall-H", "generalized-extraspecial-seed")
+        add(2 ** (2 * r + 1), partial(theorem_a_group, "IV", r, 0), "wall-S")
         r += 1
     r = 1
     while 3 * 4 ** r <= max_order:
-        add(theorem_a_group("V", r, 0), "wall-T")
+        add(3 * 4 ** r, partial(theorem_a_group, "V", r, 0), "wall-T")
         r += 1
-    if max_order >= 8:
-        # D8 x E = Dih(C4 x E) for E of exponent 2: the involution inverts
-        # E, that is centralizes it, so E is central, meets Dih(C4) = D8
-        # trivially and splits off. So the D8 chain is the Dih(C4 x C2^k)
-        # entries, which the loop above entered.
+    # each seed is built once, and each member of its chain is seed x C2^k
+    q8 = cache(partial(dicyclic, 2))
+    seeds = [
+        (8, q8),
+        (16, cache(lambda: central_product(d8(), cyclic(4)))),
+        (32, cache(lambda: central_product(d8(), d8()))),
+        (32, cache(lambda: central_product(d8(), q8()))),
+    ]
+    for order, seed in seeds:
         k = 0
-        while 8 << k <= max_order:
-            dihedral_of[(2,) * k + (4,)][1].add("generalized-extraspecial-seed")
+        while order << k <= max_order:
+            add(order << k, partial(_times_c2_power, seed, k), "generalized-extraspecial-seed")
             k += 1
-        # the kept D8 is the small-order dihedral(4)
-        d8, q8 = dihedral_of[(4,)][0], dicyclic(2)
-        seeds = [q8]
-        if max_order >= 16:
-            seeds.append(central_product(d8, cyclic(4)))
-        if max_order >= 32:
-            seeds.append(central_product(d8, d8))
-            seeds.append(central_product(d8, q8))
-        for seed in seeds:
-            g = seed
-            add(g, "generalized-extraspecial-seed")
-            while g.order * 2 <= max_order:
-                g = _times_c2(g)
-                add(g, "generalized-extraspecial-seed")
-    k = 1
-    while 3 ** k <= max_order and k <= 3:
-        add(elementary_abelian(3, k), "exponent-3")
-        k += 1
-    if max_order >= 27:
-        add(heisenberg(3), "exponent-3")
-    c2 = _cyclic_rows(2)
+    for k in (1, 2, 3):
+        add(3 ** k, partial(elementary_abelian, 3, k), "exponent-3")
+    add(27, partial(heisenberg, 3), "exponent-3")
     for p in primes_upto(max_order // 2):
         if p == 2:
             continue
         nexp = 1
         while 2 * p ** nexp <= max_order:
-            rows, name = _abelian_rows([p] * nexp), f"C{p}" if nexp == 1 else f"C{p}^{nexp}"
-            add(FiniteGroup(_product_rows(rows, c2), name=f"{name}xC2"), "cpn-c2")
+            add(2 * p ** nexp, partial(_cpn_c2, p, nexp), "cpn-c2")
             if nexp == 2:
-                add(FiniteGroup(_semidirect_rows(rows, _swap_action(p), 2), name=f"{name}:C2swap"), "cpn-c2")
+                add(2 * p * p, partial(_cp2_swap, p), "cpn-c2")
             nexp += 1
-    if max_order >= 36:
-        add(theorem_a_group("VIII", 0, 0), "s3xs3")
+    add(36, partial(theorem_a_group, "VIII", 0, 0), "s3xs3")
     e = 0
     while 48 << e <= max_order:
-        add(theorem_a_group("VII", 0, e), "s3xd8xE")
+        add(48 << e, partial(theorem_a_group, "VII", 0, e), "s3xd8xE")
         e += 1
-    if max_order >= 24:
-        add(theorem_a_group("IX", 0, 0), "s4")
-    if max_order >= 60:
-        add(theorem_a_group("X", 0, 0), "a5")
+    add(24, partial(theorem_a_group, "IX", 0, 0), "s4")
+    add(60, partial(theorem_a_group, "X", 0, 0), "a5")
+    return recipes
 
-    found.sort(key=lambda pair: (pair[0].order, pair[0].name))
-    return tuple(CatalogEntry(name=g.name, group=g, known_tags=frozenset(tags)) for g, tags in found)
+
+def _order_entries(recipes: Iterable[_Recipe]) -> list[CatalogEntry]:
+    """Build the recipes of one order, enter each group with its tags or
+    add them to the earlier group it is isomorphic to, and give the kept
+    groups sorted by name (stable, so in entry order on equal names)."""
+    kept: list[tuple[FiniteGroup, set[str]]] = []
+    # isomorphic groups have equal sorted element orders, so a group is
+    # compared only with the earlier groups that share them
+    by_orders: dict[tuple[int, ...], list[tuple[FiniteGroup, set[str]]]] = {}
+    for _, build, tags in recipes:
+        g = build()
+        bucket = by_orders.setdefault(tuple(sorted(g.element_orders)), [])
+        for h, h_tags in bucket:
+            if is_isomorphic(h, g) is not None:
+                h_tags.update(tags)
+                break
+        else:
+            bucket.append((g, set(tags)))
+            kept.append(bucket[-1])
+    kept.sort(key=lambda pair: pair[0].name)
+    return [CatalogEntry(name=g.name, group=g, known_tags=frozenset(tags)) for g, tags in kept]
+
+
+def iter_catalog(max_order: int) -> Iterator[CatalogEntry]:
+    """The entries of catalog(max_order), in its order, made one group
+    order at a time: each order's groups are built and deduplicated after
+    the previous order's entries have been yielded. So a caller that does
+    not keep the entries holds one order's groups, the memoised Theorem A
+    groups and the chain seeds: to order 256, at most 2.0 MB at a time
+    (tracemalloc), where catalog(256) holds 9.8 MB. max_order is checked
+    when this is called."""
+    require_int(max_order, "max_order", 1)
+    # a stable sort, so each order's recipes stay in entry order
+    orders = groupby(sorted(_recipes(max_order), key=itemgetter(0)), key=itemgetter(0))
+    return chain.from_iterable(_order_entries(same_order) for _, same_order in orders)
+
+
+def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
+    """All isomorphism types through order min(max_order, 15), plus named
+    family representatives up to max_order, pairwise non-isomorphic,
+    sorted by (order, name): the whole of iter_catalog(max_order).
+
+    Raises GroupTooLarge only if two groups with the same element orders
+    meet above the isomorphism cap (iso.DEFAULT_ISO_CAP)."""
+    return tuple(iter_catalog(max_order))

@@ -20,8 +20,9 @@ the stdout of `construct symmetric 6` and `construct cyclic 300` (order
 above 256, so uint16 rows). The slow keys, which tests/test_golden.py checks only
 with GROUPLATTICE_SLOW=1, are the five lattice targets at `--max-order
 256`, `lattice --format dot` on C2^8, the largest lattice inside the
-order cap, and the (mask, upper covers) digest of every catalog(256)
-lattice, C2^8's among them. Record from a commit whose output
+order cap, the (mask, upper covers) digest of every catalog(256)
+lattice, C2^8's among them, and `catalog --list --max-order 512`, the
+largest catalog the CLI builds (the isomorphism cap). Record from a commit whose output
 is known good, before a refactor:
 
     PYTHONPATH=src python tests/record_golden.py
@@ -67,6 +68,7 @@ SLOW_TARGETS = ("theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21")  # the
 SLOW_ORDER = 256
 SLOW_GROUP_COMMAND = ("C2^8", ("lattice", "--format", "dot"))
 SLOW_UPPER_DIGEST_KEY = f"vertex (mask, upper covers) of every catalog({SLOW_ORDER}) lattice"
+SLOW_CATALOG_COMMAND = ("catalog", "--list", "--max-order", "512")
 
 
 def argv_for(target: str, max_order: int = 64) -> list[str]:
@@ -216,6 +218,7 @@ def record() -> dict:
         golden[" ".join(argv_for(t, SLOW_ORDER))] = run(argv_for(t, SLOW_ORDER))
     name, command = SLOW_GROUP_COMMAND
     golden[group_key(name, command)] = run_on_text(group_text(name), command)
+    golden[" ".join(SLOW_CATALOG_COMMAND)] = run(list(SLOW_CATALOG_COMMAND))
     import grouplattice as gl
 
     golden[CATALOG_DIGEST_KEY] = catalog_digest(gl.catalog(CATALOG_ORDER))

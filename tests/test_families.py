@@ -1,6 +1,8 @@
 """Group constructors and the group catalog."""
 
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -469,6 +471,43 @@ def test_catalog_shares_the_theorem_a_groups():
 def test_catalog_rejects_bad_bound():
     with pytest.raises(GroupError):
         gl.catalog(0)
+    with pytest.raises(GroupError):
+        gl.iter_catalog(0)  # checked when called, not on the first entry
+
+
+def test_iter_catalog_is_the_catalog():
+    def key(entries):
+        return [(e.name, e.known_tags, e.group.table) for e in entries]
+
+    assert key(gl.iter_catalog(64)) == key(gl.catalog(64))
+
+
+# the catalog(128) groups that outlive their order: the memoised Theorem A
+# groups it keeps (D12, S4, S3xS3, S3xD8xC2^e, A5 and the wall groups), and
+# the seeds of the D8*X chains, D8 being also their factor, while the stream
+# runs
+MEMO_128 = {"D12", "S4", "S3xS3", "S3xD8", "S3xD8xC2", "A5", "H(2)", "S(2)", "H(3)", "S(3)", "T(2)"}
+SHARED_128 = MEMO_128 | {"D8", "D8*C4", "D8*Q8"}
+
+
+def test_iter_catalog_holds_one_order_at_a_time():
+    # when the first entry of an order arrives, the groups of earlier orders
+    # that the caller did not keep are gone, apart from the shared ones
+    earlier, current, order = [], [], None
+    for entry in gl.iter_catalog(128):
+        if entry.group.order != order:
+            gc.collect()
+            earlier += current
+            current = []
+            alive = {ref().name for ref in earlier if ref() is not None}
+            assert alive <= SHARED_128, (entry.group.order, alive - SHARED_128)
+            assert len(alive) <= 12, entry.group.order
+            order = entry.group.order
+        current.append(weakref.ref(entry.group))
+    del entry
+    gc.collect()
+    alive = {ref().name for ref in earlier + current if ref() is not None}
+    assert alive == MEMO_128
 
 
 def test_catalog_monotone():

@@ -9,8 +9,8 @@ catalog(256) entry's name, tags and table, the same digest of catalog(m)
 for every m in 1..64, 128 and 256, and a digest of the
 automorphisms found for every catalog(128) group: a guard for refactors.
 With GROUPLATTICE_SLOW=1 it also checks the five lattice targets at
-order 256, `lattice --format dot` on C2^8 and the upper covers of every
-catalog(256) lattice.
+order 256, `lattice --format dot` on C2^8, the upper covers of every
+catalog(256) lattice and `catalog --list --max-order 512`.
 
 tests/golden_stdout.json holds the sha256 of the stdout and the exit code
 of each run, recorded by tests/record_golden.py from a commit whose output
@@ -36,6 +36,7 @@ from record_golden import (
     GOLDEN,
     GROUP_COMMANDS,
     GROUPS,
+    SLOW_CATALOG_COMMAND,
     SLOW_GROUP_COMMAND,
     SLOW_ORDER,
     SLOW_TARGETS,
@@ -73,6 +74,7 @@ def test_golden_file_covers_every_verify_target():
     keys += [big_key(name, command) for name in big_texts() for command in BIG_COMMANDS]
     keys += [" ".join(command) for command in CATALOG_COMMANDS + BENCH_COMMANDS + CONSTRUCT_COMMANDS]
     keys += [" ".join(argv_for(t, SLOW_ORDER)) for t in SLOW_TARGETS] + [group_key(*SLOW_GROUP_COMMAND)]
+    keys += [" ".join(SLOW_CATALOG_COMMAND)]
     digests = [VERTEX_DIGEST_KEY, UPPER_DIGEST_KEY, SLOW_UPPER_DIGEST_KEY]
     digests += [CATALOG_DIGEST_KEY, CATALOG_BOUNDS_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY]
     assert sorted(EXPECTED) == sorted(keys + digests)
@@ -170,3 +172,10 @@ def test_upper_covers_at_order_256_match_golden():
 
     lattices = (gl.all_subgroups(entry.group) for entry in gl.catalog(SLOW_ORDER))
     assert upper_digest(lattices) == EXPECTED[SLOW_UPPER_DIGEST_KEY]
+
+
+@slow
+def test_catalog_list_at_512_matches_golden():
+    # the largest catalog the CLI builds, streamed one order at a time
+    key = " ".join(SLOW_CATALOG_COMMAND)
+    assert run(list(SLOW_CATALOG_COMMAND)) == EXPECTED[key], key
