@@ -13,8 +13,8 @@ import json
 import sys
 from contextlib import contextmanager
 from importlib import import_module
-from itertools import islice
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 from . import _EXPORTS, _HOME
 from .arith import divisor_lists, factorize
@@ -90,40 +90,28 @@ def _output(path: Optional[str]):
     """Stdout, or the file at path opened for writing. Each command opens
     its output once, after its arguments and input are checked, and writes
     as it goes, so a run that fails midway keeps the lines it wrote. An
-    OSError while opening or writing the file is an input error."""
+    OSError while opening or writing the file is an input error.
+
+    Writes to stdout are buffered while the command runs, also when stdout
+    is unbuffered (PYTHONUNBUFFERED, python -u), where each record would
+    be a system call of its own; the buffer is flushed when the command
+    ends, also when it fails."""
     if path is None:
-        yield sys.stdout
+        out = sys.stdout
+        write_through = getattr(out, "write_through", False)
+        if write_through:
+            out.reconfigure(write_through=False)
+        try:
+            yield out
+        finally:
+            if write_through:
+                out.reconfigure(write_through=True)  # flushes first
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
-
-
-# lines a write. Stdout may be unbuffered, and C2^8 has 7,449,060 DOT
-# edges; 1024 bound records are about 190 KB, which a write holds twice
-# (joined and encoded), where 4096 raised verify lemma21's peak by 2 MB
-WRITE_BATCH = 1024
-
-
-def _write_lines(out, lines: Iterable[str]) -> None:
-    """Write the strings of lines to out, WRITE_BATCH of them a write. The
-    strings made before an exception are written before it propagates (a
-    list keeps what extend drew before the exception), so a run that
-    fails midway keeps every line it made."""
-    lines = iter(lines)
-    batch: list[str] = []
-    try:
-        while True:
-            batch.extend(islice(lines, WRITE_BATCH))
-            if len(batch) < WRITE_BATCH:
-                break
-            chunk = "".join(batch)
-            batch.clear()
-            out.write(chunk)
-    finally:
-        out.write("".join(batch))
 
 
 _CONSTRUCTORS = {
@@ -169,11 +157,14 @@ def _checked_max_order(max_order: int) -> int:
 
 
 def _catalog(max_order: int):
-    """iter_catalog(max_order), refused above the isomorphism cap, where the
-    catalog cannot always decide whether two of its groups are isomorphic."""
+    """The entries of catalog(max_order), one catalog call an order, so
+    that a process holds one order's groups and each order's build is a
+    call of catalog (perfbench/traced_op.py times that name). Refused
+    above the isomorphism cap, where the catalog cannot always decide
+    whether two of its groups are isomorphic."""
     if max_order > DEFAULT_ISO_CAP:
         raise GroupTooLarge(f"a catalog to order {max_order} is over the isomorphism cap {DEFAULT_ISO_CAP}")
-    return iter_catalog(max_order)
+    return chain.from_iterable(catalog(n, n) for n in range(1, max_order + 1))
 
 
 def _run_catalog(args) -> int:
@@ -183,10 +174,9 @@ def _run_catalog(args) -> int:
     _load_layers("families")
     entries = _catalog(max_order)
     with _output(args.output) as out:
-        _write_lines(
-            out,
-            (f"{e.name} order={e.group.order} tags={','.join(sorted(e.known_tags)) or '-'}\n" for e in entries),
-        )
+        for entry in entries:
+            tags = ",".join(sorted(entry.known_tags)) or "-"
+            out.write(f"{entry.name} order={entry.group.order} tags={tags}\n")
     return 0
 
 
@@ -210,7 +200,7 @@ def _run_lattice(args) -> int:
     lattice = all_subgroups(_load_group(args.file))
     with _output(args.output) as out:
         if args.format == "dot":
-            _write_lines(out, lattice.export_dot())
+            out.writelines(lattice.export_dot())
             return 0
         r = lattice.report()
         sequence = ",\n    ".join(map(str, r["degree_sequence"]))
@@ -241,7 +231,7 @@ def _degree_lines(lattice):
 def _run_degrees(args) -> int:
     lattice = all_subgroups(_load_group(args.file))
     with _output(args.output) as out:
-        _write_lines(out, _degree_lines(lattice))
+        out.writelines(_degree_lines(lattice))
     return 0
 
 
@@ -303,21 +293,16 @@ def _sweep(records_of, args) -> bool:
     from .classify import lattice_sweep
 
     passed = True
-
-    def lines():
-        nonlocal passed
-        for entry, lattice in lattice_sweep(iter_catalog(args.max_order), args.max_order):
+    with _output(args.output) as out:
+        for entry, lattice in lattice_sweep(_catalog(args.max_order), args.max_order):
             if isinstance(lattice, GroupTooLarge):
                 why = _string(str(lattice))
-                yield f'{{"group":{_string(entry.name)},"order":{entry.group.order},"undecided":{why}}}\n'
+                out.write(f'{{"group":{_string(entry.name)},"order":{entry.group.order},"undecided":{why}}}\n')
                 passed = False
                 continue
             for line, holds in records_of(entry, lattice):
-                yield line + "\n"
+                out.write(line + "\n")
                 passed = passed and holds
-
-    with _output(args.output) as out:
-        _write_lines(out, lines())
     return passed
 
 
@@ -326,7 +311,8 @@ def _run_lemma23(args) -> bool:
         raise UsageError("lemma23 needs --prime-bound >= 5 and --exp-bound >= 1")
     reports = lemma_2_3_scan(args.prime_bound, args.exp_bound)
     with _output(args.output) as out:
-        _write_lines(out, (_bound_line("-", 0, rep) + "\n" for rep in reports))
+        for rep in reports:
+            out.write(_bound_line("-", 0, rep) + "\n")
     return all(rep.holds for rep in reports)
 
 

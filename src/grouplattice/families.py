@@ -6,20 +6,21 @@ of products and extensions are built a row at a time, by slicing the
 identity row and composing rows (core.compose_rows, and core.compose_each
 where many rows are composed with one).
 
-The catalog is a list of recipes, each with the order of its group, and
-iter_catalog builds and deduplicates it one order at a time, so a caller
-that keeps no entry holds one order's groups, not the whole catalog.
+The catalog lists, for each group order, the recipes of its groups, and
+builds and deduplicates one order at a time: iter_catalog yields each
+order's entries before it builds the next order, so a caller that keeps
+no entry holds one order's groups, not the whole catalog.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache, lru_cache, partial, reduce
-from itertools import chain, groupby
-from operator import add, itemgetter
+from itertools import chain
+from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .arith import abelian_type_list, is_prime, primes_upto, require_int, require_prime
+from .arith import abelian_type_list, factorize, is_prime, require_int, require_prime
 from .core import (
     FiniteGroup,
     check_cap,
@@ -356,10 +357,14 @@ def trivial() -> FiniteGroup:
     return cyclic(1)
 
 
-def _times_c2(g: FiniteGroup) -> FiniteGroup:
-    """g x C2, with C2 built as rows and validated only inside the product."""
-    check_cap(2 * g.order)
-    return FiniteGroup(_product_rows(g.table, _cyclic_rows(2)), name=f"{g.name}xC2")
+def _times_c2_power(g: FiniteGroup, k: int) -> FiniteGroup:
+    """g x C2^k in one table, with C2^k built as rows and validated only
+    inside the product. Product indexing is associative, so this is the
+    table that taking the product with C2 k times gives."""
+    if not k:
+        return g
+    check_cap(g.order << k)
+    return FiniteGroup(_product_rows(g.table, _abelian_rows([2] * k)), name=g.name + "xC2" * k)
 
 
 # the base groups of classify.recognize's comparisons: Theorem A subtypes
@@ -381,11 +386,9 @@ _THEOREM_A_BASES = {
 @lru_cache(maxsize=None)
 def theorem_a_group(subtype: str, param: int, edim: int) -> FiniteGroup:
     """The base group of a recipe times C2^edim, built once per process;
-    the catalog and the recognizers share it. The edim group is the
-    edim - 1 group times C2: product indexing is associative, so this is
-    the table of the product with C2^edim."""
+    the catalog and the recognizers share it."""
     if edim:
-        return _times_c2(theorem_a_group(subtype, param, edim - 1))
+        return _times_c2_power(theorem_a_group(subtype, param, 0), edim)
     return _THEOREM_A_BASES[subtype](param)
 
 
@@ -405,15 +408,6 @@ def _dihedral_of_type(typ: tuple[int, ...]) -> FiniteGroup:
     return FiniteGroup(_dihedral_rows(rows, [row.index(0) for row in rows]), name=f"D({name})")
 
 
-def _times_c2_power(seed: Callable[[], FiniteGroup], k: int) -> FiniteGroup:
-    """seed() x C2^k in one table, as _times_c2 applied k times gives it
-    (product indexing is associative), with one validation."""
-    g = seed()
-    if not k:
-        return g
-    return FiniteGroup(_product_rows(g.table, _abelian_rows([2] * k)), name=g.name + "xC2" * k)
-
-
 def _cpn_c2(p: int, nexp: int) -> FiniteGroup:
     name = f"C{p}" if nexp == 1 else f"C{p}^{nexp}"
     return FiniteGroup(_product_rows(_abelian_rows([p] * nexp), _cyclic_rows(2)), name=f"{name}xC2")
@@ -426,58 +420,79 @@ def _cp2_swap(p: int) -> FiniteGroup:
     return FiniteGroup(_semidirect_rows(_abelian_rows([p, p]), swap, 2), name=f"C{p}^2:C2swap")
 
 
-_Recipe = tuple[int, Callable[[], FiniteGroup], tuple[str, ...]]
+# D8, Q8 and the seeds of the generalized extraspecial chains, built once
+# per process: D8 is the small-order entry and the D8 factor of the seeds
+_SEED_BUILDS = {
+    "D8": partial(dihedral, 4),
+    "Q8": partial(dicyclic, 2),
+    "D8*C4": lambda: central_product(_seed("D8"), cyclic(4)),
+    "D8*D8": lambda: central_product(_seed("D8"), _seed("D8")),
+    "D8*Q8": lambda: central_product(_seed("D8"), _seed("Q8")),
+}
+# (order, seed): the chain of a seed is seed x C2^k for k >= 0
+_CHAINS = ((8, "Q8"), (16, "D8*C4"), (32, "D8*D8"), (32, "D8*Q8"))
 
 
-def _recipes(max_order: int) -> list[_Recipe]:
-    """The catalog's groups up to max_order as (order, build, tags), in the
-    order they are entered. Each order is known without building its
-    group, and a group isomorphic to an earlier one of the same order
-    gives that one its tags."""
+@cache
+def _seed(name: str) -> FiniteGroup:
+    return _SEED_BUILDS[name]()
+
+
+def _chain_member(seed: str, k: int) -> FiniteGroup:
+    return _times_c2_power(_seed(seed), k)
+
+
+# the groups of order at most 15 after the cyclic one, in entry order
+_SMALL_ORDER = {
+    4: [partial(abelian, [2, 2])],
+    6: [partial(symmetric, 3)],
+    8: [partial(abelian, [2, 4]), partial(elementary_abelian, 2, 3), partial(_seed, "D8"), partial(dicyclic, 2)],
+    9: [partial(abelian, [3, 3])],
+    10: [partial(dihedral, 5)],
+    12: [
+        partial(abelian, [2, 6]),
+        partial(theorem_a_group, "F7_D12", 6, 0),
+        partial(dicyclic, 3),
+        partial(alternating, 4),
+    ],
+    14: [partial(dihedral, 7)],
+}
+
+
+def _log2(n: int) -> Optional[int]:
+    """k with n = 2^k, or None."""
+    k = n.bit_length() - 1
+    return k if n == 1 << k else None
+
+
+_Recipe = tuple[Callable[[], FiniteGroup], tuple[str, ...]]
+
+
+def _recipes(n: int) -> list[_Recipe]:
+    """The catalog's groups of order n as (build, tags), in the order they
+    are entered; a group isomorphic to an earlier one gives that one its
+    tags. Nothing is built here."""
     recipes: list[_Recipe] = []
 
-    def add(order: int, build: Callable[[], FiniteGroup], *tags: str) -> None:
-        if order <= max_order:
-            recipes.append((order, build, tags))
+    def add(build: Callable[[], FiniteGroup], *tags: str) -> None:
+        recipes.append((build, tags))
 
-    for n in range(1, 16):
-        add(n, partial(cyclic, n), "small-order")
-    # the small-order D8 is the entry Dih(C4) merges into, and the D8
-    # factor of the seeds below
-    d8 = cache(partial(dihedral, 4))
-    extras = [
-        (4, partial(abelian, [2, 2])),
-        (6, partial(symmetric, 3)),
-        (8, partial(abelian, [2, 4])),
-        (8, partial(elementary_abelian, 2, 3)),
-        (8, d8),
-        (8, partial(dicyclic, 2)),
-        (9, partial(abelian, [3, 3])),
-        (10, partial(dihedral, 5)),
-        (12, partial(abelian, [2, 6])),
-        (12, partial(theorem_a_group, "F7_D12", 6, 0)),
-        (12, partial(dicyclic, 3)),
-        (12, partial(alternating, 4)),
-        (14, partial(dihedral, 7)),
-    ]
-    for n, build in extras:
-        add(n, build, "small-order")
-
-    k = 1
-    while 2 ** k <= max_order:
+    if n <= 15:
+        add(partial(cyclic, n), "small-order")
+        for build in _SMALL_ORDER.get(n, ()):
+            add(build, "small-order")
+    k = _log2(n)
+    if k:
         # Dih(C2^(k-1)) is not built: C2^(k-1) has exponent at most 2, so
         # inversion fixes it, the involution centralizes it and
         # Dih(C2^(k-1)) = C2^(k-1) x C2 = C2^k
-        add(2 ** k, partial(elementary_abelian, 2, k), "elementary-abelian-2", "generalized-dihedral")
-        k += 1
-    s = 1
-    while 2 ** (s + 1) <= max_order:
-        add(2 ** (s + 1), partial(abelian, [2] * (s - 1) + [4]), "c2s-c4")
-        s += 1
-    for a_order in range(1, max_order // 2 + 1):
-        for typ in abelian_type_list(a_order):
+        add(partial(elementary_abelian, 2, k), "elementary-abelian-2", "generalized-dihedral")
+        if k >= 2:
+            add(partial(abelian, [2] * (k - 2) + [4]), "c2s-c4")
+    if n % 2 == 0:
+        for typ in abelian_type_list(n // 2):
             if set(typ) <= {2}:
-                continue  # C2^(k+1) above
+                continue  # C2^k above
             tags = ["generalized-dihedral"]
             if len(set(typ)) == 1 and typ[0] > 2 and is_prime(typ[0]):
                 tags.append("cpn-c2")
@@ -487,48 +502,37 @@ def _recipes(max_order: int) -> list[_Recipe]:
                 # Dih(C4) = D8 trivially and splits off. So the D8 seed
                 # chain is not built, and these entries carry its tag.
                 tags.append("generalized-extraspecial-seed")
-            add(2 * a_order, partial(_dihedral_of_type, typ), *tags)
-    r = 1
-    while 2 ** (2 * r + 1) <= max_order:
-        add(2 ** (2 * r + 1), partial(theorem_a_group, "III", r, 0), "wall-H", "generalized-extraspecial-seed")
-        add(2 ** (2 * r + 1), partial(theorem_a_group, "IV", r, 0), "wall-S")
-        r += 1
-    r = 1
-    while 3 * 4 ** r <= max_order:
-        add(3 * 4 ** r, partial(theorem_a_group, "V", r, 0), "wall-T")
-        r += 1
-    # each seed is built once, and each member of its chain is seed x C2^k
-    q8 = cache(partial(dicyclic, 2))
-    seeds = [
-        (8, q8),
-        (16, cache(lambda: central_product(d8(), cyclic(4)))),
-        (32, cache(lambda: central_product(d8(), d8()))),
-        (32, cache(lambda: central_product(d8(), q8()))),
-    ]
-    for order, seed in seeds:
-        k = 0
-        while order << k <= max_order:
-            add(order << k, partial(_times_c2_power, seed, k), "generalized-extraspecial-seed")
-            k += 1
-    for k in (1, 2, 3):
-        add(3 ** k, partial(elementary_abelian, 3, k), "exponent-3")
-    add(27, partial(heisenberg, 3), "exponent-3")
-    for p in primes_upto(max_order // 2):
-        if p == 2:
-            continue
-        nexp = 1
-        while 2 * p ** nexp <= max_order:
-            add(2 * p ** nexp, partial(_cpn_c2, p, nexp), "cpn-c2")
-            if nexp == 2:
-                add(2 * p * p, partial(_cp2_swap, p), "cpn-c2")
-            nexp += 1
-    add(36, partial(theorem_a_group, "VIII", 0, 0), "s3xs3")
-    e = 0
-    while 48 << e <= max_order:
-        add(48 << e, partial(theorem_a_group, "VII", 0, e), "s3xd8xE")
-        e += 1
-    add(24, partial(theorem_a_group, "IX", 0, 0), "s4")
-    add(60, partial(theorem_a_group, "X", 0, 0), "a5")
+            add(partial(_dihedral_of_type, typ), *tags)
+    if k and k >= 3 and k % 2:
+        add(partial(theorem_a_group, "III", k // 2, 0), "wall-H", "generalized-extraspecial-seed")
+        add(partial(theorem_a_group, "IV", k // 2, 0), "wall-S")
+    j = _log2(n // 3) if n % 3 == 0 else None
+    if j and j % 2 == 0:
+        # n = 3 * 4^r
+        add(partial(theorem_a_group, "V", j // 2, 0), "wall-T")
+    for order, seed in _CHAINS:
+        k = _log2(n // order) if n % order == 0 else None
+        if k is not None:
+            add(partial(_chain_member, seed, k), "generalized-extraspecial-seed")
+    if n in (3, 9, 27):
+        add(partial(elementary_abelian, 3, {3: 1, 9: 2, 27: 3}[n]), "exponent-3")
+    if n == 27:
+        add(partial(heisenberg, 3), "exponent-3")
+    odd = factorize(n // 2) if n % 2 == 0 else {}
+    if len(odd) == 1 and 2 not in odd:
+        ((p, nexp),) = odd.items()
+        add(partial(_cpn_c2, p, nexp), "cpn-c2")
+        if nexp == 2:
+            add(partial(_cp2_swap, p), "cpn-c2")
+    if n == 36:
+        add(partial(theorem_a_group, "VIII", 0, 0), "s3xs3")
+    e = _log2(n // 48) if n % 48 == 0 else None
+    if e is not None:
+        add(partial(theorem_a_group, "VII", 0, e), "s3xd8xE")
+    if n == 24:
+        add(partial(theorem_a_group, "IX", 0, 0), "s4")
+    if n == 60:
+        add(partial(theorem_a_group, "X", 0, 0), "a5")
     return recipes
 
 
@@ -540,7 +544,7 @@ def _order_entries(recipes: Iterable[_Recipe]) -> list[CatalogEntry]:
     # isomorphic groups have equal sorted element orders, so a group is
     # compared only with the earlier groups that share them
     by_orders: dict[tuple[int, ...], list[tuple[FiniteGroup, set[str]]]] = {}
-    for _, build, tags in recipes:
+    for build, tags in recipes:
         g = build()
         bucket = by_orders.setdefault(tuple(sorted(g.element_orders)), [])
         for h, h_tags in bucket:
@@ -554,25 +558,28 @@ def _order_entries(recipes: Iterable[_Recipe]) -> list[CatalogEntry]:
     return [CatalogEntry(name=g.name, group=g, known_tags=frozenset(tags)) for g, tags in kept]
 
 
-def iter_catalog(max_order: int) -> Iterator[CatalogEntry]:
-    """The entries of catalog(max_order), in its order, made one group
-    order at a time: each order's groups are built and deduplicated after
-    the previous order's entries have been yielded. So a caller that does
-    not keep the entries holds one order's groups, the memoised Theorem A
-    groups and the chain seeds: to order 256, at most 2.0 MB at a time
-    (tracemalloc), where catalog(256) holds 9.8 MB. max_order is checked
-    when this is called."""
-    require_int(max_order, "max_order", 1)
-    # a stable sort, so each order's recipes stay in entry order
-    orders = groupby(sorted(_recipes(max_order), key=itemgetter(0)), key=itemgetter(0))
-    return chain.from_iterable(_order_entries(same_order) for _, same_order in orders)
-
-
-def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
+def catalog(max_order: int, min_order: int = 1) -> tuple[CatalogEntry, ...]:
     """All isomorphism types through order min(max_order, 15), plus named
     family representatives up to max_order, pairwise non-isomorphic,
-    sorted by (order, name): the whole of iter_catalog(max_order).
+    sorted by (order, name); with min_order, only the entries of order at
+    least min_order. Isomorphic groups have equal orders, so each order's
+    groups are built and deduplicated on their own: catalog(n, n) is the
+    order-n part of every catalog(m) with m >= n.
 
     Raises GroupTooLarge only if two groups with the same element orders
     meet above the isomorphism cap (iso.DEFAULT_ISO_CAP)."""
-    return tuple(iter_catalog(max_order))
+    require_int(max_order, "max_order", 1)
+    require_int(min_order, "min_order", 1)
+    return tuple(chain.from_iterable(_order_entries(_recipes(n)) for n in range(min_order, max_order + 1)))
+
+
+def iter_catalog(max_order: int) -> Iterator[CatalogEntry]:
+    """The entries of catalog(max_order), made one order at a time: the
+    groups of order n are built, as catalog(n, n), after the entries of
+    order n - 1 have been yielded. So a caller that does not keep the
+    entries holds one order's groups, the memoised Theorem A groups and
+    the chain seeds: to order 256, at most 2.0 MB at a time
+    (tracemalloc), where catalog(256) holds 9.8 MB. max_order is checked
+    when this is called."""
+    require_int(max_order, "max_order", 1)
+    return chain.from_iterable(catalog(n, n) for n in range(1, max_order + 1))

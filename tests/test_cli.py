@@ -325,7 +325,7 @@ def test_verify_sweeps_survive_a_subgroup_budget_refusal(capsys, monkeypatch, ta
     # the walk's order cap, lowered to 8, refuses C2^4; the CLI's own
     # --max-order check keeps the copy of the cap bound at its import
     monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
-    monkeypatch.setattr("grouplattice.cli.iter_catalog", _fresh_catalog)
+    monkeypatch.setattr("grouplattice.cli._catalog", _fresh_catalog)
     code, out, err = run(capsys, "verify", target, "--max-order", "16")
     assert (code, err) == (1, "")
     refusal = "C2^4 has order 16, over the lattice cap 8"
@@ -542,16 +542,18 @@ def test_every_public_name_resolves_in_a_fresh_process():
 
 def test_traced_op_keeps_the_names_it_replaces(tmp_path, capsys):
     # perfbench/traced_op.py wraps cli layer names before the first command
-    # runs; the lazy loading of those layers (bounds here) must keep its
-    # wrappers. It wraps families.catalog, which the CLI no longer calls:
-    # the catalog commands stream iter_catalog
+    # runs; the lazy loading of those layers must keep its wrappers. The
+    # catalog is built by one catalog call an order, whose spans count
+    # every entry
     args = ["verify", "bounds", "--max-order", "16"]
     spans_file = tmp_path / "spans.json"
     traced = run_python(str(SRC.parent / "perfbench" / "traced_op.py"), str(spans_file), "x", *args)
     code, out, err = run(capsys, *args)
     assert (traced.returncode, traced.stdout, traced.stderr) == (code, out, err)
-    names = {span["name"] for span in json.loads(spans_file.read_text())["spans"]}
-    assert {"bounds", "lattice.all_subgroups"} <= names
+    trace = json.loads(spans_file.read_text())
+    names = {span["name"] for span in trace["spans"]}
+    assert {"families.catalog", "bounds", "lattice.all_subgroups"} <= names
+    assert trace["counters"]["families.catalog.entries"] == len(gl.catalog(16))
 
 
 def test_package_has_no_assert_statements():
@@ -624,7 +626,7 @@ def test_catalog_commands_refuse_an_order_over_the_isomorphism_cap(capsys, monke
     def no_catalog(max_order):
         raise AssertionError("the catalog was built")
 
-    monkeypatch.setattr("grouplattice.cli.iter_catalog", no_catalog, raising=False)
+    monkeypatch.setattr("grouplattice.cli.catalog", no_catalog, raising=False)
     code, out, err = run(capsys, *argv, "--max-order", "513")
     assert (code, out) == (2, "")
     assert err == "input error: a catalog to order 513 is over the isomorphism cap 512\n"
@@ -646,7 +648,7 @@ def test_verify_reports_a_broken_o_p_closure_as_a_failed_check(capsys, monkeypat
     g = gl.symmetric(3)
     monkeypatch.setattr(g, "closure_mask", lambda seed: 0b110)
     entry = gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset())
-    monkeypatch.setattr("grouplattice.cli.iter_catalog", lambda max_order: (entry,))
+    monkeypatch.setattr("grouplattice.cli._catalog", lambda max_order: (entry,))
     code, out, err = run(capsys, "verify", "bounds", "--max-order", "6")
     assert (code, out, err) == (1, "", "check failed: closure of the 2'-elements is not a vertex\n")
 
@@ -656,13 +658,13 @@ def test_a_failed_check_midway_keeps_the_lines_written_before_it(capsys, monkeyp
     # closure then stops the sweep with exit 1
     d8 = gl.dihedral(4)
     good = gl.CatalogEntry(name=d8.name, group=d8, known_tags=frozenset())
-    monkeypatch.setattr("grouplattice.cli.iter_catalog", lambda max_order: (good,))
+    monkeypatch.setattr("grouplattice.cli._catalog", lambda max_order: (good,))
     code, d8_lines, _ = run(capsys, "verify", "bounds", "--max-order", "8")
     assert code == 0 and d8_lines.count("\n") > 5
     g = gl.symmetric(3)
     monkeypatch.setattr(g, "closure_mask", lambda seed: 0b110)
     broken = gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset())
-    monkeypatch.setattr("grouplattice.cli.iter_catalog", lambda max_order: (good, broken))
+    monkeypatch.setattr("grouplattice.cli._catalog", lambda max_order: (good, broken))
     failure = "check failed: closure of the 2'-elements is not a vertex\n"
     assert run(capsys, "verify", "bounds", "--max-order", "8") == (1, d8_lines, failure)
     target = tmp_path / "out.jsonl"
@@ -670,16 +672,14 @@ def test_a_failed_check_midway_keeps_the_lines_written_before_it(capsys, monkeyp
     assert target.read_text() == d8_lines
 
 
-@pytest.mark.parametrize("batch", [1024, 7])
-def test_a_sweep_failing_at_an_orbit_keeps_every_record_made_before_it(capsys, monkeypatch, tmp_path, batch):
+def test_a_sweep_failing_at_an_orbit_keeps_every_record_made_before_it(capsys, monkeypatch, tmp_path):
     # lemma21 makes one lemma_2_1 call per orbit and one record per vertex;
     # when the call for the k-th orbit raises, the records of every vertex
-    # before that orbit's first one are written, in full batches and the
-    # pending one, and nothing after them
+    # before that orbit's first one are written, the buffered ones too,
+    # and nothing after them
     from grouplattice.bounds import lemma_2_1
     from grouplattice.errors import CheckFailed
 
-    monkeypatch.setattr("grouplattice.cli.WRITE_BATCH", batch)
     argv = ["verify", "lemma21", "--max-order", "16"]
     code, full, _ = run(capsys, *argv)
     assert code == 0
@@ -695,7 +695,8 @@ def test_a_sweep_failing_at_an_orbit_keeps_every_record_made_before_it(capsys, m
                 record += 1
     assert record == len(lines)
     k = len(firsts) // 2
-    assert 2 * 7 < firsts[k] < 1024 and firsts[k] % 7  # full batches of 7, then a pending one
+    expected = "".join(lines[: firsts[k]])
+    assert len(expected) > 2 * 8192  # more than one block of stdout's buffer
 
     def failing(lattice, h):
         calls.append(h)
@@ -704,7 +705,6 @@ def test_a_sweep_failing_at_an_orbit_keeps_every_record_made_before_it(capsys, m
         return lemma_2_1(lattice, h)
 
     monkeypatch.setattr("grouplattice.cli.lemma_2_1", failing)
-    expected = "".join(lines[: firsts[k]])
     for output in ([], ["-o", str(tmp_path / "out.jsonl")]):
         calls = []
         code, out, err = run(capsys, *argv, *output)
@@ -713,6 +713,30 @@ def test_a_sweep_failing_at_an_orbit_keeps_every_record_made_before_it(capsys, m
         assert (out or (tmp_path / "out.jsonl").read_text()) == expected
 
 
+class _CountingRaw(io.RawIOBase):
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+def test_unbuffered_stdout_is_written_in_blocks(capsys, monkeypatch):
+    # with PYTHONUNBUFFERED=1 stdout writes through each write; a command
+    # buffers its records, gives the same bytes, and leaves stdout as it was
+    argv = ["verify", "lemma21", "--max-order", "16"]
+    code, full, _ = run(capsys, *argv)
+    raw = _CountingRaw()
+    stdout = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == code == 0
+    assert b"".join(raw.writes).decode() == full
+    assert len(raw.writes) < full.count("\n") // 20
+    assert stdout.write_through
 # (target, a flag it does not read): lemma23 reads --prime-bound and
 # --exp-bound, every other target --max-order
 UNREAD_FLAGS = [

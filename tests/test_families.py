@@ -416,11 +416,13 @@ def test_catalog_validates_no_scaffold_factors(monkeypatch):
     # kept entries. Every C2 factor, every elementary abelian factor of the
     # cpn-c2, wall-S and wall-T groups and every cyclic half of a dihedral
     # group is built as rows and validated only inside the group it is in.
-    # The shared Theorem A groups are memoised, so the memo is cleared first.
+    # The shared Theorem A groups and the chain seeds are memoised, so the
+    # memos are cleared first.
     from grouplattice.core import FiniteGroup
-    from grouplattice.families import theorem_a_group
+    from grouplattice.families import _seed, theorem_a_group
 
     theorem_a_group.cache_clear()
+    _seed.cache_clear()
     calls = []
     validate = FiniteGroup._validate_and_normalize
     monkeypatch.setattr(FiniteGroup, "_validate_and_normalize", lambda g: calls.append(g.name) or validate(g))
@@ -479,24 +481,25 @@ def test_iter_catalog_is_the_catalog():
     def key(entries):
         return [(e.name, e.known_tags, e.group.table) for e in entries]
 
-    assert key(gl.iter_catalog(64)) == key(gl.catalog(64))
+    whole = gl.catalog(64)
+    assert key(gl.iter_catalog(64)) == key(whole)
+    assert key(gl.catalog(64, min_order=33)) == key(e for e in whole if e.group.order >= 33)
 
 
 # the catalog(128) groups that outlive their order: the memoised Theorem A
-# groups it keeps (D12, S4, S3xS3, S3xD8xC2^e, A5 and the wall groups), and
-# the seeds of the D8*X chains, D8 being also their factor, while the stream
-# runs
-MEMO_128 = {"D12", "S4", "S3xS3", "S3xD8", "S3xD8xC2", "A5", "H(2)", "S(2)", "H(3)", "S(3)", "T(2)"}
-SHARED_128 = MEMO_128 | {"D8", "D8*C4", "D8*Q8"}
+# groups (D12, S4, S3xS3, S3xD8xC2^e, A5 and the wall groups) and the
+# memoised seeds of the D8*X chains, D8 being also their factor
+SHARED_128 = {"D12", "S4", "S3xS3", "S3xD8", "S3xD8xC2", "A5", "H(2)", "S(2)", "H(3)", "S(3)", "T(2)"}
+SHARED_128 |= {"D8", "D8*C4", "D8*Q8"}
 
 
 def test_iter_catalog_holds_one_order_at_a_time():
     # when the first entry of an order arrives, the groups of earlier orders
-    # that the caller did not keep are gone, apart from the shared ones
+    # that the caller did not keep are gone, apart from the shared ones:
+    # freed by reference counting, with no collection run in between
     earlier, current, order = [], [], None
     for entry in gl.iter_catalog(128):
         if entry.group.order != order:
-            gc.collect()
             earlier += current
             current = []
             alive = {ref().name for ref in earlier if ref() is not None}
@@ -507,7 +510,7 @@ def test_iter_catalog_holds_one_order_at_a_time():
     del entry
     gc.collect()
     alive = {ref().name for ref in earlier + current if ref() is not None}
-    assert alive == MEMO_128
+    assert alive == SHARED_128
 
 
 def test_catalog_monotone():
