@@ -578,8 +578,8 @@ def iter_catalog(max_order: int) -> Iterator[CatalogEntry]:
     groups of order n are built, as catalog(n, n), after the entries of
     order n - 1 have been yielded. So a caller that does not keep the
     entries holds one order's groups, the memoised Theorem A groups and
-    the chain seeds: to order 256, at most 2.0 MB at a time
-    (tracemalloc), where catalog(256) holds 9.8 MB. max_order is checked
+    the chain seeds: to order 256, at most 2.3 MB at a time
+    (tracemalloc), where catalog(256) holds 9.9 MB. max_order is checked
     when this is called."""
     require_int(max_order, "max_order", 1)
     return chain.from_iterable(catalog(n, n) for n in range(1, max_order + 1))
