@@ -87,7 +87,6 @@ _EXPORTS = {
         "from_permutation_generators",
         "generalized_dihedral",
         "heisenberg",
-        "iter_catalog",
         "semidirect",
         "symmetric",
         "trivial",

@@ -71,6 +71,12 @@ def split_power(n: int, p: int) -> tuple[int, int]:
     return e, n
 
 
+def two_power_exponent(n: int) -> int | None:
+    """k with n = 2^k, or None, for n >= 1."""
+    k = n.bit_length() - 1
+    return k if n == 1 << k else None
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     require_int(n, "n", 1)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .arith import factorize, split_power
+from . import lattice as _lattice
+from .arith import factorize, split_power, two_power_exponent
 from .core import FiniteGroup, Subgroup, _mask_elements
 from .errors import GroupTooLarge, TrivialGroup
 from .families import CatalogEntry, theorem_a_group
@@ -90,12 +91,6 @@ def has_large_degree_vertex(lattice: SubgroupLattice) -> bool:
         raise TrivialGroup("the trivial group has a one-vertex graph")
     top = max(lattice.degree_profile().degrees)
     return 2 * (top + 1) > g.order
-
-
-def _two_power_exponent(q: int) -> Optional[int]:
-    if q < 1 or q & (q - 1):
-        return None
-    return q.bit_length() - 1
 
 
 def _frattini_mask(g: FiniteGroup) -> int:
@@ -206,14 +201,14 @@ def recognize(g: FiniteGroup) -> Recognition:
         tags.add(FamilyTag(F2_THEOREM_A, "I"))
     if g.exponent == 3:
         tags.add(FamilyTag(F2_THEOREM_A, "VI"))
-    edim = _two_power_exponent(n // 64) if n % 64 == 0 else None
+    edim = two_power_exponent(n // 64) if n % 64 == 0 else None
     if edim is not None:
         iso_check("II", 0, edim)
     for subtype in ("III", "IV"):
         r = 1
         while (base_order := 1 << (2 * r + 1)) <= n:
             if n % base_order == 0:
-                edim = _two_power_exponent(n // base_order)
+                edim = two_power_exponent(n // base_order)
                 if edim is not None and iso_check(subtype, r, edim):
                     break
             r += 1
@@ -222,7 +217,7 @@ def recognize(g: FiniteGroup) -> Recognition:
         if n == base_order:
             iso_check("V", r, 0)
         r += 1
-    edim = _two_power_exponent(n // 48) if n % 48 == 0 else None
+    edim = two_power_exponent(n // 48) if n % 48 == 0 else None
     if edim is not None:
         iso_check("VII", 0, edim)
     if n == 36:
@@ -251,27 +246,24 @@ def _eligible(entries: Iterable[CatalogEntry], max_order: int, solvable_only: bo
 
 
 def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int):
-    """(entry, lattice) for each solvable group of order 2..max_order. A
-    group the lattice walk refuses comes with the GroupTooLarge in place of
-    its lattice, so that the sweep records it as undecided and goes on."""
-    for entry in _eligible(entries, max_order, solvable_only=True):
-        try:
-            lattice = all_subgroups(entry.group)
-        except GroupTooLarge as exc:
-            lattice = exc
-        yield entry, lattice
+    """(entry, lattice) for each solvable group of order 2..max_order, each
+    lattice built as the sweep reaches it. A max_order over the lattice cap
+    raises GroupTooLarge at the call, before any lattice is built."""
+    cap = _lattice.DEFAULT_LATTICE_CAP
+    if max_order > cap:
+        raise GroupTooLarge(f"a sweep to order {max_order} exceeds the lattice cap {cap}")
+    eligible = _eligible(entries, max_order, solvable_only=True)
+    return ((entry, all_subgroups(entry.group)) for entry in eligible)
 
 
 def _verify(theorem: str, sweep: Iterator, check: Callable) -> VerificationReport:
     """The report of one theorem over a sweep of (entry, lattice) pairs.
-    check(entry, lattice) gives a counterexample's detail or None; a group
-    whose lattice the walk refused is recorded as undecided instead."""
+    check(entry, lattice) gives a counterexample's detail or None."""
     counterexamples = []
     checked = 0
     for entry, lattice in sweep:
         checked += 1
-        refused = isinstance(lattice, GroupTooLarge)
-        detail = f"undecided: {lattice}" if refused else check(entry, lattice)
+        detail = check(entry, lattice)
         if detail is not None:
             counterexamples.append((entry.name, detail))
     return VerificationReport(theorem, checked, tuple(counterexamples))

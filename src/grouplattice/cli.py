@@ -21,7 +21,7 @@ from .arith import divisor_lists, factorize
 from .core import dumps_group, read_group
 from .errors import CheckFailed, GroupError, GroupTooLarge, InputError, UsageError
 from .iso import DEFAULT_ISO_CAP
-from .lattice import DEFAULT_LATTICE_CAP, all_subgroups
+from .lattice import all_subgroups
 
 # verify orders refuses a scan past this --max-order: its divisor sieve
 # holds every divisor list, and 10^6 takes about 10 s at 233 MB
@@ -292,18 +292,15 @@ def _lemma21_records(entry, lattice):
 def _sweep(records_of, args) -> bool:
     """Write the records of a per-group bound target, one JSON record a
     line as each is made, and give whether every record holds.
-    records_of(entry, lattice) gives a group's (line, holds) pairs, and a
-    group whose lattice was refused gets one undecided line."""
+    records_of(entry, lattice) gives a group's (line, holds) pairs.
+    lattice_sweep is called before the output is opened, so that a sweep
+    past the lattice cap writes nothing and creates no -o file."""
     from .classify import lattice_sweep
 
+    sweep = lattice_sweep(_catalog(args.max_order), args.max_order)
     passed = True
     with _output(args.output) as out:
-        for entry, lattice in lattice_sweep(_catalog(args.max_order), args.max_order):
-            if isinstance(lattice, GroupTooLarge):
-                why = _string(str(lattice))
-                out.write(f'{{"group":{_string(entry.name)},"order":{entry.group.order},"undecided":{why}}}\n')
-                passed = False
-                continue
+        for entry, lattice in sweep:
             for line, holds in records_of(entry, lattice):
                 out.write(line + "\n")
                 passed = passed and holds
@@ -350,29 +347,28 @@ def _run_orders(args) -> bool:
     return not violations
 
 
-# target -> (layers it runs, whether it builds lattices, the flags it reads
-# with their defaults, run), where run(args) writes the target's output and
-# gives whether it passed. The lambdas read the verifier and bound names
-# when the target runs, so a wrapper bound before then
-# (perfbench/traced_op.py) is the one called.
+# target -> (layers it runs, the flags it reads with their defaults, run),
+# where run(args) writes the target's output and gives whether it passed.
+# The lambdas read the verifier and bound names when the target runs, so a
+# wrapper bound before then (perfbench/traced_op.py) is the one called.
 _REPORT_LAYERS = ("classify", "families")
 _SWEEP_LAYERS = ("bounds", "classify", "families")
 _TARGETS = {
-    "theorem-1.1": (_REPORT_LAYERS, True, {"max_order": 24}, lambda args: _report(verify_theorem_1_1, args)),
-    "theorem-a": (_REPORT_LAYERS, False, {"max_order": 24}, lambda args: _report(verify_theorem_A, args)),
-    "wall": (_REPORT_LAYERS, False, {"max_order": 24}, lambda args: _report(verify_wall, args)),
-    "cor-1.2": (_REPORT_LAYERS, True, {"max_order": 24}, lambda args: _report(verify_corollary_1_2, args)),
-    "cor-1.3": (_REPORT_LAYERS, True, {"max_order": 24}, lambda args: _report(verify_corollary_1_3, args)),
-    "bounds": (_SWEEP_LAYERS, True, {"max_order": 24}, lambda args: _sweep(_bounds_records, args)),
-    "lemma21": (_SWEEP_LAYERS, True, {"max_order": 24}, lambda args: _sweep(_lemma21_records, args)),
-    "lemma23": (("bounds",), False, {"prime_bound": 31, "exp_bound": 4}, _run_lemma23),
-    "orders": (("bounds",), False, {"max_order": 10000}, _run_orders),
+    "theorem-1.1": (_REPORT_LAYERS, {"max_order": 24}, lambda args: _report(verify_theorem_1_1, args)),
+    "theorem-a": (_REPORT_LAYERS, {"max_order": 24}, lambda args: _report(verify_theorem_A, args)),
+    "wall": (_REPORT_LAYERS, {"max_order": 24}, lambda args: _report(verify_wall, args)),
+    "cor-1.2": (_REPORT_LAYERS, {"max_order": 24}, lambda args: _report(verify_corollary_1_2, args)),
+    "cor-1.3": (_REPORT_LAYERS, {"max_order": 24}, lambda args: _report(verify_corollary_1_3, args)),
+    "bounds": (_SWEEP_LAYERS, {"max_order": 24}, lambda args: _sweep(_bounds_records, args)),
+    "lemma21": (_SWEEP_LAYERS, {"max_order": 24}, lambda args: _sweep(_lemma21_records, args)),
+    "lemma23": (("bounds",), {"prime_bound": 31, "exp_bound": 4}, _run_lemma23),
+    "orders": (("bounds",), {"max_order": 10000}, _run_orders),
 }
 VERIFY_TARGETS = tuple(_TARGETS)
 
 
 def _run_verify(args) -> int:
-    layers, builds_lattices, defaults, run = _TARGETS[args.target]
+    layers, defaults, run = _TARGETS[args.target]
     if args.max_order is not None:
         _checked_max_order(args.max_order)
     for flag in ("max_order", "prime_bound", "exp_bound"):
@@ -380,8 +376,6 @@ def _run_verify(args) -> int:
             setattr(args, flag, defaults.get(flag))
         elif flag not in defaults:
             raise UsageError(f"verify {args.target} does not read --{flag.replace('_', '-')}")
-    if builds_lattices and args.max_order > DEFAULT_LATTICE_CAP:
-        raise UsageError(f"--max-order {args.max_order} exceeds the lattice cap {DEFAULT_LATTICE_CAP}")
     _load_layers(*layers)
     return 0 if run(args) else 1
 

@@ -5,11 +5,6 @@ and the closure of a set of permutations. Every constructor returns a fully vali
 of products and extensions are built a row at a time, by slicing the
 identity row and composing rows (core.compose_rows, and core.compose_each
 where many rows are composed with one).
-
-The catalog lists, for each group order, the recipes of its groups, and
-builds and deduplicates one order at a time: iter_catalog yields each
-order's entries before it builds the next order, so a caller that keeps
-no entry holds one order's groups, not the whole catalog.
 """
 
 from __future__ import annotations
@@ -18,9 +13,9 @@ import math
 from functools import cache, lru_cache, partial, reduce
 from itertools import chain
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .arith import abelian_type_list, factorize, is_prime, require_int, require_prime
+from .arith import abelian_type_list, factorize, is_prime, require_int, require_prime, two_power_exponent
 from .core import (
     FiniteGroup,
     check_cap,
@@ -459,12 +454,6 @@ _SMALL_ORDER = {
 }
 
 
-def _log2(n: int) -> Optional[int]:
-    """k with n = 2^k, or None."""
-    k = n.bit_length() - 1
-    return k if n == 1 << k else None
-
-
 _Recipe = tuple[Callable[[], FiniteGroup], tuple[str, ...]]
 
 
@@ -481,7 +470,7 @@ def _recipes(n: int) -> list[_Recipe]:
         add(partial(cyclic, n), "small-order")
         for build in _SMALL_ORDER.get(n, ()):
             add(build, "small-order")
-    k = _log2(n)
+    k = two_power_exponent(n)
     if k:
         # Dih(C2^(k-1)) is not built: C2^(k-1) has exponent at most 2, so
         # inversion fixes it, the involution centralizes it and
@@ -506,12 +495,12 @@ def _recipes(n: int) -> list[_Recipe]:
     if k and k >= 3 and k % 2:
         add(partial(theorem_a_group, "III", k // 2, 0), "wall-H", "generalized-extraspecial-seed")
         add(partial(theorem_a_group, "IV", k // 2, 0), "wall-S")
-    j = _log2(n // 3) if n % 3 == 0 else None
+    j = two_power_exponent(n // 3) if n % 3 == 0 else None
     if j and j % 2 == 0:
         # n = 3 * 4^r
         add(partial(theorem_a_group, "V", j // 2, 0), "wall-T")
     for order, seed in _CHAINS:
-        k = _log2(n // order) if n % order == 0 else None
+        k = two_power_exponent(n // order) if n % order == 0 else None
         if k is not None:
             add(partial(_chain_member, seed, k), "generalized-extraspecial-seed")
     if n in (3, 9, 27):
@@ -526,7 +515,7 @@ def _recipes(n: int) -> list[_Recipe]:
             add(partial(_cp2_swap, p), "cpn-c2")
     if n == 36:
         add(partial(theorem_a_group, "VIII", 0, 0), "s3xs3")
-    e = _log2(n // 48) if n % 48 == 0 else None
+    e = two_power_exponent(n // 48) if n % 48 == 0 else None
     if e is not None:
         add(partial(theorem_a_group, "VII", 0, e), "s3xd8xE")
     if n == 24:
@@ -571,15 +560,3 @@ def catalog(max_order: int, min_order: int = 1) -> tuple[CatalogEntry, ...]:
     require_int(max_order, "max_order", 1)
     require_int(min_order, "min_order", 1)
     return tuple(chain.from_iterable(_order_entries(_recipes(n)) for n in range(min_order, max_order + 1)))
-
-
-def iter_catalog(max_order: int) -> Iterator[CatalogEntry]:
-    """The entries of catalog(max_order), made one order at a time: the
-    groups of order n are built, as catalog(n, n), after the entries of
-    order n - 1 have been yielded. So a caller that does not keep the
-    entries holds one order's groups, the memoised Theorem A groups and
-    the chain seeds: to order 256, at most 2.3 MB at a time
-    (tracemalloc), where catalog(256) holds 9.9 MB. max_order is checked
-    when this is called."""
-    require_int(max_order, "max_order", 1)
-    return chain.from_iterable(catalog(n, n) for n in range(1, max_order + 1))

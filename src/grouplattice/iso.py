@@ -89,14 +89,9 @@ def element_invariants(g: FiniteGroup) -> tuple[tuple[int, int, int, int], ...]:
 
 
 def _summary(g: FiniteGroup) -> tuple:
-    """Order, abelianness, |Z|, |G'| and exponent: the part of fingerprint
-    that needs no per-element invariants."""
+    """Order, abelianness, |Z|, |G'| and exponent: the isomorphism
+    invariants that need no per-element invariants."""
     return (g.order, g.is_abelian, g.center_mask.bit_count(), g.derived_mask.bit_count(), g.exponent)
-
-
-def fingerprint(g: FiniteGroup) -> tuple:
-    """Isomorphism-invariant summary used as a fast necessary condition."""
-    return _summary(g) + (tuple(sorted(element_invariants(g))),)
 
 
 def minimal_generating_set(g: FiniteGroup) -> tuple[int, ...]:
@@ -199,8 +194,8 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
         raise GroupTooLarge(f"isomorphism test at order {n} exceeds cap {DEFAULT_ISO_CAP}")
     if g1.table == g2.table:
         return Isomorphism(g1, g2, tuple(range(n)))
-    # fingerprint, with element_invariants run only for groups whose
-    # summaries agree
+    # necessary conditions, with element_invariants run only for groups
+    # whose summaries agree
     if _summary(g1) != _summary(g2) or sorted(element_invariants(g1)) != sorted(element_invariants(g2)):
         return None
     setup = _generator_candidates(g1, g2)

@@ -24,6 +24,7 @@ from grouplattice.classify import (
     Recognition,
     _frattini_mask,
     has_large_degree_vertex,
+    lattice_sweep,
     recognize,
     verify_corollary_1_2,
     verify_corollary_1_3,
@@ -31,7 +32,7 @@ from grouplattice.classify import (
     verify_theorem_A,
     verify_wall,
 )
-from grouplattice.errors import TrivialGroup
+from grouplattice.errors import GroupTooLarge, TrivialGroup
 from grouplattice.families import theorem_a_group
 from grouplattice.lattice import all_subgroups
 
@@ -363,26 +364,24 @@ def _fresh_entries():
     return tuple(gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset()) for g in groups)
 
 
-@pytest.mark.parametrize("verify", [verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3])
-def test_sweeps_record_a_subgroup_budget_refusal_and_go_on(monkeypatch, verify):
-    # the order cap is the lattice walk's only size rule; lowered to 8, it
-    # refuses C2^4 and admits the groups after it
+@pytest.mark.parametrize(
+    "sweep", [lattice_sweep, verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3], ids=lambda f: f.__name__
+)
+def test_a_sweep_over_the_lattice_cap_is_refused_at_the_call(monkeypatch, sweep):
+    # the cap is read when the sweep is called; lowered to 8, a sweep to
+    # order 16 is refused before the first lattice is built
     monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
     built = []
+    monkeypatch.setattr("grouplattice.classify.all_subgroups", built.append)
+    with pytest.raises(GroupTooLarge, match=r"^a sweep to order 16 exceeds the lattice cap 8$"):
+        sweep(_fresh_entries(), 16)
+    assert built == []
 
-    def spy(g):
-        lattice = all_subgroups(g)
-        built.append(g.name)
-        return lattice
 
-    monkeypatch.setattr("grouplattice.classify.all_subgroups", spy)
-    entries = _fresh_entries()
-    report = verify(entries, 16)
-    assert report.groups_checked == 4
-    assert report.counterexamples == (("C2^4", "undecided: C2^4 has order 16, over the lattice cap 8"),)
-    assert not report.passed
-    # the groups after the refused one were swept, each with its lattice
-    assert built == ["S3", "D8", "C2^3"]
+def test_a_sweep_to_the_lattice_cap_builds_each_lattice(monkeypatch):
+    monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
+    swept = [(entry.name, len(lattice)) for entry, lattice in lattice_sweep(_fresh_entries(), 8)]
+    assert swept == [("S3", 6), ("D8", 10), ("C2^3", 16)]
 
 
 def test_verify_corollary_1_2_passes_with_boundary_note(catalog36):

@@ -309,11 +309,6 @@ def test_verify_lemma21_jsonl(capsys):
         assert "subgroup_order" in rec
 
 
-def _fresh_catalog(max_order):
-    groups = [gl.elementary_abelian(2, 4), gl.symmetric(3), gl.dihedral(4)]
-    return tuple(gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset()) for g in groups)
-
-
 @pytest.mark.parametrize("target", ["bounds", "lemma21"])
 def test_verify_jsonl_with_no_groups_prints_nothing(capsys, target):
     # order 1 is the trivial group alone, which no sweep checks
@@ -321,24 +316,15 @@ def test_verify_jsonl_with_no_groups_prints_nothing(capsys, target):
 
 
 @pytest.mark.parametrize("target", ["theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21"])
-def test_verify_sweeps_survive_a_subgroup_budget_refusal(capsys, monkeypatch, target):
-    # the walk's order cap, lowered to 8, refuses C2^4; the CLI's own
-    # --max-order check keeps the copy of the cap bound at its import
+def test_verify_lattice_targets_read_the_lattice_cap_when_they_run(capsys, monkeypatch, tmp_path, target):
+    # the sweep reads the walk's cap when it is called, lowered here to 8,
+    # and refuses before the output is opened
     monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
-    monkeypatch.setattr("grouplattice.cli._catalog", _fresh_catalog)
-    code, out, err = run(capsys, "verify", target, "--max-order", "16")
-    assert (code, err) == (1, "")
-    refusal = "C2^4 has order 16, over the lattice cap 8"
-    if target in ("bounds", "lemma21"):
-        lines = [json.loads(line) for line in out.splitlines()]
-        assert lines[0] == {"group": "C2^4", "order": 16, "undecided": refusal}
-        assert out.splitlines()[0] == json.dumps(lines[0], separators=(",", ":"))
-        assert {line["group"] for line in lines[1:]} == {"S3", "D8"}
-        assert all(line["holds"] for line in lines[1:])
-    else:
-        payload = json.loads(out)
-        assert payload["groups_checked"] == 3
-        assert payload["counterexamples"] == [["C2^4", f"undecided: {refusal}"]]
+    refusal = (2, "", "input error: a sweep to order 16 exceeds the lattice cap 8\n")
+    assert run(capsys, "verify", target, "--max-order", "16") == refusal
+    output = tmp_path / "out"
+    assert run(capsys, "verify", target, "--max-order", "16", "-o", str(output)) == refusal
+    assert not output.exists()
 
 
 def test_verify_sweep_walks_every_lattice_however_the_suite_is_ordered(capsys, monkeypatch, lattices64):
@@ -500,8 +486,7 @@ def test_construct_and_catalog_load_no_dataclasses(tmp_path, argv):
     assert (tmp_path / "out").read_text()
 
 
-# every public name of the package before its names were loaded lazily,
-# and iter_catalog, added since
+# every public name of the package before its names were loaded lazily
 PUBLIC_NAMES = """
 ActionOrderMismatch BoundReport CandidateOrders CatalogEntry CheckFailed DEFAULT_CONSTRUCTION_CAP
 DEFAULT_ISO_CAP DEFAULT_LATTICE_CAP DegreeProfile FamilyTag FiniteGroup GroupError
@@ -511,7 +496,7 @@ Subgroup SubgroupLattice TrivialGroup UsageError VerificationReport abelian abel
 alternating candidate_orders catalog central_product cww_b cyclic dicyclic dihedral
 direct_product divisors dumps_group edge_bound elementary_abelian factorize from_cayley_table
 from_permutation_generators generalized_dihedral has_large_degree_vertex heisenberg herzog_manz_c
-is_isomorphic is_prime iter_catalog lemma_2_1 lemma_2_3_check lemma_2_3_scan loads_group newton_d newton_e partitions
+is_isomorphic is_prime lemma_2_1 lemma_2_3_check lemma_2_3_scan loads_group newton_d newton_e partitions
 primes_upto quotient_group quotient_is_elementary_abelian_2 read_group recognize semidirect
 sylow_p_elements_form_subgroup symmetric trivial verify_corollary_1_2 verify_corollary_1_3
 verify_theorem_1_1 verify_theorem_A verify_wall wall_H wall_S wall_T wall_a write_group
@@ -608,8 +593,7 @@ def test_catalog_rejects_max_order_zero(capsys):
 @pytest.mark.parametrize("target", ["theorem-1.1", "cor-1.2", "cor-1.3", "bounds", "lemma21"])
 def test_verify_lattice_targets_stop_above_the_lattice_cap(capsys, target):
     code, out, err = run(capsys, "verify", target, "--max-order", "257")
-    assert (code, out) == (2, "")
-    assert "exceeds the lattice cap 256" in err
+    assert (code, out, err) == (2, "", "input error: a sweep to order 257 exceeds the lattice cap 256\n")
 
 
 def test_verify_orders_refuses_a_scan_over_budget(capsys):
@@ -767,6 +751,8 @@ def test_verify_lemma23_defaults_to_prime_bound_31_and_exp_bound_4(capsys):
         ["lattice", "MISSING_FILE"],
         ["lattice", "D12_FILE"],
         ["verify", "theorem-1.1", "--max-order", "300"],
+        ["verify", "bounds", "--max-order", "300"],
+        ["verify", "lemma21", "--max-order", "300"],
         ["verify", "theorem-a", "--exp-bound", "2"],
         ["verify", "lemma23", "--prime-bound", "3"],
         ["verify", "lemma23", "--prime-bound", "1000000", "--exp-bound", "1"],
