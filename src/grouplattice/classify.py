@@ -2,15 +2,14 @@
 
 recognize() labels a group with every family it belongs to; the
 verify_* functions sweep a catalog and compare a degree property
-against family membership, reporting counterexamples. Cap-exceeded
-recognitions surface as "undecided" labels and fail verification runs
-loudly instead of passing by silence.
+against family membership, reporting counterexamples.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
+from . import iso as _iso
 from . import lattice as _lattice
 from .arith import factorize, split_power, two_power_exponent
 from .core import FiniteGroup, Subgroup, _mask_elements
@@ -57,19 +56,15 @@ class FamilyTag(_FamilyTagFields):
 
 
 class Recognition(NamedTuple):
-    """Decided family tags plus the labels left undecided by caps."""
+    """The family tags of a group."""
 
     tags: frozenset[FamilyTag]
-    undecided: frozenset[str] = frozenset()
 
     def families(self) -> frozenset[str]:
         return frozenset(t.family for t in self.tags)
 
     def subtypes(self) -> frozenset[str]:
         return frozenset(t.subtype for t in self.tags if t.subtype is not None)
-
-    def has(self, family: str) -> bool:
-        return any(t.family == family for t in self.tags)
 
 
 class VerificationReport(NamedTuple):
@@ -158,14 +153,15 @@ def _is_generalized_dihedral(g: FiniteGroup) -> bool:
 
 
 def recognize(g: FiniteGroup) -> Recognition:
-    """All family memberships of g. The trivial group gets no tags.
-    Isomorphism-based recognizers refused by the isomorphism cap land in
-    undecided instead of being silently dropped."""
+    """All family memberships of g. The trivial group gets no tags. A
+    group over the isomorphism cap raises GroupTooLarge before any test."""
     n = g.order
+    cap = _iso.DEFAULT_ISO_CAP
+    if n > cap:
+        raise GroupTooLarge(f"recognizing {g.name} of order {n} exceeds the isomorphism cap {cap}")
     if n == 1:
         return Recognition(frozenset())
     tags: set[FamilyTag] = set()
-    undecided: set[str] = set()
 
     if n <= 11 and not (g.is_cyclic and n >= 5):
         tags.add(FamilyTag(F1_SMALL))
@@ -180,22 +176,13 @@ def recognize(g: FiniteGroup) -> Recognition:
         tags.add(FamilyTag(F6_CPN_C2))
 
     def iso_check(subtype: str, param: int, edim: int) -> bool:
-        try:
-            found = is_isomorphic(g, theorem_a_group(subtype, param, edim))
-        except GroupTooLarge:
-            undecided.add(subtype)
+        if is_isomorphic(g, theorem_a_group(subtype, param, edim)) is None:
             return False
-        if found is not None:
-            tags.add(FamilyTag(F2_THEOREM_A, subtype))
-            return True
-        return False
+        tags.add(FamilyTag(F2_THEOREM_A, subtype))
+        return True
 
-    if n == 12:
-        try:
-            if is_isomorphic(g, theorem_a_group(F7_D12, 6, 0)) is not None:
-                tags.add(FamilyTag(F7_D12))
-        except GroupTooLarge:
-            undecided.add(F7_D12)
+    if n == 12 and is_isomorphic(g, theorem_a_group(F7_D12, 6, 0)) is not None:
+        tags.add(FamilyTag(F7_D12))
 
     if _is_generalized_dihedral(g):
         tags.add(FamilyTag(F2_THEOREM_A, "I"))
@@ -227,12 +214,9 @@ def recognize(g: FiniteGroup) -> Recognition:
     if n == 60:
         iso_check("X", 0, 0)
 
-    decided_wall = {t.subtype for t in tags if t.subtype in WALL_SUBTYPES}
-    if decided_wall:
+    if any(t.subtype in WALL_SUBTYPES for t in tags):
         tags.add(FamilyTag(WALL_I_IV))
-    elif undecided & WALL_SUBTYPES:
-        undecided.add(WALL_I_IV)
-    return Recognition(frozenset(tags), frozenset(undecided))
+    return Recognition(frozenset(tags))
 
 
 def _eligible(entries: Iterable[CatalogEntry], max_order: int, solvable_only: bool):
@@ -288,9 +272,6 @@ def verify_theorem_1_1(entries: Iterable[CatalogEntry], max_order: int) -> Verif
             F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12
         }:
             return None
-        pending = rec.undecided - {"X"}
-        if pending:
-            return f"undecided recognizers {sorted(pending)}"
         top = max(lattice.degree_profile().degrees)
         return f"max degree {top} exceeds |G|/2-1 but no family matched"
 
@@ -305,10 +286,7 @@ def verify_theorem_A(entries: Iterable[CatalogEntry], max_order: int) -> Verific
         g = entry.group
         rec = recognize(g)
         member = bool(rec.subtypes())
-        pending = rec.undecided & set(SUBTYPES)
         large = 2 * (g.delta + 1) > g.order
-        if not member and pending:
-            return f"undecided recognizers {sorted(pending)}"
         if large == member:
             return None
         if large:
@@ -325,10 +303,7 @@ def verify_wall(entries: Iterable[CatalogEntry], max_order: int) -> Verification
         g = entry.group
         rec = recognize(g)
         member = bool(rec.subtypes() & WALL_SUBTYPES)
-        pending = rec.undecided & WALL_SUBTYPES
         many = 2 * (g.involution_count + 1) > g.order
-        if not member and pending:
-            return f"undecided recognizers {sorted(pending)}"
         if many == member:
             return None
         if many:
@@ -376,8 +351,6 @@ def verify_corollary_1_3(entries: Iterable[CatalogEntry], max_order: int) -> Ver
         exists = any(2 * d == g.order for d in lattice.degree_profile().degrees)
         rec = recognize(g)
         member = "VII" in rec.subtypes() or bool(rec.families() & {F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL})
-        if not member and "VII" in rec.undecided:
-            return "undecided recognizers ['VII']"
         if exists == member:
             return None
         if exists:

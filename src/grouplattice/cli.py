@@ -17,10 +17,10 @@ from itertools import chain, islice
 from typing import Optional, Sequence
 
 from . import _EXPORTS, _HOME
+from . import iso as _iso
 from .arith import divisor_lists, factorize
 from .core import dumps_group, read_group
 from .errors import CheckFailed, GroupError, GroupTooLarge, InputError, UsageError
-from .iso import DEFAULT_ISO_CAP
 from .lattice import all_subgroups
 
 # verify orders refuses a scan past this --max-order: its divisor sieve
@@ -161,9 +161,10 @@ def _catalog(max_order: int):
     that a process holds one order's groups and each order's build is a
     call of catalog (perfbench/traced_op.py times that name). Refused
     above the isomorphism cap, where the catalog cannot always decide
-    whether two of its groups are isomorphic."""
-    if max_order > DEFAULT_ISO_CAP:
-        raise GroupTooLarge(f"a catalog to order {max_order} is over the isomorphism cap {DEFAULT_ISO_CAP}")
+    whether two of its groups are isomorphic; the cap is read per call."""
+    cap = _iso.DEFAULT_ISO_CAP
+    if max_order > cap:
+        raise GroupTooLarge(f"a catalog to order {max_order} is over the isomorphism cap {cap}")
     return chain.from_iterable(catalog(n, n) for n in range(1, max_order + 1))
 
 

@@ -40,9 +40,21 @@ _BITS = bytes.maketrans(b"\0\1", b"01")
 def check_cap(elements: int) -> None:
     """Raise GroupTooLarge if a group with this many elements, or a closure
     that has reached this many, is over the construction cap. Every
-    construction path checks the cap here."""
+    construction path checks the cap here or in check_power_cap. A count
+    of over 256 bits is told by its bit length: str refuses 4300 digits."""
     if elements > DEFAULT_CONSTRUCTION_CAP:
-        raise GroupTooLarge(f"{elements} elements exceed the construction cap {DEFAULT_CONSTRUCTION_CAP}")
+        shown = elements if elements.bit_length() <= 256 else f"at least 2^{elements.bit_length() - 1}"
+        raise GroupTooLarge(f"{shown} elements exceed the construction cap {DEFAULT_CONSTRUCTION_CAP}")
+
+
+def check_power_cap(base: int, exponent: int, factor: int = 1) -> None:
+    """check_cap(factor * base**exponent) for ints base >= 2, exponent >= 0
+    and factor >= 1. Past the cap's bit length 2**exponent alone is over
+    the cap, and the power, which can be too big to make, is not made."""
+    cap = DEFAULT_CONSTRUCTION_CAP
+    if exponent > cap.bit_length():
+        raise GroupTooLarge(f"at least 2^{exponent} elements exceed the construction cap {cap}")
+    check_cap(factor * base ** exponent)
 
 
 def row_type(n: int):

@@ -19,6 +19,7 @@ from .arith import abelian_type_list, factorize, is_prime, require_int, require_
 from .core import (
     FiniteGroup,
     check_cap,
+    check_power_cap,
     compose_each,
     compose_rows,
     coset_rows,
@@ -76,8 +77,10 @@ def abelian(factors: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
 
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    require_prime(p)
     require_int(k, "rank", 0)
+    if type(p) is int and p >= 2:  # before the primality test and the k factors
+        check_power_cap(p, k)
+    require_prime(p)
     if k == 0:
         return cyclic(1)
     name = f"C{p}" if k == 1 else f"C{p}^{k}"
@@ -168,8 +171,8 @@ def wall_H(r: int) -> FiniteGroup:
     B(v, w) = sum_i v[x_i] w[y_i] mod 2. Order 2^(2r+1).
     """
     require_int(r, "r", 1)
+    check_power_cap(2, 2 * r + 1)
     n = 1 << (2 * r + 1)
-    check_cap(n)
     nv = 1 << (2 * r)
     xmask = 0
     for i in range(r):
@@ -191,7 +194,7 @@ def wall_S(r: int) -> FiniteGroup:
     """Split extension of C_2^{2r} by an involution sending each x_i to
     x_i y_i and fixing every y_i. Order 2^(2r+1)."""
     require_int(r, "r", 1)
-    check_cap(1 << (2 * r + 1))
+    check_power_cap(2, 2 * r + 1)
     xmask = (1 << r) - 1
     action = [v ^ ((v & xmask) << r) for v in range(1 << (2 * r))]
     return FiniteGroup(_semidirect_rows(_abelian_rows([2] * (2 * r)), action, 2), name=f"S({r})")
@@ -201,7 +204,7 @@ def wall_T(r: int) -> FiniteGroup:
     """Split extension of C_2^{2r} by an order-3 map cycling
     x_i -> y_i -> x_i y_i -> x_i. Order 3*4^r."""
     require_int(r, "r", 1)
-    check_cap(3 << (2 * r))
+    check_power_cap(2, 2 * r, 3)
     xmask = (1 << r) - 1
     action = []
     for v in range(1 << (2 * r)):
@@ -271,10 +274,11 @@ def heisenberg(p: int) -> FiniteGroup:
     (a, b, c) with product (a+a', b+b', c+c'+a*b') mod p, indexed
     a*p^2 + b*p + c. That is (C_p x C_p) : C_p, whose generator a acts on
     (b, c), indexed b*p + c, by the shear (b, c) -> (b, c + b)."""
+    if type(p) is int:
+        check_cap(p ** 3)  # before the primality test, too slow for a large p
     require_prime(p)
     if p == 2:
         raise GroupError("exponent-p model needs an odd prime")
-    check_cap(p ** 3)
     shear = [b * p + (c + b) % p for b in range(p) for c in range(p)]
     return FiniteGroup(_semidirect_rows(_abelian_rows([p, p]), shear, p), name=f"Heis{p}")
 
@@ -331,6 +335,8 @@ def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]]
 
 def symmetric(n: int) -> FiniteGroup:
     require_int(n, "degree", 1)
+    check_power_cap(2, n - 1)  # n! >= 2^(n - 1), so a large n is refused before n! is made
+    check_cap(math.factorial(n))
     if n == 1:
         return cyclic(1)
     cycle = tuple(range(1, n)) + (0,)
@@ -340,6 +346,8 @@ def symmetric(n: int) -> FiniteGroup:
 
 def alternating(n: int) -> FiniteGroup:
     require_int(n, "degree", 3)
+    check_power_cap(2, n - 2)  # n!/2 >= 2^(n - 2), so a large n is refused before n! is made
+    check_cap(math.factorial(n) // 2)
     three = (1, 2, 0) + tuple(range(3, n))
     if n % 2 == 1:
         big = tuple(range(1, n)) + (0,)

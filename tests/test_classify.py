@@ -41,7 +41,6 @@ from test_core import relabel
 
 def tags_of(g):
     rec = recognize(g)
-    assert rec.undecided == frozenset()
     return rec.families(), rec.subtypes()
 
 
@@ -80,7 +79,7 @@ def test_recognition_helpers():
     rec = Recognition(frozenset({FamilyTag(F2_THEOREM_A, "IX")}))
     assert rec.families() == {F2_THEOREM_A}
     assert rec.subtypes() == {"IX"}
-    assert rec.has(F2_THEOREM_A) and not rec.has(F1_SMALL)
+    assert F2_THEOREM_A in rec.families() and F1_SMALL not in rec.families()
     assert len(SUBTYPES) == 10
     assert WALL_SUBTYPES == {"I", "II", "III", "IV"}
 
@@ -114,7 +113,7 @@ def test_large_degree_vertex_rejects_trivial():
 
 def test_trivial_group_gets_no_tags():
     rec = recognize(gl.trivial())
-    assert rec.tags == frozenset() and rec.undecided == frozenset()
+    assert rec.tags == frozenset()
 
 
 def test_small_order_family():
@@ -232,9 +231,7 @@ def test_wall_membership_tag_follows_subtypes(catalog36):
         if g.order == 1:
             continue
         rec = recognize(g)
-        if rec.undecided:
-            continue
-        assert rec.has(WALL_I_IV) == bool(rec.subtypes() & WALL_SUBTYPES), entry.name
+        assert (WALL_I_IV in rec.families()) == bool(rec.subtypes() & WALL_SUBTYPES), entry.name
 
 
 def test_recognition_is_isomorphism_invariant(d8):
@@ -243,16 +240,35 @@ def test_recognition_is_isomorphism_invariant(d8):
     assert recognize(twin).tags == base.tags
 
 
-def test_capped_isomorphism_checks_surface_as_undecided(monkeypatch):
-    s4, t2, d12 = gl.symmetric(4), gl.wall_T(2), gl.dihedral(6)
+def _spy_on_comparisons(monkeypatch):
+    """The calls recognize makes to build and compare Theorem A groups."""
+    calls = []
+    for name in ("theorem_a_group", "is_isomorphic"):
+        monkeypatch.setattr(f"grouplattice.classify.{name}", lambda *args, name=name: calls.append(name))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: gl.symmetric(4), lambda: gl.wall_T(2), lambda: gl.dihedral(6)], ids=["S4", "T(2)", "D12"]
+)
+def test_recognize_refuses_a_group_over_the_isomorphism_cap_at_the_call(monkeypatch, build):
+    # the cap is read when recognize is called; lowered to 8, S4, T(2) and
+    # D12 are refused before any Theorem A group is built or compared
+    g = build()
     monkeypatch.setattr("grouplattice.iso.DEFAULT_ISO_CAP", 8)
-    rec = recognize(s4)
-    assert "IX" in rec.undecided
-    assert "IX" not in rec.subtypes()
-    rec = recognize(t2)
-    assert "V" in rec.undecided
-    rec = recognize(d12)
-    assert F7_D12 in rec.undecided
+    calls = _spy_on_comparisons(monkeypatch)
+    with pytest.raises(GroupTooLarge) as refused:
+        recognize(g)
+    assert str(refused.value) == f"recognizing {g.name} of order {g.order} exceeds the isomorphism cap 8"
+    assert calls == []
+
+
+def test_recognize_refuses_a_group_over_the_default_isomorphism_cap(monkeypatch):
+    g = gl.elementary_abelian(2, 10)
+    calls = _spy_on_comparisons(monkeypatch)
+    with pytest.raises(GroupTooLarge, match=r"^recognizing C2\^10 of order 1024 exceeds the isomorphism cap 512$"):
+        recognize(g)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +367,12 @@ def test_verify_theorem_1_1_passes(catalog36):
     assert report.groups_checked > 0
 
 
-def test_verify_theorem_1_1_reports_undecided_loudly(monkeypatch):
+@pytest.mark.parametrize("verify", [verify_theorem_1_1, verify_theorem_A, verify_wall], ids=lambda f: f.__name__)
+def test_recognizing_verifiers_raise_over_the_isomorphism_cap(monkeypatch, verify):
     entries = gl.catalog(24)
     monkeypatch.setattr("grouplattice.iso.DEFAULT_ISO_CAP", 8)
-    report = verify_theorem_1_1(entries, 24)
-    assert not report.passed
-    assert any("undecided" in detail for _, detail in report.counterexamples)
+    with pytest.raises(GroupTooLarge, match=r"exceeds the isomorphism cap 8$"):
+        verify(entries, 24)
 
 
 def _fresh_entries():

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,48 @@ def test_construct_invalid_parameter_value(capsys):
 def test_construct_heisenberg_rejects_even_prime(capsys):
     code, _, err = run(capsys, "construct", "heisenberg", "2")
     assert code == 2 and "odd prime" in err
+
+
+HUGE = str(10**18)
+HUGE_PRIME_CANDIDATE = str(10**18 + 3)
+FIFTEEN_THOUSAND_TWOS = ["2"] * 15000
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["wall-h", HUGE],
+        ["wall-s", HUGE],
+        ["wall-t", HUGE],
+        ["wall-h", "100000000"],
+        ["abelian", *FIFTEEN_THOUSAND_TWOS],
+        ["generalized-dihedral", *FIFTEEN_THOUSAND_TWOS],
+        ["elementary-abelian", "2", HUGE],
+        ["symmetric", HUGE],
+        ["heisenberg", HUGE_PRIME_CANDIDATE],
+        ["elementary-abelian", HUGE_PRIME_CANDIDATE, "1"],
+        ["alternating", "100000"],
+    ],
+    ids=lambda params: " ".join(params[:3]) + (" ..." if len(params) > 3 else ""),
+)
+def test_construct_refuses_a_huge_parameter_at_once(capsys, params):
+    # the construction cap is checked before any primality test, power,
+    # shift, parameter-long list or degree-n permutation
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", *params)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.endswith(" exceed the construction cap 4096\n")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("family,degree,order", [("symmetric", 7, 5040), ("alternating", 8, 20160)])
+def test_construct_refuses_symmetric_and_alternating_from_the_degree(capsys, family, degree, order):
+    # the smallest degrees over the cap; the permutation closure would
+    # stop only at 4097 elements
+    code, out, err = run(capsys, "construct", family, str(degree))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {order} elements exceed the construction cap 4096\n"
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +657,13 @@ def test_catalog_commands_refuse_an_order_over_the_isomorphism_cap(capsys, monke
     code, out, err = run(capsys, *argv, "--max-order", "513")
     assert (code, out) == (2, "")
     assert err == "input error: a catalog to order 513 is over the isomorphism cap 512\n"
+
+
+def test_catalog_reads_the_isomorphism_cap_when_it_runs(capsys, monkeypatch):
+    monkeypatch.setattr("grouplattice.iso.DEFAULT_ISO_CAP", 8)
+    code, out, err = run(capsys, "catalog", "--list", "--max-order", "16")
+    assert (code, out) == (2, "")
+    assert err == "input error: a catalog to order 16 is over the isomorphism cap 8\n"
 
 
 def test_verify_orders_scans_to_10000_by_default(capsys):
