@@ -29,7 +29,6 @@ _EXPORTS = {
         "wall_a",
     ),
     "classify": (
-        "FamilyTag",
         "Recognition",
         "VerificationReport",
         "has_large_degree_vertex",

@@ -11,10 +11,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import iso as _iso
 from . import lattice as _lattice
-from .arith import factorize, split_power, two_power_exponent
+from .arith import factorize, split_power
 from .core import FiniteGroup, Subgroup, _mask_elements
 from .errors import GroupTooLarge, TrivialGroup
-from .families import CatalogEntry, theorem_a_group
+from .families import CatalogEntry, theorem_a_group, theorem_a_recipes
 from .iso import is_isomorphic
 from .lattice import SubgroupLattice, all_subgroups
 
@@ -27,44 +27,16 @@ F6_CPN_C2 = "F6_CPN_C2"
 F7_D12 = "F7_D12"
 WALL_I_IV = "WALL_I_IV"
 
-SUBTYPES = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X")
 WALL_SUBTYPES = frozenset({"I", "II", "III", "IV"})
 
 
-class _FamilyTagFields(NamedTuple):
-    family: str
-    subtype: Optional[str] = None
-
-
-class FamilyTag(_FamilyTagFields):
-    """One family membership; subtype is the roman numeral for
-    F2_THEOREM_A tags and None otherwise."""
-
-    __slots__ = ()
-
-    def __new__(cls, family: str, subtype: Optional[str] = None):
-        if (family == F2_THEOREM_A) != (subtype is not None):
-            raise ValueError(f"subtype must accompany exactly the {F2_THEOREM_A} family")
-        if subtype is not None and subtype not in SUBTYPES:
-            raise ValueError(f"unknown subtype {subtype!r}")
-        return super().__new__(cls, family, subtype)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, so it validates too
-        return cls(*iterable)
-
-
 class Recognition(NamedTuple):
-    """The family tags of a group."""
+    """The families of a group and its Theorem A types I..X (roman
+    numerals). F2_THEOREM_A is among the families exactly when a type is,
+    and WALL_I_IV exactly when one of I..IV is."""
 
-    tags: frozenset[FamilyTag]
-
-    def families(self) -> frozenset[str]:
-        return frozenset(t.family for t in self.tags)
-
-    def subtypes(self) -> frozenset[str]:
-        return frozenset(t.subtype for t in self.tags if t.subtype is not None)
+    families: frozenset[str]
+    subtypes: frozenset[str]
 
 
 class VerificationReport(NamedTuple):
@@ -160,63 +132,38 @@ def recognize(g: FiniteGroup) -> Recognition:
     if n > cap:
         raise GroupTooLarge(f"recognizing {g.name} of order {n} exceeds the isomorphism cap {cap}")
     if n == 1:
-        return Recognition(frozenset())
-    tags: set[FamilyTag] = set()
+        return Recognition(frozenset(), frozenset())
+    families: set[str] = set()
+    subtypes: set[str] = set()
 
     if n <= 11 and not (g.is_cyclic and n >= 5):
-        tags.add(FamilyTag(F1_SMALL))
+        families.add(F1_SMALL)
     if g.exponent == 2:
-        tags.add(FamilyTag(F3_ELEM_AB_2))
+        families.add(F3_ELEM_AB_2)
     # C2^(s-1) x C4: half of its elements square to the identity
     if g.is_abelian and g.exponent == 4 and 2 * (g.involution_count + 1) == n:
-        tags.add(FamilyTag(F4_C2s_C4))
+        families.add(F4_C2s_C4)
     if _is_generalized_extraspecial(g):
-        tags.add(FamilyTag(F5_GEN_EXTRASPECIAL))
+        families.add(F5_GEN_EXTRASPECIAL)
     if _is_cpn_c2(g):
-        tags.add(FamilyTag(F6_CPN_C2))
-
-    def iso_check(subtype: str, param: int, edim: int) -> bool:
-        if is_isomorphic(g, theorem_a_group(subtype, param, edim)) is None:
-            return False
-        tags.add(FamilyTag(F2_THEOREM_A, subtype))
-        return True
-
+        families.add(F6_CPN_C2)
     if n == 12 and is_isomorphic(g, theorem_a_group(F7_D12, 6, 0)) is not None:
-        tags.add(FamilyTag(F7_D12))
+        families.add(F7_D12)
 
     if _is_generalized_dihedral(g):
-        tags.add(FamilyTag(F2_THEOREM_A, "I"))
+        subtypes.add("I")
     if g.exponent == 3:
-        tags.add(FamilyTag(F2_THEOREM_A, "VI"))
-    edim = two_power_exponent(n // 64) if n % 64 == 0 else None
-    if edim is not None:
-        iso_check("II", 0, edim)
-    for subtype in ("III", "IV"):
-        r = 1
-        while (base_order := 1 << (2 * r + 1)) <= n:
-            if n % base_order == 0:
-                edim = two_power_exponent(n // base_order)
-                if edim is not None and iso_check(subtype, r, edim):
-                    break
-            r += 1
-    r = 1
-    while (base_order := 3 << (2 * r)) <= n:
-        if n == base_order:
-            iso_check("V", r, 0)
-        r += 1
-    edim = two_power_exponent(n // 48) if n % 48 == 0 else None
-    if edim is not None:
-        iso_check("VII", 0, edim)
-    if n == 36:
-        iso_check("VIII", 0, 0)
-    if n == 24:
-        iso_check("IX", 0, 0)
-    if n == 60:
-        iso_check("X", 0, 0)
+        subtypes.add("VI")
+    # a subtype already found is not compared again at a larger r
+    for subtype, param, edim in theorem_a_recipes(n):
+        if subtype not in subtypes and is_isomorphic(g, theorem_a_group(subtype, param, edim)) is not None:
+            subtypes.add(subtype)
 
-    if any(t.subtype in WALL_SUBTYPES for t in tags):
-        tags.add(FamilyTag(WALL_I_IV))
-    return Recognition(frozenset(tags))
+    if subtypes:
+        families.add(F2_THEOREM_A)
+    if subtypes & WALL_SUBTYPES:
+        families.add(WALL_I_IV)
+    return Recognition(frozenset(families), frozenset(subtypes))
 
 
 def _eligible(entries: Iterable[CatalogEntry], max_order: int, solvable_only: bool):
@@ -268,7 +215,7 @@ def verify_theorem_1_1(entries: Iterable[CatalogEntry], max_order: int) -> Verif
         if not has_large_degree_vertex(lattice):
             return None
         rec = recognize(g)
-        if rec.subtypes() - {"X"} or rec.families() & {
+        if rec.subtypes - {"X"} or rec.families & {
             F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12
         }:
             return None
@@ -285,13 +232,13 @@ def verify_theorem_A(entries: Iterable[CatalogEntry], max_order: int) -> Verific
     def check(entry, _):
         g = entry.group
         rec = recognize(g)
-        member = bool(rec.subtypes())
+        member = bool(rec.subtypes)
         large = 2 * (g.delta + 1) > g.order
         if large == member:
             return None
         if large:
             return f"delta {g.delta} > |G|/2-1 but no type I..X tag"
-        return f"types {sorted(rec.subtypes())} tagged but delta {g.delta} <= |G|/2-1"
+        return f"types {sorted(rec.subtypes)} tagged but delta {g.delta} <= |G|/2-1"
 
     return _verify("theorem-a", _without_lattices(entries, max_order), check)
 
@@ -302,13 +249,13 @@ def verify_wall(entries: Iterable[CatalogEntry], max_order: int) -> Verification
     def check(entry, _):
         g = entry.group
         rec = recognize(g)
-        member = bool(rec.subtypes() & WALL_SUBTYPES)
+        member = bool(rec.subtypes & WALL_SUBTYPES)
         many = 2 * (g.involution_count + 1) > g.order
         if many == member:
             return None
         if many:
             return f"i2 {g.involution_count} > |G|/2-1 but no type I..IV tag"
-        return f"types {sorted(rec.subtypes() & WALL_SUBTYPES)} tagged but i2 {g.involution_count} is small"
+        return f"types {sorted(rec.subtypes & WALL_SUBTYPES)} tagged but i2 {g.involution_count} is small"
 
     return _verify("wall", _without_lattices(entries, max_order), check)
 
@@ -350,7 +297,7 @@ def verify_corollary_1_3(entries: Iterable[CatalogEntry], max_order: int) -> Ver
         g = entry.group
         exists = any(2 * d == g.order for d in lattice.degree_profile().degrees)
         rec = recognize(g)
-        member = "VII" in rec.subtypes() or bool(rec.families() & {F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL})
+        member = "VII" in rec.subtypes or bool(rec.families & {F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL})
         if exists == member:
             return None
         if exists:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from functools import cache, lru_cache, partial, reduce
-from itertools import chain
+from itertools import chain, count
 from operator import add
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .arith import abelian_type_list, factorize, is_prime, require_int, require_prime, two_power_exponent
 from .core import (
@@ -78,8 +78,10 @@ def abelian(factors: Sequence[int], name: Optional[str] = None) -> FiniteGroup:
 
 def elementary_abelian(p: int, k: int) -> FiniteGroup:
     require_int(k, "rank", 0)
-    if type(p) is int and p >= 2:  # before the primality test and the k factors
-        check_power_cap(p, k)
+    if type(p) is int and p >= 2:
+        # before the primality test and the k factors; C_p alone is checked
+        # for k = 0 too, where a huge p would wait on the primality test
+        check_power_cap(p, max(k, 1))
     require_prime(p)
     if k == 0:
         return cyclic(1)
@@ -370,19 +372,21 @@ def _times_c2_power(g: FiniteGroup, k: int) -> FiniteGroup:
     return FiniteGroup(_product_rows(g.table, _abelian_rows([2] * k)), name=g.name + "xC2" * k)
 
 
-# the base groups of classify.recognize's comparisons: Theorem A subtypes
-# II-V and VII-X (param is r for III-V, unread otherwise), and the
-# dihedral group of order 2*param for the F7_D12 family
+# the base groups of classify.recognize's comparisons, as (build, order,
+# extends): Theorem A subtypes II-V and VII-X (param is r for III-V,
+# unread otherwise), and the dihedral group of order 2*param for the
+# F7_D12 family. order(param) is the base group's order, and extends
+# says whether a factor C2^edim may follow it
 _THEOREM_A_BASES = {
-    "II": lambda _: direct_product(dihedral(4), dihedral(4)),
-    "III": wall_H,
-    "IV": wall_S,
-    "V": wall_T,
-    "VII": lambda _: direct_product(symmetric(3), dihedral(4)),
-    "VIII": lambda _: direct_product(*[symmetric(3)] * 2),
-    "IX": lambda _: symmetric(4),
-    "X": lambda _: alternating(5),
-    "F7_D12": dihedral,
+    "II": (lambda _: direct_product(dihedral(4), dihedral(4)), lambda _: 64, True),
+    "III": (wall_H, lambda r: 2 << 2 * r, True),
+    "IV": (wall_S, lambda r: 2 << 2 * r, True),
+    "V": (wall_T, lambda r: 3 << 2 * r, False),
+    "VII": (lambda _: direct_product(symmetric(3), dihedral(4)), lambda _: 48, True),
+    "VIII": (lambda _: direct_product(*[symmetric(3)] * 2), lambda _: 36, False),
+    "IX": (lambda _: symmetric(4), lambda _: 24, False),
+    "X": (lambda _: alternating(5), lambda _: 60, False),
+    "F7_D12": (dihedral, lambda m: 2 * m, False),
 }
 
 
@@ -392,7 +396,23 @@ def theorem_a_group(subtype: str, param: int, edim: int) -> FiniteGroup:
     the catalog and the recognizers share it."""
     if edim:
         return _times_c2_power(theorem_a_group(subtype, param, 0), edim)
-    return _THEOREM_A_BASES[subtype](param)
+    return _THEOREM_A_BASES[subtype][0](param)
+
+
+def theorem_a_recipes(n: int) -> Iterator[tuple[str, int, int]]:
+    """Every (subtype, param, edim) whose theorem_a_group has order n, for
+    the Theorem A subtypes II-V and VII-X, by subtype and then by r.
+    Nothing is built here."""
+    for subtype, (_, order, extends) in _THEOREM_A_BASES.items():
+        if subtype == "F7_D12":
+            continue
+        for param in count(1) if subtype in ("III", "IV", "V") else (0,):
+            base = order(param)
+            if base > n:
+                break
+            edim = two_power_exponent(n // base) if n % base == 0 else None
+            if edim is not None and (extends or edim == 0):
+                yield subtype, param, edim
 
 
 class CatalogEntry(NamedTuple):

@@ -135,15 +135,14 @@ def _extend_homomorphism(rows1, rows2, gens: tuple[int, ...], images: list[int])
 def _generator_candidates(g1: FiniteGroup, g2: FiniteGroup):
     """The search's setup for maps g1 -> g2: (gens, cand), with gens a
     generating set of g1 and cand[i] the elements of g2 whose invariants
-    are those of gens[i]; None when a generator has no candidate. The most
-    constrained generators come first, in a stable sort."""
+    are those of gens[i]. The callers give groups with equal sorted
+    invariants, so each generator has a candidate. The most constrained
+    generators come first, in a stable sort."""
     inv1, inv2 = element_invariants(g1), element_invariants(g2)
     by_inv: dict[tuple, list[int]] = {}
     for x, key in enumerate(inv2):
         by_inv.setdefault(key, []).append(x)
-    pairs = [(s, by_inv.get(inv1[s])) for s in minimal_generating_set(g1)]
-    if not all(c for _, c in pairs):
-        return None
+    pairs = [(s, by_inv[inv1[s]]) for s in minimal_generating_set(g1)]
     pairs.sort(key=lambda pair: len(pair[1]))
     return tuple(s for s, _ in pairs), [c for _, c in pairs]
 
@@ -198,10 +197,7 @@ def is_isomorphic(g1: FiniteGroup, g2: FiniteGroup):
     # whose summaries agree
     if _summary(g1) != _summary(g2) or sorted(element_invariants(g1)) != sorted(element_invariants(g2)):
         return None
-    setup = _generator_candidates(g1, g2)
-    if setup is None:
-        return None
-    found = _search(g1.table, g2.table, *setup)
+    found = _search(g1.table, g2.table, *_generator_candidates(g1, g2))
     if found is None:
         return None
     return Isomorphism(g1, g2, found)

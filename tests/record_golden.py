@@ -15,6 +15,8 @@ catalog(64) lattice, one sha256 of the per-vertex (mask, upper covers) of
 every catalog(64) lattice, one sha256 of the (name, sorted tags,
 order, table bytes) of every catalog(256) entry, one sha256 of those
 digests of catalog(m) for every m in 1..64, 128 and 256, one sha256 of
+the families and Theorem A types `recognize` gives every catalog(256)
+group, one sha256 of
 the maps `iso.automorphisms` returns for every catalog(128) group, and
 the stdout of `construct symmetric 6` and `construct cyclic 300` (order
 above 256, so uint16 rows). The slow keys, which tests/test_golden.py checks only
@@ -60,6 +62,7 @@ CATALOG_COMMANDS = (
 CATALOG_DIGEST_KEY = f"(name, tags, order, table) of every catalog({CATALOG_ORDER}) entry"
 CATALOG_BOUNDS = (*range(1, 65), 128, 256)
 CATALOG_BOUNDS_DIGEST_KEY = "(name, tags, order, table) of catalog(m) for m in 1..64, 128, 256"
+RECOGNITION_DIGEST_KEY = f"recognize(g) (families, subtypes) of every catalog({CATALOG_ORDER}) group"
 BENCH_COMMANDS = (("verify", "orders", "--max-order", "10000"),)  # as the benchmark's lattice-free workload runs it
 AUTOMORPHISM_ORDER = 128
 AUTOMORPHISM_DIGEST_KEY = f"automorphisms(g) of every catalog({AUTOMORPHISM_ORDER}) group"
@@ -160,6 +163,18 @@ def catalog_bounds_digest() -> dict:
     return {"sha256": digest.hexdigest(), "catalogs": len(CATALOG_BOUNDS)}
 
 
+def recognition_digest(entries) -> dict:
+    """sha256 of each group's name, sorted families and sorted Theorem A
+    types under recognize, one line each."""
+    from grouplattice.classify import recognize
+
+    digest = hashlib.sha256()
+    for entry in entries:
+        families, subtypes = recognize(entry.group)
+        digest.update(f"{entry.name} {','.join(sorted(families))} {','.join(sorted(subtypes))}\n".encode())
+    return {"sha256": digest.hexdigest(), "groups": len(entries)}
+
+
 def automorphism_digest(entries) -> dict:
     """sha256 of each group's name followed by the maps automorphisms(g)
     returns, in order, one line each."""
@@ -223,6 +238,7 @@ def record() -> dict:
 
     golden[CATALOG_DIGEST_KEY] = catalog_digest(gl.catalog(CATALOG_ORDER))
     golden[CATALOG_BOUNDS_DIGEST_KEY] = catalog_bounds_digest()
+    golden[RECOGNITION_DIGEST_KEY] = recognition_digest(gl.catalog(CATALOG_ORDER))
     golden[VERTEX_DIGEST_KEY] = vertex_digest(gl.all_subgroups(e.group) for e in gl.catalog(64))
     golden[UPPER_DIGEST_KEY] = upper_digest(gl.all_subgroups(e.group) for e in gl.catalog(64))
     golden[SLOW_UPPER_DIGEST_KEY] = upper_digest(gl.all_subgroups(e.group) for e in gl.catalog(SLOW_ORDER))

@@ -17,10 +17,8 @@ from grouplattice.classify import (
     F5_GEN_EXTRASPECIAL,
     F6_CPN_C2,
     F7_D12,
-    SUBTYPES,
     WALL_I_IV,
     WALL_SUBTYPES,
-    FamilyTag,
     Recognition,
     _frattini_mask,
     has_large_degree_vertex,
@@ -39,48 +37,16 @@ from grouplattice.lattice import all_subgroups
 from test_core import relabel
 
 
-def tags_of(g):
-    rec = recognize(g)
-    return rec.families(), rec.subtypes()
-
-
 # ---------------------------------------------------------------------------
 # record plumbing
 
 
-def test_family_tag_subtype_validation():
-    FamilyTag(F2_THEOREM_A, "I")
-    FamilyTag(F3_ELEM_AB_2)
-    with pytest.raises(ValueError):
-        FamilyTag(F2_THEOREM_A)
-    with pytest.raises(ValueError):
-        FamilyTag(F3_ELEM_AB_2, "I")
-    with pytest.raises(ValueError):
-        FamilyTag(F2_THEOREM_A, "XI")
-
-
-def test_family_tag_equality_and_hash():
-    tag = FamilyTag(F2_THEOREM_A, "I")
-    assert tag == FamilyTag(family=F2_THEOREM_A, subtype="I") and tag != FamilyTag(F2_THEOREM_A, "II")
-    assert FamilyTag(F3_ELEM_AB_2) == FamilyTag(F3_ELEM_AB_2, None)
-    # the hash of the field tuple, as a frozen dataclass hashes
-    assert hash(tag) == hash((F2_THEOREM_A, "I"))
-    assert len({tag, FamilyTag(F2_THEOREM_A, "I"), FamilyTag(F3_ELEM_AB_2)}) == 2
-    assert repr(tag) == "FamilyTag(family='F2_THEOREM_A', subtype='I')"
-    with pytest.raises(AttributeError):
-        tag.subtype = "II"
-    with pytest.raises(ValueError):
-        tag._replace(subtype="XI")
-    with pytest.raises(ValueError):
-        tag._replace(family=F3_ELEM_AB_2)
-
-
 def test_recognition_helpers():
-    rec = Recognition(frozenset({FamilyTag(F2_THEOREM_A, "IX")}))
-    assert rec.families() == {F2_THEOREM_A}
-    assert rec.subtypes() == {"IX"}
-    assert F2_THEOREM_A in rec.families() and F1_SMALL not in rec.families()
-    assert len(SUBTYPES) == 10
+    rec = Recognition(frozenset({F2_THEOREM_A}), frozenset({"IX"}))
+    assert rec.families == {F2_THEOREM_A} and rec.subtypes == {"IX"}
+    assert F1_SMALL not in rec.families
+    families, subtypes = rec
+    assert (families, subtypes) == (rec.families, rec.subtypes)
     assert WALL_SUBTYPES == {"I", "II", "III", "IV"}
 
 
@@ -112,37 +78,36 @@ def test_large_degree_vertex_rejects_trivial():
 
 
 def test_trivial_group_gets_no_tags():
-    rec = recognize(gl.trivial())
-    assert rec.tags == frozenset()
+    assert recognize(gl.trivial()) == (frozenset(), frozenset())
 
 
 def test_small_order_family():
-    families, _ = tags_of(gl.cyclic(2))
+    families = recognize(gl.cyclic(2)).families
     assert F1_SMALL in families
     for n in (5, 7, 11):
-        families, _ = tags_of(gl.cyclic(n))
+        families = recognize(gl.cyclic(n)).families
         assert F1_SMALL not in families  # cyclic of order 5..11 excluded
-    families, _ = tags_of(gl.dicyclic(2))
+    families = recognize(gl.dicyclic(2)).families
     assert F1_SMALL in families
-    families, _ = tags_of(gl.cyclic(12))
+    families = recognize(gl.cyclic(12)).families
     assert F1_SMALL not in families
 
 
 def test_elementary_abelian_2_family():
     for k in (1, 2, 3, 4):
-        families, _ = tags_of(gl.elementary_abelian(2, k))
+        families = recognize(gl.elementary_abelian(2, k)).families
         assert F3_ELEM_AB_2 in families
-    families, _ = tags_of(gl.cyclic(4))
+    families = recognize(gl.cyclic(4)).families
     assert F3_ELEM_AB_2 not in families
 
 
 def test_c2s_c4_family():
-    assert F4_C2s_C4 in tags_of(gl.cyclic(4))[0]
-    assert F4_C2s_C4 in tags_of(gl.abelian((2, 4)))[0]
-    assert F4_C2s_C4 in tags_of(gl.abelian((2, 2, 4)))[0]
-    assert F4_C2s_C4 not in tags_of(gl.abelian((4, 4)))[0]
-    assert F4_C2s_C4 not in tags_of(gl.elementary_abelian(2, 2))[0]
-    assert F4_C2s_C4 not in tags_of(gl.cyclic(8))[0]
+    assert F4_C2s_C4 in recognize(gl.cyclic(4)).families
+    assert F4_C2s_C4 in recognize(gl.abelian((2, 4))).families
+    assert F4_C2s_C4 in recognize(gl.abelian((2, 2, 4))).families
+    assert F4_C2s_C4 not in recognize(gl.abelian((4, 4))).families
+    assert F4_C2s_C4 not in recognize(gl.elementary_abelian(2, 2)).families
+    assert F4_C2s_C4 not in recognize(gl.cyclic(8)).families
 
 
 def test_generalized_extraspecial_family():
@@ -154,33 +119,31 @@ def test_generalized_extraspecial_family():
         gl.central_product(gl.dihedral(4), gl.dicyclic(2)),
         gl.direct_product(gl.dihedral(4), gl.cyclic(2)),
     ):
-        assert F5_GEN_EXTRASPECIAL in tags_of(g)[0], g.name
+        assert F5_GEN_EXTRASPECIAL in recognize(g).families, g.name
     # a 2-group condition, not just |G'| = 2: S3 and D8xC3 must stay out
-    assert F5_GEN_EXTRASPECIAL not in tags_of(gl.symmetric(3))[0]
-    assert F5_GEN_EXTRASPECIAL not in tags_of(
-        gl.direct_product(gl.dihedral(4), gl.cyclic(3))
-    )[0]
-    assert F5_GEN_EXTRASPECIAL not in tags_of(gl.elementary_abelian(2, 3))[0]
+    assert F5_GEN_EXTRASPECIAL not in recognize(gl.symmetric(3)).families
+    assert F5_GEN_EXTRASPECIAL not in recognize(gl.direct_product(gl.dihedral(4), gl.cyclic(3))).families
+    assert F5_GEN_EXTRASPECIAL not in recognize(gl.elementary_abelian(2, 3)).families
 
 
 def test_odd_prime_power_by_c2_family():
-    assert F6_CPN_C2 in tags_of(gl.symmetric(3))[0]
-    assert F6_CPN_C2 in tags_of(gl.cyclic(6))[0]
-    assert F6_CPN_C2 in tags_of(gl.generalized_dihedral(gl.elementary_abelian(3, 2)))[0]
-    assert F6_CPN_C2 in tags_of(gl.direct_product(gl.elementary_abelian(3, 2), gl.cyclic(2)))[0]
-    assert F6_CPN_C2 not in tags_of(gl.dihedral(9))[0]  # Sylow-3 is C9, not elementary
-    assert F6_CPN_C2 not in tags_of(gl.cyclic(12))[0]  # 2^2 divides
-    assert F6_CPN_C2 not in tags_of(gl.alternating(4))[0]
-    assert F6_CPN_C2 not in tags_of(gl.dihedral(6))[0]  # order 12
-    assert F6_CPN_C2 not in tags_of(gl.elementary_abelian(3, 2))[0]  # odd order
+    assert F6_CPN_C2 in recognize(gl.symmetric(3)).families
+    assert F6_CPN_C2 in recognize(gl.cyclic(6)).families
+    assert F6_CPN_C2 in recognize(gl.generalized_dihedral(gl.elementary_abelian(3, 2))).families
+    assert F6_CPN_C2 in recognize(gl.direct_product(gl.elementary_abelian(3, 2), gl.cyclic(2))).families
+    assert F6_CPN_C2 not in recognize(gl.dihedral(9)).families  # Sylow-3 is C9, not elementary
+    assert F6_CPN_C2 not in recognize(gl.cyclic(12)).families  # 2^2 divides
+    assert F6_CPN_C2 not in recognize(gl.alternating(4)).families
+    assert F6_CPN_C2 not in recognize(gl.dihedral(6)).families  # order 12
+    assert F6_CPN_C2 not in recognize(gl.elementary_abelian(3, 2)).families  # odd order
 
 
 def test_d12_family():
-    assert F7_D12 in tags_of(gl.dihedral(6))[0]
-    assert F7_D12 in tags_of(gl.direct_product(gl.symmetric(3), gl.cyclic(2)))[0]
-    assert F7_D12 not in tags_of(gl.alternating(4))[0]
-    assert F7_D12 not in tags_of(gl.dicyclic(3))[0]
-    assert F7_D12 not in tags_of(gl.cyclic(12))[0]
+    assert F7_D12 in recognize(gl.dihedral(6)).families
+    assert F7_D12 in recognize(gl.direct_product(gl.symmetric(3), gl.cyclic(2))).families
+    assert F7_D12 not in recognize(gl.alternating(4)).families
+    assert F7_D12 not in recognize(gl.dicyclic(3)).families
+    assert F7_D12 not in recognize(gl.cyclic(12)).families
 
 
 def test_subtype_probes():
@@ -208,36 +171,38 @@ def test_subtype_probes():
         (gl.direct_product(gl.alternating(4), gl.cyclic(2)), set()),
     ]
     for g, expect in probes:
-        _, subtypes = tags_of(g)
+        subtypes = recognize(g).subtypes
         assert subtypes == expect, f"{g.name}: {sorted(subtypes)} != {sorted(expect)}"
 
 
 def test_direct_factor_of_involutions_extends_types():
     # II, III, IV, VII absorb an extra C2 factor; V must not
-    assert "III" in tags_of(gl.direct_product(gl.wall_H(2), gl.cyclic(2)))[1]
-    assert "IV" in tags_of(gl.direct_product(gl.wall_S(2), gl.cyclic(2)))[1]
-    assert "II" in tags_of(
+    assert "III" in recognize(gl.direct_product(gl.wall_H(2), gl.cyclic(2))).subtypes
+    assert "IV" in recognize(gl.direct_product(gl.wall_S(2), gl.cyclic(2))).subtypes
+    assert "II" in recognize(
         gl.direct_product(gl.direct_product(gl.dihedral(4), gl.dihedral(4)), gl.cyclic(2))
-    )[1]
-    assert "VII" in tags_of(
+    ).subtypes
+    assert "VII" in recognize(
         gl.direct_product(gl.direct_product(gl.symmetric(3), gl.dihedral(4)), gl.cyclic(2))
-    )[1]
-    assert "V" not in tags_of(gl.direct_product(gl.wall_T(1), gl.cyclic(2)))[1]
+    ).subtypes
+    assert "V" not in recognize(gl.direct_product(gl.wall_T(1), gl.cyclic(2))).subtypes
 
 
 def test_wall_membership_tag_follows_subtypes(catalog36):
+    # and F2_THEOREM_A comes exactly with a type I..X
     for entry in catalog36:
         g = entry.group
         if g.order == 1:
             continue
         rec = recognize(g)
-        assert (WALL_I_IV in rec.families()) == bool(rec.subtypes() & WALL_SUBTYPES), entry.name
+        assert (WALL_I_IV in rec.families) == bool(rec.subtypes & WALL_SUBTYPES), entry.name
+        assert (F2_THEOREM_A in rec.families) == bool(rec.subtypes), entry.name
 
 
 def test_recognition_is_isomorphism_invariant(d8):
     base = recognize(d8)
     twin = gl.from_cayley_table(relabel(d8.table, [3, 1, 4, 0, 6, 2, 7, 5]), name="X")
-    assert recognize(twin).tags == base.tags
+    assert recognize(twin) == base
 
 
 def _spy_on_comparisons(monkeypatch):
@@ -271,6 +236,34 @@ def test_recognize_refuses_a_group_over_the_default_isomorphism_cap(monkeypatch)
     assert calls == []
 
 
+def test_recognize_compares_each_recipe_once_at_the_group_order(monkeypatch, catalog64):
+    # every Theorem A group recognize compares against has the order of
+    # the group it recognizes, and no recipe is compared twice; catalog(64)
+    # takes 150 comparisons in all
+    built, compared = {}, []
+
+    def build(*recipe):
+        h = theorem_a_group(*recipe)
+        built[id(h)] = recipe
+        return h
+
+    def compare(g, h):
+        compared.append((g.order, h.order, built[id(h)]))
+        return gl.is_isomorphic(g, h)
+
+    monkeypatch.setattr("grouplattice.classify.theorem_a_group", build)
+    monkeypatch.setattr("grouplattice.classify.is_isomorphic", compare)
+    calls = 0
+    for entry in catalog64:
+        compared.clear()
+        recognize(entry.group)
+        assert all(order == h_order for order, h_order, _ in compared), entry.name
+        recipes = [recipe for _, _, recipe in compared]
+        assert len(set(recipes)) == len(recipes), entry.name
+        calls += len(recipes)
+    assert calls == 150
+
+
 # ---------------------------------------------------------------------------
 # independent oracle for the inverted-abelian recognizer
 
@@ -297,7 +290,7 @@ def test_inverted_abelian_recognizer_matches_oracle(lattices64):
         if g.order == 1:
             continue
         expect = generalized_dihedral_oracle(lattice)
-        got = "I" in recognize(g).subtypes()
+        got = "I" in recognize(g).subtypes
         assert got == expect, g.name
 
 
@@ -315,7 +308,7 @@ def test_inverted_abelian_matches_constructor(catalog36):
     # catalog carries the subtype, whatever model produced the entry
     for entry in catalog36:
         if "generalized-dihedral" in entry.known_tags:
-            assert "I" in recognize(entry.group).subtypes(), entry.name
+            assert "I" in recognize(entry.group).subtypes, entry.name
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,7 @@ FIFTEEN_THOUSAND_TWOS = ["2"] * 15000
         ["symmetric", HUGE],
         ["heisenberg", HUGE_PRIME_CANDIDATE],
         ["elementary-abelian", HUGE_PRIME_CANDIDATE, "1"],
+        ["elementary-abelian", HUGE_PRIME_CANDIDATE, "0"],
         ["alternating", "100000"],
     ],
     ids=lambda params: " ".join(params[:3]) + (" ..." if len(params) > 3 else ""),
@@ -532,7 +533,7 @@ def test_construct_and_catalog_load_no_dataclasses(tmp_path, argv):
 # every public name of the package before its names were loaded lazily
 PUBLIC_NAMES = """
 ActionOrderMismatch BoundReport CandidateOrders CatalogEntry CheckFailed DEFAULT_CONSTRUCTION_CAP
-DEFAULT_ISO_CAP DEFAULT_LATTICE_CAP DegreeProfile FamilyTag FiniteGroup GroupError
+DEFAULT_ISO_CAP DEFAULT_LATTICE_CAP DegreeProfile FiniteGroup GroupError
 GroupTooLarge InputError Isomorphism NoIdentity NoInverse NotAbelian NotAssociative NotAutomorphism
 NotCentralInvolution NotLatinSquare NotNormal NotPrime NotSolvable NotSubgroup PrimesNotDistinct Recognition
 Subgroup SubgroupLattice TrivialGroup UsageError VerificationReport abelian abelian_type_list all_subgroups
@@ -611,6 +612,32 @@ def test_package_has_no_unused_imports():
                 names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
                 unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
     assert unused == []
+
+
+def test_package_has_no_unread_functions_or_classes():
+    # each top-level function or class of a module is read somewhere in the
+    # package (by name, or as an attribute such as _iso.DEFAULT_ISO_CAP) or
+    # is a public name of the package; module hooks such as __getattr__
+    # are called by the import system
+    package = Path(gl.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    public = {name for names in gl._EXPORTS.values() for name in names}
+    unread = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read | public
+    ]
+    assert unread == []
 
 
 def test_verify_unknown_target(capsys):

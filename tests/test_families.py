@@ -50,6 +50,8 @@ def test_elementary_abelian():
     assert g.order == 8 and g.exponent == 2 and g.name == "C2^3"
     assert gl.elementary_abelian(3, 2).exponent == 3
     assert gl.elementary_abelian(2, 0).order == 1
+    with pytest.raises(GroupTooLarge):
+        gl.elementary_abelian(4099, 0)  # C_p alone is over the construction cap
     with pytest.raises(GroupError):
         gl.elementary_abelian(2, -1)
     with pytest.raises(GroupError):
@@ -469,6 +471,36 @@ def test_catalog_shares_the_theorem_a_groups():
     for recipe in recipes:
         g = theorem_a_group(*recipe)
         assert by_name[g.name] is g, recipe
+
+
+def _closed_form_recipes(n):
+    """The Theorem A groups of order n of types II-V and VII-X as
+    (subtype, param, edim), from the closed forms: D8xD8xC2^e of order
+    2^(6+e), H(r)xC2^e and S(r)xC2^e of order 2^(2r+1+e), T(r) of order
+    3*4^r, S3xD8xC2^e of order 48*2^e, and S3xS3, S4 and A5."""
+    k = n.bit_length() - 1
+    two_power = n == 1 << k
+    recipes = [("II", 0, k - 6)] if two_power and k >= 6 else []
+    for subtype in ("III", "IV"):
+        recipes += [(subtype, r, k - 2 * r - 1) for r in range(1, k // 2 + 1) if two_power and 2 * r + 1 <= k]
+    recipes += [("V", r, 0) for r in range(1, 5) if n == 3 * 4 ** r]
+    recipes += [("VII", 0, e) for e in range(4) if n == 48 << e]
+    recipes += [(subtype, 0, 0) for subtype, order in (("VIII", 36), ("IX", 24), ("X", 60)) if n == order]
+    return recipes
+
+
+def test_theorem_a_recipes_follow_the_closed_forms():
+    from grouplattice.families import theorem_a_group, theorem_a_recipes
+
+    built = 0
+    for n in range(1, 513):
+        recipes = list(theorem_a_recipes(n))
+        assert recipes == _closed_form_recipes(n), n
+        if n <= 128:
+            for recipe in recipes:
+                assert theorem_a_group(*recipe).order == n, recipe
+                built += 1
+    assert built == 27
 
 
 def test_catalog_rejects_bad_bound():

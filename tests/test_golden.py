@@ -6,8 +6,10 @@ ten lattice-big tables, for `catalog --list`, `verify theorem-a` and
 per-vertex degrees and one of the upper covers of every catalog(64)
 lattice, a digest of every
 catalog(256) entry's name, tags and table, the same digest of catalog(m)
-for every m in 1..64, 128 and 256, and a digest of the
-automorphisms found for every catalog(128) group: a guard for refactors.
+for every m in 1..64, 128 and 256, a digest of the families and
+Theorem A types recognize gives every catalog(256) group, and a digest
+of the automorphisms found for every catalog(128) group: a guard for
+refactors.
 With GROUPLATTICE_SLOW=1 it also checks the five lattice targets at
 order 256, `lattice --format dot` on C2^8, the upper covers of every
 catalog(256) lattice and `catalog --list --max-order 512`.
@@ -36,6 +38,7 @@ from record_golden import (
     GOLDEN,
     GROUP_COMMANDS,
     GROUPS,
+    RECOGNITION_DIGEST_KEY,
     SLOW_CATALOG_COMMAND,
     SLOW_GROUP_COMMAND,
     SLOW_ORDER,
@@ -54,6 +57,7 @@ from record_golden import (
     catalog_digest,
     group_key,
     group_text,
+    recognition_digest,
     run,
     run_on_text,
     upper_digest,
@@ -76,7 +80,7 @@ def test_golden_file_covers_every_verify_target():
     keys += [" ".join(argv_for(t, SLOW_ORDER)) for t in SLOW_TARGETS] + [group_key(*SLOW_GROUP_COMMAND)]
     keys += [" ".join(SLOW_CATALOG_COMMAND)]
     digests = [VERTEX_DIGEST_KEY, UPPER_DIGEST_KEY, SLOW_UPPER_DIGEST_KEY]
-    digests += [CATALOG_DIGEST_KEY, CATALOG_BOUNDS_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY]
+    digests += [CATALOG_DIGEST_KEY, CATALOG_BOUNDS_DIGEST_KEY, RECOGNITION_DIGEST_KEY, AUTOMORPHISM_DIGEST_KEY]
     assert sorted(EXPECTED) == sorted(keys + digests)
 
 
@@ -137,6 +141,12 @@ def test_catalog_at_every_bound_matches_golden():
     # the catalog skips groups it proves isomorphic to kept entries and
     # shares the Theorem A groups; each bound must give the same entries
     assert catalog_bounds_digest() == EXPECTED[CATALOG_BOUNDS_DIGEST_KEY]
+
+
+def test_recognition_matches_golden():
+    import grouplattice as gl
+
+    assert recognition_digest(gl.catalog(CATALOG_ORDER)) == EXPECTED[RECOGNITION_DIGEST_KEY]
 
 
 @pytest.mark.parametrize("command", CONSTRUCT_COMMANDS, ids=" ".join)
