@@ -94,7 +94,7 @@ _EXPORTS = {
         "wall_T",
     ),
     "iso": ("DEFAULT_ISO_CAP", "Isomorphism", "is_isomorphic"),
-    "lattice": ("DEFAULT_LATTICE_CAP", "DegreeProfile", "SubgroupLattice", "all_subgroups"),
+    "lattice": ("DEFAULT_LATTICE_CAP", "DegreeProfile", "OrbitProfile", "SubgroupLattice", "all_subgroups"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_HOME]

@@ -56,7 +56,7 @@ def has_large_degree_vertex(lattice: SubgroupLattice) -> bool:
     g = lattice.parent
     if g.order == 1:
         raise TrivialGroup("the trivial group has a one-vertex graph")
-    top = max(lattice.degree_profile().degrees)
+    top = max(lattice.orbit_profile().degrees)
     return 2 * (top + 1) > g.order
 
 
@@ -219,7 +219,7 @@ def verify_theorem_1_1(entries: Iterable[CatalogEntry], max_order: int) -> Verif
             F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12
         }:
             return None
-        top = max(lattice.degree_profile().degrees)
+        top = max(lattice.orbit_profile().degrees)
         return f"max degree {top} exceeds |G|/2-1 but no family matched"
 
     return _verify("theorem-1.1", lattice_sweep(entries, max_order), check)
@@ -269,7 +269,7 @@ def verify_corollary_1_2(entries: Iterable[CatalogEntry], max_order: int) -> Ver
 
     def check(entry, lattice):
         g = entry.group
-        top = max(lattice.degree_profile().degrees)
+        top = max(lattice.orbit_profile().degrees)
         big = 4 * top >= 3 * g.order
         elementary = g.exponent == 2
         if big and not elementary:
@@ -295,7 +295,7 @@ def verify_corollary_1_3(entries: Iterable[CatalogEntry], max_order: int) -> Ver
 
     def check(entry, lattice):
         g = entry.group
-        exists = any(2 * d == g.order for d in lattice.degree_profile().degrees)
+        exists = any(2 * d == g.order for d in lattice.orbit_profile().degrees)
         rec = recognize(g)
         member = "VII" in rec.subtypes or bool(rec.families & {F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL})
         if exists == member:

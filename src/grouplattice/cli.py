@@ -13,7 +13,7 @@ import json
 import sys
 from contextlib import contextmanager
 from importlib import import_module
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 from typing import Optional, Sequence
 
 from . import _EXPORTS, _HOME
@@ -51,8 +51,16 @@ def __getattr__(name: str):
     return globals()[name]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError, so that they end
+    like every other usage error: one `usage error:` line and exit 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grouplattice",
         description="Construct finite groups, build subgroup graphs, verify degree bounds.",
     )
@@ -265,46 +273,53 @@ def _bound_line(group_name: str, order: int, report, subgroup_order: Optional[in
     )
 
 
-def _bounds_records(entry, lattice):
+def _bounds_records(out, entry, lattice) -> bool:
     order = entry.group.order
     reports = [wall_a(lattice), cww_b(lattice), herzog_manz_c(lattice)]
     for p in sorted(factorize(order)):
         reports.extend(newton_d(lattice, p))
     reports.append(newton_e(lattice))
     reports.append(edge_bound(lattice))
-    for rep in reports:
-        yield _bound_line(entry.name, order, rep), rep.holds
+    out.write("".join(_bound_line(entry.name, order, rep) + "\n" for rep in reports))
+    return all(rep.holds for rep in reports)
 
 
-def _lemma21_records(entry, lattice):
-    # the report is invariant under automorphisms (lattice module
-    # docstring): one call and one line per orbit
-    record_of: dict[int, tuple[str, bool]] = {}
-    for h, orbit in zip(lattice.subgroups, lattice.vertex_orbit):
-        record = record_of.get(orbit)
-        if record is None:
-            rep = lemma_2_1(lattice, h)
-            line = _bound_line(entry.name, entry.group.order, rep, subgroup_order=h.order)
+def _lemma21_records(out, entry, lattice) -> bool:
+    """One lemma_2_1 call per orbit, on its representative, in the order
+    of the orbits' first vertices: the report is invariant under
+    automorphisms (lattice module docstring). The line of each vertex is
+    its orbit's, and the group's lines go out in one write: all of them,
+    or, when a call raises, those of the vertices before that orbit's
+    first vertex."""
+    vertex_orbit = lattice.vertex_orbit
+    lines: dict[int, str] = {}
+    holds = True
+    try:
+        for orbit in dict.fromkeys(vertex_orbit):
+            h = lattice.representative(orbit)
             # lemma_2_1 raises CheckFailed when equality and its condition differ
-            record = record_of[orbit] = line, rep.holds
-        yield record
+            rep = lemma_2_1(lattice, h)
+            lines[orbit] = _bound_line(entry.name, entry.group.order, rep, subgroup_order=h.order) + "\n"
+            holds = holds and rep.holds
+    finally:
+        out.write("".join(map(lines.__getitem__, takewhile(lines.__contains__, vertex_orbit))))
+    return holds
 
 
 def _sweep(records_of, args) -> bool:
     """Write the records of a per-group bound target, one JSON record a
-    line as each is made, and give whether every record holds.
-    records_of(entry, lattice) gives a group's (line, holds) pairs.
-    lattice_sweep is called before the output is opened, so that a sweep
-    past the lattice cap writes nothing and creates no -o file."""
+    line, a group at a time, and give whether every record holds.
+    records_of(out, entry, lattice) writes a group's lines and gives
+    whether they all hold. lattice_sweep is called before the output is
+    opened, so that a sweep past the lattice cap writes nothing and
+    creates no -o file."""
     from .classify import lattice_sweep
 
     sweep = lattice_sweep(_catalog(args.max_order), args.max_order)
     passed = True
     with _output(args.output) as out:
         for entry, lattice in sweep:
-            for line, holds in records_of(entry, lattice):
-                out.write(line + "\n")
-                passed = passed and holds
+            passed = records_of(out, entry, lattice) and passed
     return passed
 
 
@@ -381,22 +396,22 @@ def _run_verify(args) -> int:
     return 0 if run(args) else 1
 
 
+_COMMANDS = {
+    "construct": _run_construct,
+    "catalog": _run_catalog,
+    "lattice": _run_lattice,
+    "degrees": _run_degrees,
+    "verify": _run_verify,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        if args.command == "construct":
-            return _run_construct(args)
-        if args.command == "catalog":
-            return _run_catalog(args)
-        if args.command == "lattice":
-            return _run_lattice(args)
-        if args.command == "degrees":
-            return _run_degrees(args)
-        return _run_verify(args)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help prints its text and exits 0
+            return int(exc.code or 0)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -62,13 +62,14 @@ def element_invariants(g: FiniteGroup) -> tuple[tuple[int, int, int, int], ...]:
     derived-subgroup membership). Order multisets alone fail to separate
     some order-32 pairs; the centralizer profile resolves them cheaply. The
     centralizer of x has size n / |class of x|, and the class is the orbit
-    of x under conjugation by the generators.
+    of x under conjugation by the generators. In an abelian group every
+    class is one element, so no orbit is walked.
     """
     cached = getattr(g, "_element_invariants", None)
     if cached is not None:
         return cached
     rows, inverse, n = g.table, g.inverses, g.order
-    class_size = [0] * n
+    class_size = [1 if g.is_abelian else 0] * n
     for x in range(n):
         if not class_size[x]:
             orbit = [x]
@@ -208,10 +209,11 @@ def _is_inner(g: FiniteGroup, map_) -> bool:
 
     u^-1 s u = map_[s] iff s u = u map_[s], so each u costs one row and
     one table lookup for the first generator; the others are tested only
-    for the u that pass it."""
+    for the u that pass it. The only inner automorphism of an abelian
+    group is the identity, which a map is iff it fixes each generator."""
     rows = g.table
-    if not g.generators:
-        return True
+    if g.is_abelian:
+        return all(map_[s] == s for s in g.generators)
     first, *rest = g.generators
     row, image = rows[first], map_[first]
     return any(

@@ -21,23 +21,29 @@ Two rules skip closures while C(H) is built:
 
 Automorphisms: the walk visits one representative per orbit of subgroups
 under the group A of automorphisms that the movers generate. The movers
-are element maps: conjugation by each member of g.generators that
-commutes with some generator (the others act trivially), and the
-non-inner automorphisms that iso.automorphisms finds. When a cover K is
-new, its whole orbit is numbered at once, by a breadth-first walk over
-the movers that keeps each member as its n-byte membership vector; each
-member's int mask is made once, after its orbit is listed. The vertex
-order (order, then mask) is built from the orbits' member lists: an
-orbit's members share one order, so the masks of each order are sorted
-as plain ints. An automorphism a maps the subgroup order onto itself,
-so a member a(R) of the orbit of a representative R has the upper
-covers {a(C) : C a cover of R}. Every subgroup is still numbered: if L
-covers some numbered M = a(R), then a^-1(L) covers R, so it is found
-when R is visited and its orbit, which holds L, is numbered. The proof
-uses only that each mover is an automorphism, and each is one: a
-conjugation, or a homomorphism that the search extended onto all n
+are element maps of two kinds. The inner ones are the conjugations by
+each member of g.generators that commutes with some generator (the
+others act trivially); the outer ones are the non-inner automorphisms
+that iso.automorphisms finds. When a cover K is new, its whole orbit is
+numbered at once, by a breadth-first walk over the movers that keeps each
+member as its n-byte membership vector; each member's int mask is made
+once, after its orbit is listed. An automorphism a maps the subgroup
+order onto itself, so a member a(R) of the orbit of a representative R
+has the upper covers {a(C) : C a cover of R}. Every subgroup is still
+numbered: if L covers some numbered M = a(R), then a^-1(L) covers R, so
+it is found when R is visited and its orbit, which holds L, is numbered.
+The proof uses only that each mover is an automorphism, and each is one:
+a conjugation, or a homomorphism that the search extended onto all n
 elements. The search decides only how many orbits merge, never the
 answer.
+
+Normal orbits: if every inner mover fixes K, K is normal, since the
+conjugations by the generators generate all conjugations. Then each
+member a(K) is normal too: x = a(y) for some y, as a is onto, and
+x a(K) x^-1 = a(y K y^-1) = a(K). So an inner mover fixes every member,
+a word in the movers moves K as its outer letters alone do, and the
+walk of a normal orbit applies the outer movers only: the same members
+from fewer translates.
 
 Degrees per orbit: members get no closure and no cover gather. up(a(R))
 = up(R), the number of covers of R. Let c(R -> O) count the covers of R
@@ -47,24 +53,40 @@ number of members of O_R that K covers, so
 
     down(K) = sum over representatives R of |O_R| c(R -> O_K) / |O_K|,
 
-and edge_count = sum over R of |O_R| up(R). The edge list upper is
-built on first access by transport: for the automorphism a of each
-mover, perm[i] is the index of a(H_i), and a walk on indices from the
-representatives gives each vertex first reached as perm[i] the covers
-perm[c] for c in upper[i]. covers and export_dot read upper. closures
-counts the closures made for the representatives, orbits the orbits.
+and edge_count = sum over R of |O_R| up(R). The walk keeps one dict from
+mask to orbit, to number new covers and count c(R -> O); it is dropped
+when the walk ends. closures counts the closures made for the
+representatives, orbits the orbits.
+
+Answers per orbit: the members of an orbit share the order, up, down and
+degree of its representative. orbit_profile() gives each orbit's degree,
+size and order, and report(), max_degree(), edge_count and len() read
+only those; so do the degree sweeps of classify. maximal_subgroups()
+reads the member lists of the orbits whose representative the whole
+group covers. frattini() and o_p(p) give characteristic subgroups, which
+A fixes: each is the one member of its orbit, so a representative.
+
+Vertex view, built on first use: the vertex order (order, then mask) with
+masks, vertex_orbit, subgroups, index_of, degree_profile(), atoms() and
+degree() of a subgroup that is no representative. An orbit's members
+share one order, so each order's members are sorted by mask, with their
+orbits alongside. The edge list upper is built on first access by
+transport: for the automorphism a of each mover, perm[i] is the index of
+a(H_i), and a walk on indices from the representatives gives each vertex
+first reached as perm[i] the covers perm[c] for c in upper[i]. covers and
+export_dot read upper.
 
 Size: the order cap DEFAULT_LATTICE_CAP is the only size rule. Inside it
 the largest lattice is that of C2^8, with 417,199 subgroups.
 
-Per-vertex answers per orbit: vertex_orbit maps each subgroup to its
-orbit. An automorphism a preserves the order and the degree of a
-subgroup H; H is normal iff a(H) is, since a(x H x^-1) = a(x) a(H) a(x)^-1
-and a is onto; H has exponent 2 iff a(H) has, since a preserves element
-orders; and x H -> a(x) a(H) is an isomorphism G/H -> G/a(H). So a
-per-subgroup answer built from these (the Lemma 2.1 report of
-`verify lemma21`) is the same on every member of an orbit, and a caller
-may compute it once per orbit.
+Per-vertex answers per orbit: an automorphism a preserves the order and
+the degree of a subgroup H; H is normal iff a(H) is, since
+a(x H x^-1) = a(x) a(H) a(x)^-1 and a is onto; H has exponent 2 iff a(H)
+has, since a preserves element orders; and x H -> a(x) a(H) is an
+isomorphism G/H -> G/a(H). So a per-subgroup answer built from these
+(the Lemma 2.1 report of `verify lemma21`) is the same on every member
+of an orbit, and a caller may compute it once per orbit, on the
+representative.
 """
 
 from __future__ import annotations
@@ -92,49 +114,91 @@ class DegreeProfile(NamedTuple):
     up: tuple[int, ...]
 
 
+class OrbitProfile(NamedTuple):
+    """Per orbit of subgroups, by orbit number: the degree its members
+    share, the number of its members and their order."""
+
+    degrees: tuple[int, ...]
+    sizes: tuple[int, ...]
+    orders: tuple[int, ...]
+
+
+def _in_vertex_order(masks) -> list[int]:
+    return sorted(masks, key=lambda mask: (mask.bit_count(), mask))
+
+
 class SubgroupLattice:
     """The covering graph of all subgroups of one finite group.
 
-    Subgroups are sorted by (order, membership bitset); index 0 is the
-    trivial subgroup and the last index is the whole group. The walk
-    leaves one orbit of subgroups under automorphisms of the group per
-    representative with that representative's upper covers; degrees,
-    edge_count, atoms and maximal subgroups come from those counts.
-    vertex_orbit[i] is the number of the orbit of subgroup i; the first
-    vertex of each orbit in index order need not be its representative.
-    upper[i], the indices of the subgroups covering subgroup i in
-    ascending order (the atoms of the interval [H_i, G]), is built on
-    first access by carrying the representatives' covers along one
-    vertex permutation per mover. closures counts the subgroup closures
-    the walk computed, orbits the orbits it found.
+    The walk leaves one orbit of subgroups under automorphisms of the
+    group per representative, with that representative's upper covers and
+    the orbit's member masks; the answers per orbit come from those (module
+    docstring). The vertex view is built on first use: subgroups sorted by
+    (order, membership bitset), so index 0 is the trivial subgroup and the
+    last index is the whole group, and vertex_orbit[i], the number of the
+    orbit of subgroup i; the first vertex of each orbit in index order need
+    not be its representative. upper[i], the indices of the subgroups
+    covering subgroup i in ascending order (the atoms of the interval
+    [H_i, G]), is built on first access by carrying the representatives'
+    covers along one vertex permutation per mover. closures counts the
+    subgroup closures the walk computed, orbits the orbits it found.
     """
 
-    def __init__(self, parent: FiniteGroup, orbit_of: dict[int, int], reps, members, movers, closures: int):
+    def __init__(self, parent: FiniteGroup, reps, members, below, movers, closures: int):
         self.parent = parent
-        # an orbit's members share one order: sort each order's masks as plain ints
-        by_order: dict[int, list[list[int]]] = {}
-        for (rep, _), masks in zip(reps, members):
-            by_order.setdefault(rep.bit_count(), []).append(masks)
-        self.masks: tuple[int, ...] = tuple(
-            chain.from_iterable(sorted(chain.from_iterable(by_order[k])) for k in sorted(by_order))
-        )
-        self.vertex_orbit = tuple(map(orbit_of.__getitem__, self.masks))
         self._reps = reps  # orbit -> (representative mask, its upper covers' masks)
+        self._members = members  # orbit -> its members' masks
+        self._rep_orbit = {rep: orbit for orbit, (rep, _) in enumerate(reps)}
         self._movers = movers
         self.closures = closures
         self.orbits = len(reps)
-        size = list(map(len, members))
+        size = tuple(map(len, members))
         # the edges whose upper end lies in the orbit O of K number |O| down(K),
-        # and sum_R |O_R| c(R -> O) counted from their lower ends
-        below = [0] * self.orbits
-        for (_, covers), n in zip(reps, size):
-            for c in covers:
-                below[orbit_of[c]] += n
-        up = [len(covers) for _, covers in reps]
-        down = list(map(operator.floordiv, below, size))
-        self.edge_count = sum(map(operator.mul, up, size))
-        self._up = tuple(map(up.__getitem__, self.vertex_orbit))
-        self._down = tuple(map(down.__getitem__, self.vertex_orbit))
+        # and below[O] = sum_R |O_R| c(R -> O) counted from their lower ends
+        self._up = [len(covers) for _, covers in reps]
+        self._down = list(map(operator.floordiv, below, size))
+        self.edge_count = sum(map(operator.mul, self._up, size))
+        self._count = sum(size)
+        self._orbit_profile = OrbitProfile(
+            degrees=tuple(map(operator.add, self._up, self._down)),
+            sizes=size,
+            orders=tuple(rep.bit_count() for rep, _ in reps),
+        )
+
+    def orbit_profile(self) -> OrbitProfile:
+        return self._orbit_profile
+
+    def representative(self, orbit: int) -> Subgroup:
+        return Subgroup(self.parent, self._reps[orbit][0], check=False)
+
+    @cached_property
+    def _vertices(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The vertex view's masks and vertex_orbit: an orbit's members
+        share one order, so each order's masks are sorted as plain ints,
+        and each mask's orbit is carried by the same permutation."""
+        by_order: dict[int, list[int]] = {}
+        for orbit, k in enumerate(self._orbit_profile.orders):
+            by_order.setdefault(k, []).append(orbit)
+        masks: list[int] = []
+        orbits: list[int] = []
+        for k in sorted(by_order):
+            level: list[int] = []
+            labels: list[int] = []
+            for orbit in by_order[k]:
+                level += self._members[orbit]
+                labels += repeat(orbit, len(self._members[orbit]))
+            perm = sorted(range(len(level)), key=level.__getitem__)
+            masks.extend(map(level.__getitem__, perm))
+            orbits.extend(map(labels.__getitem__, perm))
+        return tuple(masks), tuple(orbits)
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        return self._vertices[0]
+
+    @property
+    def vertex_orbit(self) -> tuple[int, ...]:
+        return self._vertices[1]
 
     @cached_property
     def subgroups(self) -> tuple[Subgroup, ...]:
@@ -148,7 +212,7 @@ class SubgroupLattice:
     def upper(self) -> tuple[tuple[int, ...], ...]:
         """Transport along the movers (module docstring); each vertex's
         table is made once for all the movers."""
-        index, upper = self._index, [None] * len(self.masks)
+        index, upper = self._index, [None] * len(self)
         perms = [[] for _ in self._movers]
         for mask in self.masks:
             table = bin(mask)[:1:-1].ljust(256, "0").encode()  # ASCII bits: an image is int(image[::-1], 2)
@@ -166,7 +230,7 @@ class SubgroupLattice:
         return tuple(upper)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self._count
 
     def index_of(self, h: Subgroup) -> int:
         if h.parent is not self.parent or h.mask not in self._index:
@@ -178,19 +242,39 @@ class SubgroupLattice:
         return [(i, j) for i, above in enumerate(self.upper) for j in above]
 
     def degree(self, h) -> int:
-        i = h if isinstance(h, int) else self.index_of(h)
-        return self._up[i] + self._down[i]
+        """The degree of vertex h, by index or subgroup; a representative
+        is answered from its orbit without the vertex view."""
+        if isinstance(h, int):
+            orbit = self.vertex_orbit[h]
+        elif h.parent is self.parent and h.mask in self._rep_orbit:
+            orbit = self._rep_orbit[h.mask]
+        else:
+            orbit = self.vertex_orbit[self.index_of(h)]
+        return self._orbit_profile.degrees[orbit]
+
+    @cached_property
+    def _degree_profile(self) -> DegreeProfile:
+        up = tuple(map(self._up.__getitem__, self.vertex_orbit))
+        down = tuple(map(self._down.__getitem__, self.vertex_orbit))
+        return DegreeProfile(degrees=tuple(map(operator.add, up, down)), down=down, up=up)
 
     def degree_profile(self) -> DegreeProfile:
-        degrees = tuple(u + d for u, d in zip(self._up, self._down))
-        return DegreeProfile(degrees=degrees, down=self._down, up=self._up)
+        return self._degree_profile
+
+    def _top_orbits(self) -> tuple[int, int, list[int]]:
+        """The largest degree, the smallest order of a vertex with it, and
+        the orbits of that degree and order."""
+        degrees, _, orders = self._orbit_profile
+        top = max(degrees)
+        k = min(o for d, o in zip(degrees, orders) if d == top)
+        return top, k, [i for i, (d, o) in enumerate(zip(degrees, orders)) if d == top and o == k]
 
     def max_degree(self) -> tuple[Subgroup, int]:
         """The vertex of largest degree; ties broken by smallest order,
         then smallest membership bitset: the first in index order."""
-        degrees = self.degree_profile().degrees
-        deg = max(degrees)
-        return self.subgroups[degrees.index(deg)], deg
+        top, _, orbits = self._top_orbits()
+        mask = min(chain.from_iterable(map(self._members.__getitem__, orbits)))
+        return Subgroup(self.parent, mask, check=False), top
 
     def atoms(self) -> list[Subgroup]:
         return [s for s in self.subgroups if is_prime(s.order)]
@@ -198,9 +282,9 @@ class SubgroupLattice:
     @cached_property
     def _maximal(self) -> tuple[Subgroup, ...]:
         # the group is an orbit of its own; the orbits whose representative it covers are maximal
-        top = self.masks[-1]
-        maximal = {o for o, (_, covers) in enumerate(self._reps) if top in covers}
-        return tuple(s for s, o in zip(self.subgroups, self.vertex_orbit) if o in maximal)
+        top = (1 << self.parent.order) - 1
+        masks = chain.from_iterable(m for (_, covers), m in zip(self._reps, self._members) if top in covers)
+        return tuple(Subgroup(self.parent, m, check=False) for m in _in_vertex_order(masks))
 
     def maximal_subgroups(self) -> list[Subgroup]:
         """The maximal subgroups, in vertex order, as a new list each call."""
@@ -211,10 +295,10 @@ class SubgroupLattice:
         return [h for h in self.maximal_subgroups() if split_power(h.index, p)[1] == 1]
 
     def frattini(self) -> Subgroup:
-        mask = self.masks[-1]
-        for h in self.maximal_subgroups():
+        mask = (1 << self.parent.order) - 1
+        for h in self._maximal:
             mask &= h.mask
-        return self.subgroups[self._index[mask]]
+        return Subgroup(self.parent, mask, check=False)
 
     def o_p(self, p: int) -> Subgroup:
         """O^p(G), the smallest normal subgroup whose index is a power of p,
@@ -222,12 +306,15 @@ class SubgroupLattice:
         a union of conjugacy classes, so N is normal. Each x in G is the
         product of a p-element and a p'-element that are powers of x, so
         xN has p-power order and G/N is a p-group. A normal subgroup of
-        p-power index holds every p'-element, so it contains N."""
+        p-power index holds every p'-element, so it contains N. N is
+        characteristic, so it is the representative of its orbit."""
         g = self.parent
         mask = g.closure_mask(x for x, k in enumerate(g.element_orders) if k % p)
-        if mask not in self._index:
+        if mask not in self._rep_orbit:
+            if mask in self._index:
+                raise CheckFailed(f"closure of the {p}'-elements is a vertex that an automorphism moves")
             raise CheckFailed(f"closure of the {p}'-elements is not a vertex")
-        result = self.subgroups[self._index[mask]]
+        result = Subgroup(g, mask, check=False)
         if split_power(result.index, p)[1] != 1:
             raise CheckFailed(f"closure of the {p}'-elements has index {result.index}, not a power of {p}")
         return result
@@ -246,15 +333,15 @@ class SubgroupLattice:
         yield "}\n"
 
     def report(self) -> dict:
-        degrees = self.degree_profile().degrees
-        deg = max(degrees)
+        degrees, sizes, _ = self._orbit_profile
+        top, k, _ = self._top_orbits()
         return {
             "group": self.parent.name,
             "order": self.parent.order,
-            "subgroup_count": len(self.masks),
-            "degree_sequence": sorted(degrees),
-            "max_degree": deg,
-            "max_degree_order": self.masks[degrees.index(deg)].bit_count(),
+            "subgroup_count": self._count,
+            "degree_sequence": list(chain.from_iterable(repeat(d, n) for d, n in sorted(zip(degrees, sizes)))),
+            "max_degree": top,
+            "max_degree_order": k,
             "delta": self.parent.delta,
             "edge_count": self.edge_count,
         }
@@ -303,10 +390,11 @@ def _vector(elems, size: int) -> bytes:
     return bytes(vector)
 
 
-def _orbit(vector: bytes, movers) -> list[bytes]:
+def _orbit(vector: bytes, inner, outer) -> list[bytes]:
     """Breadth-first walk of the orbit of a subgroup under the group that
     the movers generate: the n-byte membership vector of each member, in
-    the order found.
+    the order found. If every inner mover fixes the subgroup, it is normal
+    and the walk applies the outer movers only (module docstring).
 
     A mover is the inverse a^-1 of an automorphism a, as n bytes, and
     a^-1.translate(t) is the membership vector of a(S) when the 256-byte
@@ -315,6 +403,8 @@ def _orbit(vector: bytes, movers) -> list[bytes]:
     movers are applied to it. A caller makes each member's mask once from
     its vector v, bit x being byte x: int(v[::-1].translate(_BITS), 2)."""
     pad = bytes(256 - len(vector))
+    table = vector + pad
+    movers = outer if all(s.translate(table) == vector for s in inner) else inner + outer
     seen = {vector}
     vectors = [vector]
     for vector in vectors:
@@ -327,38 +417,41 @@ def _orbit(vector: bytes, movers) -> list[bytes]:
     return vectors
 
 
-def _movers(g: FiniteGroup) -> list[bytes]:
-    """The inverses, as n bytes, of automorphisms of g: conjugation
-    x -> s^-1 x s by each member of g.generators that commutes with some
-    generator (the others act trivially), then the non-inner automorphisms
-    that the search finds."""
+def _movers(g: FiniteGroup) -> tuple[list[bytes], list[bytes]]:
+    """The inverses, as n bytes, of automorphisms of g, inner and outer:
+    conjugation x -> s^-1 x s by each member of g.generators that commutes
+    with some generator (the others act trivially), and the non-inner
+    automorphisms that the search finds."""
     rows, inv, n = g.table, g.inverses, g.order
-    maps = [
+    inner = [
         compose_rows(bytes(rows[x][s] for x in range(n)), rows[inv[s]])
         for s in g.generators
         if any(rows[s][t] != rows[t][s] for t in g.generators)
     ]
     identity = bytes(range(n))
-    return [bytes.maketrans(a, identity)[:n] for a in maps + [bytes(m) for m in automorphisms(g)]]
+    inverse = lambda a: bytes.maketrans(a, identity)[:n]
+    return list(map(inverse, inner)), [inverse(bytes(m)) for m in automorphisms(g)]
 
 
 def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
     rows, n = g.table, g.order
     gens = _cyclic_prime_power_generators(g)
-    movers = _movers(g)
-    orbit_of: dict[int, int] = {}  # mask -> orbit number
+    inner, outer = _movers(g)
+    orbit_of: dict[int, int] = {}  # mask -> orbit number, for this walk only
     reps: list = []  # orbit number -> (representative mask, masks of its upper covers)
     members: list[list[int]] = []  # orbit number -> masks of its members
+    below: list[int] = []  # orbit number O -> sum over representatives R of |O_R| c(R -> O)
     queue: deque = deque()  # (orbit, mask, elements, generators) of representatives
 
     def register(k_mask: int, k_elems: tuple[int, ...], basis: tuple[int, ...]) -> None:
         """Number the orbit of K and queue K as its representative."""
         orbit = len(reps)
-        vectors = _orbit(_vector(k_elems, n), movers)
+        vectors = _orbit(_vector(k_elems, n), inner, outer)
         masks = [int(v[::-1].translate(_BITS), 2) for v in vectors]
         orbit_of.update(zip(masks, repeat(orbit)))
         members.append(masks)
         reps.append(None)
+        below.append(0)
         queue.append((orbit, k_mask, k_elems, basis))
 
     register(1, (0,), ())
@@ -383,8 +476,9 @@ def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
             if k_mask not in orbit_of:
                 new, x = candidates[k_mask]
                 register(k_mask, elems + new, basis + (x,))
+            below[orbit_of[k_mask]] += len(members[orbit])
         reps[orbit] = (mask, tuple(covers))
-    return SubgroupLattice(g, orbit_of, reps, members, movers, closures)
+    return SubgroupLattice(g, reps, members, below, inner + outer, closures)
 
 
 def all_subgroups(g: FiniteGroup) -> SubgroupLattice:

@@ -535,7 +535,7 @@ PUBLIC_NAMES = """
 ActionOrderMismatch BoundReport CandidateOrders CatalogEntry CheckFailed DEFAULT_CONSTRUCTION_CAP
 DEFAULT_ISO_CAP DEFAULT_LATTICE_CAP DegreeProfile FiniteGroup GroupError
 GroupTooLarge InputError Isomorphism NoIdentity NoInverse NotAbelian NotAssociative NotAutomorphism
-NotCentralInvolution NotLatinSquare NotNormal NotPrime NotSolvable NotSubgroup PrimesNotDistinct Recognition
+NotCentralInvolution NotLatinSquare NotNormal NotPrime NotSolvable NotSubgroup OrbitProfile PrimesNotDistinct Recognition
 Subgroup SubgroupLattice TrivialGroup UsageError VerificationReport abelian abelian_type_list all_subgroups
 alternating candidate_orders catalog central_product cww_b cyclic dicyclic dihedral
 direct_product divisors dumps_group edge_bound elementary_abelian factorize from_cayley_table
@@ -877,6 +877,29 @@ def test_verify_output_to_file(capsys, tmp_path):
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["verify", "theorem-9"], "argument target: invalid choice: 'theorem-9'"),
+        (["lattice"], "the following arguments are required: file"),
+        (["lattice", "g.json", "--format", "svg"], "argument --format: invalid choice: 'svg'"),
+        (["verify", "bounds", "--max-order", "abc"], "argument --max-order: invalid int value: 'abc'"),
+        (["construct", "cyclic", "x"], "argument params: invalid int value: 'x'"),
+        (["verify", "bounds", "--bogus"], "unrecognized arguments: --bogus"),
+        (["catalog", "--list", "extra"], "unrecognized arguments: extra"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_argparse_errors_are_one_usage_error_line(capsys, argv, message):
+    # what argparse rejects ends as every usage error does: exit 2, no
+    # stdout, and one `usage error:` line with argparse's message
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_verify_targets_constant():

@@ -240,3 +240,36 @@ def test_is_inner_matches_the_conjugation_definition(monkeypatch):
     answers = [is_inner(g, map_) for g, map_ in seen]
     assert answers == [by_definition(g, map_) for g, map_ in seen]
     assert len(seen) > 300 and 0 < sum(answers) < len(seen)
+
+
+def _read_as_nonabelian(g):
+    """The same table as a new group whose is_abelian reads False, so that
+    element_invariants and _is_inner take their generic paths."""
+    twin = gl.from_cayley_table(g.table, name=g.name)
+    twin.__dict__["is_abelian"] = False
+    return twin
+
+
+def test_abelian_fast_paths_match_the_generic_ones(monkeypatch):
+    # element_invariants skips the conjugacy walk and _is_inner tests for
+    # the identity on an abelian group; both must answer as the generic
+    # code does, on every abelian group of catalog(256) and on every map
+    # that automorphisms finds there, inner ones included; the trivial
+    # group has no generator for the generic _is_inner to test
+    seen = []
+    is_inner = iso._is_inner
+    monkeypatch.setattr(iso, "_is_inner", lambda g, map_: seen.append(map_) or is_inner(g, map_))
+    groups, answers = 0, []
+    for entry in gl.catalog(256):
+        g = entry.group
+        if not g.is_abelian or g.order == 1:
+            continue
+        generic = _read_as_nonabelian(g)
+        assert element_invariants(g) == element_invariants(generic), g.name
+        seen.clear()
+        iso.automorphisms(g)
+        for map_ in seen:
+            answers.append(is_inner(g, map_))
+            assert answers[-1] == is_inner(generic, map_), (g.name, map_)
+        groups += 1
+    assert groups == 64 and len(answers) > 100 and 0 < sum(answers) < len(answers)

@@ -20,9 +20,17 @@ from hypothesis import given, settings, strategies as st
 
 import grouplattice as gl
 from grouplattice.arith import divisors, is_prime
+from grouplattice.core import Subgroup
 from grouplattice.errors import CheckFailed, GroupError, GroupTooLarge
 from grouplattice.iso import automorphisms
-from grouplattice.lattice import DEFAULT_LATTICE_CAP, all_subgroups
+from grouplattice.bounds import cww_b, edge_bound, herzog_manz_c, newton_d, newton_e, wall_a
+from grouplattice.classify import (
+    has_large_degree_vertex,
+    verify_corollary_1_2,
+    verify_corollary_1_3,
+    verify_theorem_1_1,
+)
+from grouplattice.lattice import DEFAULT_LATTICE_CAP, _movers, _orbit, _vector, all_subgroups
 
 from oracle_lattice import naive_covers, naive_degrees, naive_subgroups
 from oracle_pgroup import check_lattice, frobenius_counts, prime_factors
@@ -549,3 +557,99 @@ def test_pgroup_certificate_catches_a_wrong_lattice():
         [tuple(renumber[j] for j in upper[i] if j != 1) for i in keep],
     )
     assert problems == ["vertex 0 lists 4 distinct covers, up-degree 5"]
+
+
+# ---------------------------------------------------------------------------
+# answers per orbit and the vertex view built on demand
+
+# groups beyond catalog(64) with large orbits, normal ones among them
+PER_ORBIT_EXTRA = {
+    "S5": lambda: gl.symmetric(5),
+    "H(3)": lambda: gl.wall_H(3),
+    "T(3)": lambda: gl.wall_T(3),
+    "C2^7": lambda: gl.elementary_abelian(2, 7),
+}
+
+
+@pytest.fixture(scope="module")
+def per_orbit_lattices(lattices64):
+    return lattices64 + tuple(all_subgroups(make()) for make in PER_ORBIT_EXTRA.values())
+
+
+def test_per_orbit_answers_equal_the_per_vertex_ones(per_orbit_lattices):
+    # per vertex, each degree is counted from the edge list upper, which
+    # shares nothing with the per-orbit down-degree formula
+    for lat in per_orbit_lattices:
+        g, name = lat.parent, lat.parent.name
+        up = [len(above) for above in lat.upper]
+        down = [0] * len(lat)
+        for above in lat.upper:
+            for j in above:
+                down[j] += 1
+        degrees = [u + d for u, d in zip(up, down)]
+        top = max(degrees)
+        first = degrees.index(top)
+        report = lat.report()
+        assert report["max_degree"] == max(lat.orbit_profile().degrees) == top, name
+        assert report["degree_sequence"] == sorted(degrees), name
+        assert report["max_degree_order"] == lat.masks[first].bit_count(), name
+        assert report["edge_count"] == lat.edge_count == sum(up) == len(lat.covers), name
+        assert report["subgroup_count"] == len(lat) == len(lat.masks), name
+        assert lat.max_degree() == (lat.subgroups[first], top), name
+        half = any(2 * d == g.order for d in lat.orbit_profile().degrees)
+        assert half == any(2 * d == g.order for d in degrees), name
+        if g.order > 1:
+            assert has_large_degree_vertex(lat) == (2 * (top + 1) > g.order), name
+        profile = lat.orbit_profile()
+        assert Counter(lat.vertex_orbit) == dict(enumerate(profile.sizes)), name
+        for i, orbit in enumerate(lat.vertex_orbit):
+            assert (degrees[i], lat.masks[i].bit_count()) == (profile.degrees[orbit], profile.orders[orbit]), name
+        assert lat.degree_profile() == (tuple(degrees), tuple(down), tuple(up)), name
+
+
+def test_normal_orbits_walked_by_the_outer_movers_alone_are_whole(per_orbit_lattices):
+    # for every representative, the walk that skips the inner movers when
+    # they all fix it lists the members that a walk over every mover lists
+    shortcuts = 0
+    for lat in per_orbit_lattices:
+        g = lat.parent
+        inner, outer = _movers(g)
+        for (rep, _), members in zip(lat._reps, lat._members):
+            vector = _vector(Subgroup(g, rep, check=False).elements, g.order)
+            walked = _orbit(vector, inner, outer)
+            assert set(walked) == set(_orbit(vector, [], inner + outer)), (g.name, rep)
+            assert len(walked) == len(members), (g.name, rep)
+            table = vector + bytes(256 - g.order)
+            if inner and len(members) > 1 and all(s.translate(table) == vector for s in inner):
+                shortcuts += 1
+    assert shortcuts > 100
+
+
+VERTEX_VIEW = {"_vertices", "subgroups", "_index", "_degree_profile", "upper"}
+
+
+def test_report_degree_sweeps_and_bounds_leave_the_vertex_view_unbuilt(monkeypatch):
+    import grouplattice.classify as classify
+
+    built = []
+    walk = classify.all_subgroups
+    monkeypatch.setattr(classify, "all_subgroups", lambda g: built.append(walk(g)) or built[-1])
+    entries = gl.catalog(24)
+    for verify in (verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3):
+        verify(entries, 24)
+    assert len(built) == 3 * sum(1 for e in entries if e.group.order > 1 and e.group.is_solvable)
+    for entry in entries:
+        g = entry.group
+        lat = all_subgroups(g)
+        lat.report()
+        lat.max_degree()
+        if g.order > 1 and g.is_solvable:
+            for bound in (wall_a, cww_b, herzog_manz_c, newton_e, edge_bound):
+                bound(lat)
+            for p in sorted(gl.factorize(g.order)):
+                newton_d(lat, p)
+        built.append(lat)
+    for lat in built:
+        assert not VERTEX_VIEW & lat.__dict__.keys(), lat.parent.name
+    lat.degree_profile()
+    assert VERTEX_VIEW - {"subgroups", "_index", "upper"} <= lat.__dict__.keys()
