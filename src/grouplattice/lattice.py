@@ -123,10 +123,6 @@ class OrbitProfile(NamedTuple):
     orders: tuple[int, ...]
 
 
-def _in_vertex_order(masks) -> list[int]:
-    return sorted(masks, key=lambda mask: (mask.bit_count(), mask))
-
-
 class SubgroupLattice:
     """The covering graph of all subgroups of one finite group.
 
@@ -283,8 +279,8 @@ class SubgroupLattice:
     def _maximal(self) -> tuple[Subgroup, ...]:
         # the group is an orbit of its own; the orbits whose representative it covers are maximal
         top = (1 << self.parent.order) - 1
-        masks = chain.from_iterable(m for (_, covers), m in zip(self._reps, self._members) if top in covers)
-        return tuple(Subgroup(self.parent, m, check=False) for m in _in_vertex_order(masks))
+        masks = chain.from_iterable(ms for (_, covers), ms in zip(self._reps, self._members) if top in covers)
+        return tuple(Subgroup(self.parent, m, check=False) for m in sorted(masks, key=lambda m: (m.bit_count(), m)))
 
     def maximal_subgroups(self) -> list[Subgroup]:
         """The maximal subgroups, in vertex order, as a new list each call."""
