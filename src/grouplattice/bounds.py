@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .arith import divisors, factorize, is_prime, require_int, require_prime, split_power
-from .core import FiniteGroup, Subgroup
 from .errors import CheckFailed, GroupError, GroupTooLarge, NotNormal, NotSolvable, PrimesNotDistinct, TrivialGroup
-from .lattice import SubgroupLattice
+
+if TYPE_CHECKING:  # the lattice-free bounds load neither layer
+    from .core import FiniteGroup, Subgroup
+    from .lattice import SubgroupLattice
 
 # lemma_2_3_scan refuses a scan of more checks than this
 LEMMA_2_3_MAX_CHECKS = 1_000_000
@@ -173,11 +175,6 @@ def _lemma_2_3_terms(p: int, exponents) -> list[tuple[int, int]]:
     return [((p ** (e + 1) - p) // (p - 1), p ** e) for e in exponents]
 
 
-def _lemma_2_3_report(computed: int, prod: int) -> BoundReport:
-    twice = 2 * computed
-    return BoundReport("lemma_2_3", computed, Fraction(prod, 2), twice <= prod, twice == prod)
-
-
 def lemma_2_3_check(p1: int, p2: int, p3: int, n1: int, n2: int, n3: int) -> BoundReport:
     """For three distinct primes, sum of (p^(n+1) - p)/(p - 1) is at most
     half the product of the p^n."""
@@ -188,7 +185,7 @@ def lemma_2_3_check(p1: int, p2: int, p3: int, n1: int, n2: int, n3: int) -> Bou
     for n, name in ((n1, "n1"), (n2, "n2"), (n3, "n3")):
         require_int(n, name, 1)
     (s1, q1), (s2, q2), (s3, q3) = (_lemma_2_3_terms(p, (e,))[0] for p, e in ((p1, n1), (p2, n2), (p3, n3)))
-    return _lemma_2_3_report(s1 + s2 + s3, q1 * q2 * q3)
+    return _make_report("lemma_2_3", s1 + s2 + s3, q1 * q2 * q3, 2)
 
 
 def lemma_2_3_scan(prime_bound: int, exp_bound: int) -> list[BoundReport]:
@@ -227,7 +224,7 @@ def lemma_2_3_scan(prime_bound: int, exp_bound: int) -> list[BoundReport]:
     exponents = range(1, exp_bound + 1)
     terms = {p: _lemma_2_3_terms(p, exponents) for p in primes}
     return [
-        _lemma_2_3_report(s1 + s2 + s3, q1 * q2 * q3)
+        _make_report("lemma_2_3", s1 + s2 + s3, q1 * q2 * q3, 2)
         for p1, p2, p3 in combinations(primes, 3)
         for (s1, q1), (s2, q2), (s3, q3) in product(terms[p1], terms[p2], terms[p3])
     ]

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from . import iso as _iso
 from . import lattice as _lattice
 from .arith import factorize, split_power
-from .core import FiniteGroup, Subgroup, _mask_elements
+from .core import FiniteGroup, Subgroup
 from .errors import GroupTooLarge, TrivialGroup
 from .families import CatalogEntry, theorem_a_group, theorem_a_recipes
 from .iso import is_isomorphic
@@ -64,7 +64,7 @@ def _frattini_mask(g: FiniteGroup) -> int:
     """Frattini subgroup of a 2-group as a bitmask, by the generating-set
     characterization: Phi = closure of all squares and commutators."""
     seed = {row[x] for x, row in enumerate(g.table)}
-    seed.update(_mask_elements(g.derived_mask))
+    seed.update(g.derived_subgroup().elements)
     return g.closure_mask(sorted(seed))
 
 
@@ -166,14 +166,10 @@ def recognize(g: FiniteGroup) -> Recognition:
     return Recognition(frozenset(families), frozenset(subtypes))
 
 
-def _eligible(entries: Iterable[CatalogEntry], max_order: int, solvable_only: bool):
-    for entry in entries:
-        g = entry.group
-        if g.order == 1 or g.order > max_order:
-            continue
-        if solvable_only and not g.is_solvable:
-            continue
-        yield entry
+def _eligible(entries: Iterable[CatalogEntry], max_order: int):
+    """(entry, None) for each group of order 2..max_order, solvable or not:
+    the sweep of the lattice-free verifiers."""
+    return ((entry, None) for entry in entries if 1 < entry.group.order <= max_order)
 
 
 def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int):
@@ -183,8 +179,8 @@ def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int):
     cap = _lattice.DEFAULT_LATTICE_CAP
     if max_order > cap:
         raise GroupTooLarge(f"a sweep to order {max_order} exceeds the lattice cap {cap}")
-    eligible = _eligible(entries, max_order, solvable_only=True)
-    return ((entry, all_subgroups(entry.group)) for entry in eligible)
+    eligible = _eligible(entries, max_order)
+    return ((entry, all_subgroups(entry.group)) for entry, _ in eligible if entry.group.is_solvable)
 
 
 def _verify(theorem: str, sweep: Iterator, check: Callable) -> VerificationReport:
@@ -198,11 +194,6 @@ def _verify(theorem: str, sweep: Iterator, check: Callable) -> VerificationRepor
         if detail is not None:
             counterexamples.append((entry.name, detail))
     return VerificationReport(theorem, checked, tuple(counterexamples))
-
-
-def _without_lattices(entries: Iterable[CatalogEntry], max_order: int):
-    """(entry, None) for each group of order 2..max_order, solvable or not."""
-    return ((entry, None) for entry in _eligible(entries, max_order, solvable_only=False))
 
 
 def verify_theorem_1_1(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
@@ -240,7 +231,7 @@ def verify_theorem_A(entries: Iterable[CatalogEntry], max_order: int) -> Verific
             return f"delta {g.delta} > |G|/2-1 but no type I..X tag"
         return f"types {sorted(rec.subtypes)} tagged but delta {g.delta} <= |G|/2-1"
 
-    return _verify("theorem-a", _without_lattices(entries, max_order), check)
+    return _verify("theorem-a", _eligible(entries, max_order), check)
 
 
 def verify_wall(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
@@ -257,7 +248,7 @@ def verify_wall(entries: Iterable[CatalogEntry], max_order: int) -> Verification
             return f"i2 {g.involution_count} > |G|/2-1 but no type I..IV tag"
         return f"types {sorted(rec.subtypes & WALL_SUBTYPES)} tagged but i2 {g.involution_count} is small"
 
-    return _verify("wall", _without_lattices(entries, max_order), check)
+    return _verify("wall", _eligible(entries, max_order), check)
 
 
 def verify_corollary_1_2(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:

@@ -17,18 +17,15 @@ from itertools import chain, islice, takewhile
 from typing import Optional, Sequence
 
 from . import _EXPORTS, _HOME
-from . import iso as _iso
 from .arith import divisor_lists, factorize
-from .core import dumps_group, read_group
 from .errors import CheckFailed, GroupError, GroupTooLarge, InputError, UsageError
-from .lattice import all_subgroups
 
 # verify orders refuses a scan past this --max-order: its divisor sieve
 # holds every divisor list, and 10^6 takes about 10 s at 233 MB
 ORDERS_MAX_ORDER = 1_000_000
 
-# The layers that lattice and degrees do not run (bounds, classify,
-# families) are imported on first use. A handler binds the names a layer
+# Each layer past arith and errors is imported on first use, so that a
+# command loads only the layers it runs. A handler binds the names a layer
 # gives the package (grouplattice._EXPORTS) with _load_layers, and reading
 # one as a module attribute binds its layer's; either way a name already
 # bound is kept, so a caller may replace one before first use
@@ -148,7 +145,7 @@ def _run_construct(args) -> int:
     if count < lo or (hi is not None and count > hi):
         expected = f"{lo}" if hi == lo else (f">={lo}" if hi is None else f"{lo}..{hi}")
         raise UsageError(f"family {args.family!r} takes {expected} parameters, got {count}")
-    _load_layers("families")
+    _load_layers("core", "families")
     try:
         g = build(args.params)
     except GroupError as exc:
@@ -170,7 +167,9 @@ def _catalog(max_order: int):
     call of catalog (perfbench/traced_op.py times that name). Refused
     above the isomorphism cap, where the catalog cannot always decide
     whether two of its groups are isomorphic; the cap is read per call."""
-    cap = _iso.DEFAULT_ISO_CAP
+    from . import iso
+
+    cap = iso.DEFAULT_ISO_CAP
     if max_order > cap:
         raise GroupTooLarge(f"a catalog to order {max_order} is over the isomorphism cap {cap}")
     return chain.from_iterable(catalog(n, n) for n in range(1, max_order + 1))
@@ -206,6 +205,7 @@ _CONSTANT = {True: "true", False: "false", None: "null"}
 
 
 def _run_lattice(args) -> int:
+    _load_layers("core", "lattice")
     lattice = all_subgroups(_load_group(args.file))
     with _output(args.output) as out:
         if args.format == "dot":
@@ -242,6 +242,7 @@ def _degree_lines(lattice):
 
 
 def _run_degrees(args) -> int:
+    _load_layers("core", "lattice")
     lattice = all_subgroups(_load_group(args.file))
     with _output(args.output) as out:
         out.writelines(_degree_lines(lattice))

@@ -373,20 +373,21 @@ def _times_c2_power(g: FiniteGroup, k: int) -> FiniteGroup:
 
 
 # the base groups of classify.recognize's comparisons, as (build, order,
-# extends): Theorem A subtypes II-V and VII-X (param is r for III-V,
+# extends, tags): Theorem A subtypes II-V and VII-X (param is r for III-V,
 # unread otherwise), and the dihedral group of order 2*param for the
-# F7_D12 family. order(param) is the base group's order, and extends
-# says whether a factor C2^edim may follow it
+# F7_D12 family. order(param) is the base group's order, extends says
+# whether a factor C2^edim may follow it, and tags are the catalog tags
+# of the entries that _recipes builds from it
 _THEOREM_A_BASES = {
-    "II": (lambda _: direct_product(dihedral(4), dihedral(4)), lambda _: 64, True),
-    "III": (wall_H, lambda r: 2 << 2 * r, True),
-    "IV": (wall_S, lambda r: 2 << 2 * r, True),
-    "V": (wall_T, lambda r: 3 << 2 * r, False),
-    "VII": (lambda _: direct_product(symmetric(3), dihedral(4)), lambda _: 48, True),
-    "VIII": (lambda _: direct_product(*[symmetric(3)] * 2), lambda _: 36, False),
-    "IX": (lambda _: symmetric(4), lambda _: 24, False),
-    "X": (lambda _: alternating(5), lambda _: 60, False),
-    "F7_D12": (dihedral, lambda m: 2 * m, False),
+    "II": (lambda _: direct_product(dihedral(4), dihedral(4)), lambda _: 64, True, ()),
+    "III": (wall_H, lambda r: 2 << 2 * r, True, ("wall-H", "generalized-extraspecial-seed")),
+    "IV": (wall_S, lambda r: 2 << 2 * r, True, ("wall-S",)),
+    "V": (wall_T, lambda r: 3 << 2 * r, False, ("wall-T",)),
+    "VII": (lambda _: direct_product(symmetric(3), dihedral(4)), lambda _: 48, True, ("s3xd8xE",)),
+    "VIII": (lambda _: direct_product(*[symmetric(3)] * 2), lambda _: 36, False, ("s3xs3",)),
+    "IX": (lambda _: symmetric(4), lambda _: 24, False, ("s4",)),
+    "X": (lambda _: alternating(5), lambda _: 60, False, ("a5",)),
+    "F7_D12": (dihedral, lambda m: 2 * m, False, ()),
 }
 
 
@@ -403,7 +404,7 @@ def theorem_a_recipes(n: int) -> Iterator[tuple[str, int, int]]:
     """Every (subtype, param, edim) whose theorem_a_group has order n, for
     the Theorem A subtypes II-V and VII-X, by subtype and then by r.
     Nothing is built here."""
-    for subtype, (_, order, extends) in _THEOREM_A_BASES.items():
+    for subtype, (_, order, extends, _) in _THEOREM_A_BASES.items():
         if subtype == "F7_D12":
             continue
         for param in count(1) if subtype in ("III", "IV", "V") else (0,):
@@ -520,13 +521,11 @@ def _recipes(n: int) -> list[_Recipe]:
                 # chain is not built, and these entries carry its tag.
                 tags.append("generalized-extraspecial-seed")
             add(partial(_dihedral_of_type, typ), *tags)
-    if k and k >= 3 and k % 2:
-        add(partial(theorem_a_group, "III", k // 2, 0), "wall-H", "generalized-extraspecial-seed")
-        add(partial(theorem_a_group, "IV", k // 2, 0), "wall-S")
-    j = two_power_exponent(n // 3) if n % 3 == 0 else None
-    if j and j % 2 == 0:
-        # n = 3 * 4^r
-        add(partial(theorem_a_group, "V", j // 2, 0), "wall-T")
+    # every Theorem A recipe with edim 0 and every VII recipe, but no II
+    # recipe: D8xD8xC2^e, H(r)xC2^e and S(r)xC2^e (e >= 1) are not built
+    for subtype, param, edim in theorem_a_recipes(n):
+        if subtype != "II" and (edim == 0 or subtype == "VII"):
+            add(partial(theorem_a_group, subtype, param, edim), *_THEOREM_A_BASES[subtype][3])
     for order, seed in _CHAINS:
         k = two_power_exponent(n // order) if n % order == 0 else None
         if k is not None:
@@ -541,15 +540,6 @@ def _recipes(n: int) -> list[_Recipe]:
         add(partial(_cpn_c2, p, nexp), "cpn-c2")
         if nexp == 2:
             add(partial(_cp2_swap, p), "cpn-c2")
-    if n == 36:
-        add(partial(theorem_a_group, "VIII", 0, 0), "s3xs3")
-    e = two_power_exponent(n // 48) if n % 48 == 0 else None
-    if e is not None:
-        add(partial(theorem_a_group, "VII", 0, e), "s3xd8xE")
-    if n == 24:
-        add(partial(theorem_a_group, "IX", 0, 0), "s4")
-    if n == 60:
-        add(partial(theorem_a_group, "X", 0, 0), "a5")
     return recipes
 
 

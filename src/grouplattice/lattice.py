@@ -26,8 +26,8 @@ each member of g.generators that commutes with some generator (the
 others act trivially); the outer ones are the non-inner automorphisms
 that iso.automorphisms finds. When a cover K is new, its whole orbit is
 numbered at once, by a breadth-first walk over the movers that keeps each
-member as its n-byte membership vector; each member's int mask is made
-once, after its orbit is listed. An automorphism a maps the subgroup
+member as its n ASCII bits (_bits); each member's int mask is read from
+them once, after its orbit is listed. An automorphism a maps the subgroup
 order onto itself, so a member a(R) of the orbit of a representative R
 has the upper covers {a(C) : C a cover of R}. Every subgroup is still
 numbered: if L covers some numbered M = a(R), then a^-1(L) covers R, so
@@ -98,7 +98,7 @@ from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from .arith import factorize, is_prime, split_power
-from .core import _BITS, FiniteGroup, Subgroup, compose_rows, extend_closure
+from .core import FiniteGroup, Subgroup, compose_rows, extend_closure
 from .errors import CheckFailed, GroupError, GroupTooLarge
 from .iso import automorphisms
 
@@ -211,7 +211,7 @@ class SubgroupLattice:
         index, upper = self._index, [None] * len(self)
         perms = [[] for _ in self._movers]
         for mask in self.masks:
-            table = bin(mask)[:1:-1].ljust(256, "0").encode()  # ASCII bits: an image is int(image[::-1], 2)
+            table = _bits(mask, 256)
             for s, perm in zip(self._movers, perms):
                 perm.append(index[int(s.translate(table)[::-1], 2)])
         frontier = [index[rep] for rep, _ in self._reps]
@@ -378,27 +378,25 @@ def _double_coset(rows, h_elems, x: int) -> int:
     return mask
 
 
-def _vector(elems, size: int) -> bytes:
-    """The membership vector of a set of elements: size bytes, 1 at each."""
-    vector = bytearray(size)
-    for x in elems:
-        vector[x] = 1
-    return bytes(vector)
+def _bits(mask: int, size: int) -> bytes:
+    """The ASCII bits of a mask, low bit first, padded with b"0" to size
+    bytes: byte x is b"1" iff element x is in the set, so the first n
+    bytes v give back the mask as int(v[::-1], 2)."""
+    return bin(mask)[:1:-1].ljust(size, "0").encode()
 
 
 def _orbit(vector: bytes, inner, outer) -> list[bytes]:
     """Breadth-first walk of the orbit of a subgroup under the group that
-    the movers generate: the n-byte membership vector of each member, in
-    the order found. If every inner mover fixes the subgroup, it is normal
-    and the walk applies the outer movers only (module docstring).
+    the movers generate: the n ASCII bits (_bits) of each member, in the
+    order found. If every inner mover fixes the subgroup, it is normal and
+    the walk applies the outer movers only (module docstring).
 
     A mover is the inverse a^-1 of an automorphism a, as n bytes, and
-    a^-1.translate(t) is the membership vector of a(S) when the 256-byte
-    table t is that of S padded with zeros. Images are hashed, compared
-    and kept on their n bytes, and each member is padded once, when the
-    movers are applied to it. A caller makes each member's mask once from
-    its vector v, bit x being byte x: int(v[::-1].translate(_BITS), 2)."""
-    pad = bytes(256 - len(vector))
+    a^-1.translate(t) is the n ASCII bits of a(S) when t is _bits(S, 256).
+    Images are hashed, compared and kept on their n bytes, and each member
+    is padded once, when the movers are applied to it. A caller reads each
+    member's mask once from its bits v: int(v[::-1], 2)."""
+    pad = b"0" * (256 - len(vector))
     table = vector + pad
     movers = outer if all(s.translate(table) == vector for s in inner) else inner + outer
     seen = {vector}
@@ -443,7 +441,7 @@ def _cover_walk(g: FiniteGroup) -> SubgroupLattice:
         """Number the orbit of K and queue K as its representative."""
         orbit = len(reps)
         # the vectors are freed before orbit_of grows: on C2^8 they hold 58 MB
-        masks = [int(v[::-1].translate(_BITS), 2) for v in _orbit(_vector(k_elems, n), inner, outer)]
+        masks = [int(v[::-1], 2) for v in _orbit(_bits(k_mask, n), inner, outer)]
         orbit_of.update(zip(masks, repeat(orbit)))
         members.append(masks)
         reps.append(None)

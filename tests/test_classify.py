@@ -11,6 +11,8 @@ import random
 import pytest
 
 import grouplattice as gl
+from grouplattice.arith import factorize
+from grouplattice.bounds import cww_b, edge_bound, herzog_manz_c, lemma_2_1, newton_d, newton_e, wall_a
 from grouplattice.classify import (
     F1_SMALL,
     F2_THEOREM_A,
@@ -207,10 +209,27 @@ def test_recognition_is_isomorphism_invariant(d8):
     assert recognize(twin) == base
 
 
+def _bound_reports(lat):
+    """The bound reports of `verify bounds` on a lattice, and the sorted
+    (subgroup order, lemma_2_1 report) pairs of its vertices, as `verify
+    lemma21` makes them: one call per orbit, on its representative."""
+    g = lat.parent
+    reports = [wall_a(lat), cww_b(lat), herzog_manz_c(lat)]
+    for p in sorted(factorize(g.order)):
+        reports.extend(newton_d(lat, p))
+    reports += [newton_e(lat), edge_bound(lat)]
+    pairs = []
+    for orbit, size in enumerate(lat.orbit_profile().sizes):
+        h = lat.representative(orbit)
+        pairs += [(h.order, lemma_2_1(lat, h))] * size
+    return reports, sorted(pairs)
+
+
 def test_relabelled_catalog_gives_the_same_reports_and_verdicts(catalog64, lattices64):
-    # a metamorphic check of the orbit bookkeeping: a seeded relabelling of
-    # every catalog(64) table moves the walk's representatives, movers and
-    # orbit numbers, but no lattice report and no degree verdict
+    # a metamorphic check of the orbit bookkeeping and the recognizers: a
+    # seeded relabelling of every catalog(64) table moves the walk's
+    # representatives, movers and orbit numbers, but no lattice report, no
+    # bound report and no verdict
     rng = random.Random(2412)
     moved = []
     for entry in catalog64:
@@ -218,8 +237,11 @@ def test_relabelled_catalog_gives_the_same_reports_and_verdicts(catalog64, latti
         twin = gl.from_cayley_table(relabel(g.table, rng.sample(range(g.order), g.order)), name=g.name)
         moved.append(entry._replace(group=twin))
     for entry, lat in zip(moved, lattices64):
-        assert all_subgroups(entry.group).report() == lat.report(), entry.name
-    for verify in (verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3):
+        twin_lat = all_subgroups(entry.group)
+        assert twin_lat.report() == lat.report(), entry.name
+        if entry.group.order > 1 and entry.group.is_solvable:
+            assert _bound_reports(twin_lat) == _bound_reports(lat), entry.name
+    for verify in (verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3, verify_theorem_A, verify_wall):
         assert verify(moved, 64) == verify(catalog64, 64), verify.__name__
 
 

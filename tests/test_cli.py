@@ -492,11 +492,15 @@ def test_lattice_commands_load_only_the_layers_they_run(tmp_path, command):
     assert (tmp_path / "out").read_text().startswith("{")
 
 
+# the layers that lattice runs past arith and errors, and the two more
+# that the report targets run
+LATTICE_LAYERS = ["grouplattice.core", "grouplattice.iso", "grouplattice.lattice"]
+REPORT_LAYERS = ["grouplattice.classify", "grouplattice.families"]
 # verify arguments -> modules the target leaves unloaded, besides dataclasses
 VERIFY_LOADING = [
     (["theorem-a", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
-    (["lemma23", "--prime-bound", "7", "--exp-bound", "1"], ["grouplattice.classify", "grouplattice.families"]),
-    (["orders", "--max-order", "20"], ["grouplattice.classify", "grouplattice.families"]),
+    (["lemma23", "--prime-bound", "7", "--exp-bound", "1"], [*LATTICE_LAYERS, *REPORT_LAYERS]),
+    (["orders", "--max-order", "20"], [*LATTICE_LAYERS, *REPORT_LAYERS]),
     (["theorem-1.1", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
     (["wall", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
     (["cor-1.2", "--max-order", "8"], ["grouplattice.bounds", "fractions"]),
@@ -612,6 +616,23 @@ def test_package_has_no_unused_imports():
                 names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
                 unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
     assert unused == []
+
+
+def test_package_imports_no_private_names_from_its_modules():
+    # a module reads another module's names through its public ones, at
+    # any depth of the module; cli reads the package's export tables
+    package = Path(gl.__file__).resolve().parent
+    allowed = {("cli.py", "_EXPORTS"), ("cli.py", "_HOME")}
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("grouplattice")):
+                private += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and (path.name, alias.name) not in allowed
+                ]
+    assert private == []
 
 
 def test_package_has_no_unread_functions_or_classes():
