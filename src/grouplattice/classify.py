@@ -60,24 +60,18 @@ def has_large_degree_vertex(lattice: SubgroupLattice) -> bool:
     return 2 * (top + 1) > g.order
 
 
-def _frattini_mask(g: FiniteGroup) -> int:
-    """Frattini subgroup of a 2-group as a bitmask, by the generating-set
-    characterization: Phi = closure of all squares and commutators."""
-    seed = {row[x] for x, row in enumerate(g.table)}
-    seed.update(g.derived_subgroup().elements)
-    return g.closure_mask(sorted(seed))
-
-
 def _is_generalized_extraspecial(g: FiniteGroup) -> bool:
+    """A 2-group with |G'| = 2 and Phi(G) = G'. A normal subgroup of order
+    2, as G' is, is central; in a 2-group Phi(G) is the closure of the
+    squares, which holds G' (its quotient has exponent 2, so is abelian).
+    So the test is |G'| = 2 and every square in G'."""
     n = g.order
     if n < 8 or n & (n - 1):
         return False
     derived = g.derived_mask
     if derived.bit_count() != 2:
         return False
-    if derived & ~g.center_mask:
-        return False
-    return _frattini_mask(g) == derived
+    return all(derived >> row[x] & 1 for x, row in enumerate(g.table))
 
 
 def sylow_p_elements_form_subgroup(g: FiniteGroup, p: int) -> Optional[Subgroup]:

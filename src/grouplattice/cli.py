@@ -119,19 +119,20 @@ def _output(path: Optional[str]):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+# family -> (number of parameters, None for one or more; build)
 _CONSTRUCTORS = {
-    "cyclic": (1, 1, lambda p: cyclic(p[0])),
-    "abelian": (1, None, lambda p: abelian(p)),
-    "elementary-abelian": (2, 2, lambda p: elementary_abelian(p[0], p[1])),
-    "dihedral": (1, 1, lambda p: dihedral(p[0])),
-    "dicyclic": (1, 1, lambda p: dicyclic(p[0])),
-    "generalized-dihedral": (1, None, lambda p: generalized_dihedral(abelian(p))),
-    "wall-h": (1, 1, lambda p: wall_H(p[0])),
-    "wall-s": (1, 1, lambda p: wall_S(p[0])),
-    "wall-t": (1, 1, lambda p: wall_T(p[0])),
-    "heisenberg": (1, 1, lambda p: heisenberg(p[0])),
-    "symmetric": (1, 1, lambda p: symmetric(p[0])),
-    "alternating": (1, 1, lambda p: alternating(p[0])),
+    "cyclic": (1, lambda p: cyclic(p[0])),
+    "abelian": (None, lambda p: abelian(p)),
+    "elementary-abelian": (2, lambda p: elementary_abelian(p[0], p[1])),
+    "dihedral": (1, lambda p: dihedral(p[0])),
+    "dicyclic": (1, lambda p: dicyclic(p[0])),
+    "generalized-dihedral": (None, lambda p: generalized_dihedral(abelian(p))),
+    "wall-h": (1, lambda p: wall_H(p[0])),
+    "wall-s": (1, lambda p: wall_S(p[0])),
+    "wall-t": (1, lambda p: wall_T(p[0])),
+    "heisenberg": (1, lambda p: heisenberg(p[0])),
+    "symmetric": (1, lambda p: symmetric(p[0])),
+    "alternating": (1, lambda p: alternating(p[0])),
 }
 
 
@@ -140,11 +141,10 @@ def _run_construct(args) -> int:
     if entry is None:
         known = ", ".join(sorted(_CONSTRUCTORS))
         raise UsageError(f"unknown family {args.family!r}; known: {known}")
-    lo, hi, build = entry
+    arity, build = entry
     count = len(args.params)
-    if count < lo or (hi is not None and count > hi):
-        expected = f"{lo}" if hi == lo else (f">={lo}" if hi is None else f"{lo}..{hi}")
-        raise UsageError(f"family {args.family!r} takes {expected} parameters, got {count}")
+    if count == 0 or arity is not None and count != arity:
+        raise UsageError(f"family {args.family!r} takes {arity or '>=1'} parameters, got {count}")
     _load_layers("core", "families")
     try:
         g = build(args.params)

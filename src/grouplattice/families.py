@@ -432,11 +432,6 @@ def _dihedral_of_type(typ: tuple[int, ...]) -> FiniteGroup:
     return FiniteGroup(_dihedral_rows(rows, [row.index(0) for row in rows]), name=f"D({name})")
 
 
-def _cpn_c2(p: int, nexp: int) -> FiniteGroup:
-    name = f"C{p}" if nexp == 1 else f"C{p}^{nexp}"
-    return FiniteGroup(_product_rows(_abelian_rows([p] * nexp), _cyclic_rows(2)), name=f"{name}xC2")
-
-
 def _cp2_swap(p: int) -> FiniteGroup:
     """C_p^2 : C2, the involution swapping the coordinates of C_p x C_p
     (indexed a*p + b)."""
@@ -537,7 +532,8 @@ def _recipes(n: int) -> list[_Recipe]:
     odd = factorize(n // 2) if n % 2 == 0 else {}
     if len(odd) == 1 and 2 not in odd:
         ((p, nexp),) = odd.items()
-        add(partial(_cpn_c2, p, nexp), "cpn-c2")
+        name = f"C{p}" if nexp == 1 else f"C{p}^{nexp}"
+        add(partial(abelian, [p] * nexp + [2], f"{name}xC2"), "cpn-c2")
         if nexp == 2:
             add(partial(_cp2_swap, p), "cpn-c2")
     return recipes

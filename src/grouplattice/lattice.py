@@ -21,13 +21,15 @@ Two rules skip closures while C(H) is built:
 
 Automorphisms: the walk visits one representative per orbit of subgroups
 under the group A of automorphisms that the movers generate. The movers
-are element maps of two kinds. The inner ones are the conjugations by
-each member of g.generators that commutes with some generator (the
-others act trivially); the outer ones are the non-inner automorphisms
-that iso.automorphisms finds. When a cover K is new, its whole orbit is
-numbered at once, by a breadth-first walk over the movers that keeps each
-member as its n ASCII bits (_bits); each member's int mask is read from
-them once, after its orbit is listed. An automorphism a maps the subgroup
+are automorphisms of two kinds, as found. The inner ones are the
+conjugations by the members of g.generators that fail to commute with
+some generator (a central one acts trivially); the outer ones are the
+non-inner automorphisms that iso.automorphisms finds. A translate by a
+mover a gives a^-1(S); orbits under A are orbits under the inverses, so
+no mover is inverted. When a cover K is new, its whole orbit is numbered
+at once, by a breadth-first walk over the movers that keeps each member
+as its n ASCII bits (_bits); each member's int mask is read from them
+once, after its orbit is listed. An automorphism a maps the subgroup
 order onto itself, so a member a(R) of the orbit of a representative R
 has the upper covers {a(C) : C a cover of R}. Every subgroup is still
 numbered: if L covers some numbered M = a(R), then a^-1(L) covers R, so
@@ -71,10 +73,10 @@ masks, vertex_orbit, subgroups, index_of, degree_profile(), atoms() and
 degree() of a subgroup that is no representative. An orbit's members
 share one order, so each order's members are sorted by mask, with their
 orbits alongside. The edge list upper is built on first access by
-transport: for the automorphism a of each mover, perm[i] is the index of
-a(H_i), and a walk on indices from the representatives gives each vertex
-first reached as perm[i] the covers perm[c] for c in upper[i]. covers and
-export_dot read upper.
+transport: for each mover a, perm[i] is the index of a^-1(H_i), and a
+walk on indices from the representatives gives each vertex first reached
+as perm[i] the covers perm[c] for c in upper[i]; any automorphism will
+do, here a^-1. covers and export_dot read upper.
 
 Size: the order cap DEFAULT_LATTICE_CAP is the only size rule. Inside it
 the largest lattice is that of C2^8, with 417,199 subgroups.
@@ -391,11 +393,12 @@ def _orbit(vector: bytes, inner, outer) -> list[bytes]:
     order found. If every inner mover fixes the subgroup, it is normal and
     the walk applies the outer movers only (module docstring).
 
-    A mover is the inverse a^-1 of an automorphism a, as n bytes, and
-    a^-1.translate(t) is the n ASCII bits of a(S) when t is _bits(S, 256).
-    Images are hashed, compared and kept on their n bytes, and each member
-    is padded once, when the movers are applied to it. A caller reads each
-    member's mask once from its bits v: int(v[::-1], 2)."""
+    A mover is an automorphism a, as n bytes, and a.translate(t) is the n
+    ASCII bits of a^-1(S) when t is _bits(S, 256); the movers and their
+    inverses give the same orbits. Images are hashed, compared and kept on
+    their n bytes, and each member is padded once, when the movers are
+    applied to it. A caller reads each member's mask once from its bits
+    v: int(v[::-1], 2)."""
     pad = b"0" * (256 - len(vector))
     table = vector + pad
     movers = outer if all(s.translate(table) == vector for s in inner) else inner + outer
@@ -412,19 +415,17 @@ def _orbit(vector: bytes, inner, outer) -> list[bytes]:
 
 
 def _movers(g: FiniteGroup) -> tuple[list[bytes], list[bytes]]:
-    """The inverses, as n bytes, of automorphisms of g, inner and outer:
-    conjugation x -> s^-1 x s by each member of g.generators that commutes
-    with some generator (the others act trivially), and the non-inner
-    automorphisms that the search finds."""
+    """Automorphisms of g as n bytes, inner and outer, as found and not
+    inverted (_orbit): conjugation x -> s^-1 x s by each member s of
+    g.generators that fails to commute with some generator (a central one
+    acts trivially), and the non-inner automorphisms that the search finds."""
     rows, inv, n = g.table, g.inverses, g.order
     inner = [
         compose_rows(bytes(rows[x][s] for x in range(n)), rows[inv[s]])
         for s in g.generators
         if any(rows[s][t] != rows[t][s] for t in g.generators)
     ]
-    identity = bytes(range(n))
-    inverse = lambda a: bytes.maketrans(a, identity)[:n]
-    return list(map(inverse, inner)), [inverse(bytes(m)) for m in automorphisms(g)]
+    return inner, list(map(bytes, automorphisms(g)))
 
 
 def _cover_walk(g: FiniteGroup) -> SubgroupLattice:

@@ -21,6 +21,7 @@ from grouplattice.bounds import (
     lemma_2_3_scan,
     newton_d,
     newton_e,
+    quotient_is_elementary_abelian_2,
     wall_a,
 )
 from grouplattice.errors import (
@@ -96,6 +97,24 @@ def test_degree_bound_rejects_a_subgroup_of_another_group(s3, d8):
     # the lattice carries its group, so a subgroup of another group is no vertex
     with pytest.raises(GroupError, match="is not a vertex of the S3 lattice"):
         lemma_2_1(lat(s3), d8.subgroup(range(8)))
+
+
+def test_quotient_test_matches_squares_and_derived_subgroup():
+    # the squares test alone equals "every square and all of G' lie in H"
+    # on every normal subgroup of every nontrivial solvable catalog(48) group
+    normal = 0
+    for entry in gl.catalog(48):
+        g = entry.group
+        if g.order == 1 or not g.is_solvable:
+            continue
+        rows = g.table
+        for h in lat(g).subgroups:
+            if not h.is_normal:
+                continue
+            reference = all(rows[a][a] in h for a in range(g.order)) and g.derived_mask & ~h.mask == 0
+            assert quotient_is_elementary_abelian_2(g, h) == reference, (g.name, h.mask)
+            normal += 1
+    assert normal == 1599
 
 
 def test_degree_bound_equality_characterization_all_pairs(catalog36):

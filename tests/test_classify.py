@@ -24,7 +24,7 @@ from grouplattice.classify import (
     WALL_I_IV,
     WALL_SUBTYPES,
     Recognition,
-    _frattini_mask,
+    _is_generalized_extraspecial,
     has_large_degree_vertex,
     lattice_sweep,
     recognize,
@@ -335,12 +335,42 @@ def test_inverted_abelian_recognizer_matches_oracle(lattices64):
 
 
 def test_frattini_closure_matches_the_lattice_on_two_groups(lattices64):
-    # recognize() finds Phi(G) of a 2-group as the closure of its squares
-    # and commutators; the intersection of the maximal subgroups is the reference
+    # F5 (|G'| = 2, G' central, Phi(G) = G') with Phi(G) the intersection
+    # of the maximal subgroups is the reference for the squares test
     two_groups = [lat for lat in lattices64 if lat.parent.order in (2, 4, 8, 16, 32, 64)]
     assert len(two_groups) == 37
+    in_f5 = 0
     for lattice in two_groups:
-        assert _frattini_mask(lattice.parent) == lattice.frattini().mask, lattice.parent.name
+        g = lattice.parent
+        derived = g.derived_mask
+        expect = derived.bit_count() == 2 and not derived & ~g.center_mask and lattice.frattini().mask == derived
+        assert _is_generalized_extraspecial(g) == expect, g.name
+        in_f5 += expect
+    assert in_f5 > 0
+
+
+def _generalized_extraspecial_by_closure(g):
+    """F5 as first written: Phi(G) of a 2-group as the closure of its
+    squares and G', |G'| = 2, and G' central."""
+    n = g.order
+    if n < 8 or n & (n - 1):
+        return False
+    derived = g.derived_mask
+    if derived.bit_count() != 2 or derived & ~g.center_mask:
+        return False
+    seed = {row[x] for x, row in enumerate(g.table)} | set(g.derived_subgroup().elements)
+    return g.closure_mask(sorted(seed)) == derived
+
+
+def test_squares_test_matches_the_frattini_closure_on_two_groups():
+    two_groups = [e.group for n in (2, 4, 8, 16, 32, 64, 128, 256) for e in gl.catalog(n, n)]
+    assert len(two_groups) == 75
+    in_f5 = 0
+    for g in two_groups:
+        expect = _generalized_extraspecial_by_closure(g)
+        assert _is_generalized_extraspecial(g) == expect, g.name
+        in_f5 += expect
+    assert in_f5 == 26
 
 
 def test_inverted_abelian_matches_constructor(catalog36):

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -142,6 +143,24 @@ def test_catalog_listing_deterministic(capsys):
     code2, out2, _ = run(capsys, "catalog", "--list", "--max-order", "16")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def _readme_cli_lines():
+    """The argv of each `grouplattice ...` line in the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("grouplattice ")]
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # in order, in one directory, so the lines that read d12.grp find it;
+    # verify cor-1.3 reports its counterexamples and exits 1
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) == 17
+    for argv in lines:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (1 if argv[:2] == ["verify", "cor-1.3"] else 0, ""), argv
 
 
 # ---------------------------------------------------------------------------

@@ -639,6 +639,25 @@ def test_subgroup_membership_validation(s3):
         gl.Subgroup(s3, 0b10)  # misses the identity
 
 
+def test_subgroup_check_accepts_exactly_the_lattice_masks():
+    # the identity, range and product-closure tests alone decide: over all
+    # 2^n masks of every catalog(12) group, Subgroup(g, mask) succeeds iff
+    # the mask is a vertex of the lattice
+    masks = 0
+    for entry in gl.catalog(12):
+        g = entry.group
+        vertices = set(gl.all_subgroups(g).masks)
+        for mask in range(1 << g.order):
+            try:
+                gl.Subgroup(g, mask)
+            except NotSubgroup:
+                assert mask not in vertices, (g.name, mask)
+            else:
+                assert mask in vertices, (g.name, mask)
+        masks += 1 << g.order
+    assert masks == 27214
+
+
 def test_subgroup_normality(s3):
     rot = next(x for x in range(6) if s3.element_order(x) == 3)
     invol = next(x for x in range(6) if s3.element_order(x) == 2)

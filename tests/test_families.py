@@ -427,8 +427,8 @@ def test_catalog_validates_no_scaffold_factors(monkeypatch):
     theorem_a_group.cache_clear()
     _seed.cache_clear()
     calls = []
-    validate = FiniteGroup._validate_and_normalize
-    monkeypatch.setattr(FiniteGroup, "_validate_and_normalize", lambda g: calls.append(g.name) or validate(g))
+    validate = FiniteGroup._check_axioms
+    monkeypatch.setattr(FiniteGroup, "_check_axioms", lambda g, table: calls.append(g.name) or validate(g, table))
     entries = gl.catalog(256)
     assert len(entries) == 341
     assert len(calls) == 365
