@@ -3,6 +3,41 @@
 recognize() labels a group with every family it belongs to; the
 verify_* functions sweep a catalog and compare a degree property
 against family membership, reporting counterexamples.
+
+The three degree verifiers (theorem-1.1, cor-1.2, cor-1.3) read two
+facts of a group of order n: its top vertex degree, where it is at
+least (n - 1)/2, and whether some vertex has degree exactly n/2.
+verify_theorem_1_1 recognizes first and asks only for a group in no
+listed family. _degree_summary gives both facts, and builds a lattice
+only for a group of order below 12 or one that is not nilpotent.
+
+The reduction rests on Lemma 2.1 (bounds.lemma_2_1, checked on every
+vertex by `verify lemma21`): a subgroup of order d has degree at most
+d + n/d - 2, with equality exactly when it is normal and it and its
+quotient are elementary abelian 2-groups. For 3 <= d <= n/3 the bound
+is convex in d, so it is at most its value at the ends, 3 + n/3 - 2 =
+n/3 + 1, and n/3 + 1 <= n/2 - 1 when n >= 12. A divisor d of n outside
+that range is 1, 2, n/2 or n. The vertex of order 1 has degree delta(G),
+the number of subgroups of prime order; the vertex of order n has degree
+m(G), the number of maximal subgroups. A vertex of order 2 or n/2 has
+degree at most n/2, with n/2 exactly in Lemma 2.1's equality case:
+
+- order 2: H = <t> is normal, so t is a central involution, and G/H is
+  elementary abelian 2, so every square lies in <t>. Then G is a 2-group
+  with G'G^2 <= <t>: elementary abelian (F3), or, with |G^2| = 2,
+  abelian C2^(s-1) x C4 (F4) or nonabelian with G' = G^2 of order 2
+  (F5). Each of F3, F4 and F5 has such a t.
+- order n/2: an elementary abelian subgroup of index 2, which is normal
+  with quotient C2.
+
+So for n >= 12 the top degree, where it is at least (n - 1)/2, is the
+largest of delta(G), m(G) and n/2 if a vertex of order 2 or n/2 has
+degree n/2; every other vertex has degree at most n/2 - 1. For nilpotent
+G, the direct product of its Sylow subgroups P, a maximal subgroup has
+prime index p and is a maximal subgroup of P times the other Sylow
+subgroups, so m(G) = sum over p of (|G : G'G^p| - 1)/(p - 1) (Burnside's
+basis theorem: P/Phi(P) = G/G'G^p is elementary abelian of rank r, with
+(p^r - 1)/(p - 1) hyperplanes).
 """
 
 from __future__ import annotations
@@ -74,6 +109,20 @@ def _is_generalized_extraspecial(g: FiniteGroup) -> bool:
     return all(derived >> row[x] & 1 for x, row in enumerate(g.table))
 
 
+def _central_involution_families(g: FiniteGroup) -> set[str]:
+    """Which of F3, F4 and F5 hold g: the groups with a central involution
+    t and G'G^2 <= <t> (module docstring)."""
+    families = set()
+    if g.exponent == 2:
+        families.add(F3_ELEM_AB_2)
+    # C2^(s-1) x C4: half of its elements square to the identity
+    if g.is_abelian and g.exponent == 4 and 2 * (g.involution_count + 1) == g.order:
+        families.add(F4_C2s_C4)
+    if _is_generalized_extraspecial(g):
+        families.add(F5_GEN_EXTRASPECIAL)
+    return families
+
+
 def sylow_p_elements_form_subgroup(g: FiniteGroup, p: int) -> Optional[Subgroup]:
     """The set of all elements of p-power order, if it is a subgroup.
 
@@ -132,13 +181,7 @@ def recognize(g: FiniteGroup) -> Recognition:
 
     if n <= 11 and not (g.is_cyclic and n >= 5):
         families.add(F1_SMALL)
-    if g.exponent == 2:
-        families.add(F3_ELEM_AB_2)
-    # C2^(s-1) x C4: half of its elements square to the identity
-    if g.is_abelian and g.exponent == 4 and 2 * (g.involution_count + 1) == n:
-        families.add(F4_C2s_C4)
-    if _is_generalized_extraspecial(g):
-        families.add(F5_GEN_EXTRASPECIAL)
+    families |= _central_involution_families(g)
     if _is_cpn_c2(g):
         families.add(F6_CPN_C2)
     if n == 12 and is_isomorphic(g, theorem_a_group(F7_D12, 6, 0)) is not None:
@@ -160,31 +203,111 @@ def recognize(g: FiniteGroup) -> Recognition:
     return Recognition(frozenset(families), frozenset(subtypes))
 
 
-def _eligible(entries: Iterable[CatalogEntry], max_order: int):
-    """(entry, None) for each group of order 2..max_order, solvable or not:
-    the sweep of the lattice-free verifiers."""
-    return ((entry, None) for entry in entries if 1 < entry.group.order <= max_order)
+def _eligible(entries: Iterable[CatalogEntry], max_order: int) -> Iterator[CatalogEntry]:
+    """Each group of order 2..max_order, solvable or not: the sweep of the
+    lattice-free verifiers."""
+    return (entry for entry in entries if 1 < entry.group.order <= max_order)
+
+
+def _solvable(entries: Iterable[CatalogEntry], max_order: int) -> Iterator[CatalogEntry]:
+    """Each solvable group of order 2..max_order: the sweep of the degree
+    verifiers and of lattice_sweep. A max_order over the lattice cap
+    raises GroupTooLarge at the call, before any lattice is built."""
+    cap = _lattice.DEFAULT_LATTICE_CAP
+    if max_order > cap:
+        raise GroupTooLarge(f"a sweep to order {max_order} exceeds the lattice cap {cap}")
+    return (entry for entry in _eligible(entries, max_order) if entry.group.is_solvable)
 
 
 def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int):
     """(entry, lattice) for each solvable group of order 2..max_order, each
     lattice built as the sweep reaches it. A max_order over the lattice cap
     raises GroupTooLarge at the call, before any lattice is built."""
-    cap = _lattice.DEFAULT_LATTICE_CAP
-    if max_order > cap:
-        raise GroupTooLarge(f"a sweep to order {max_order} exceeds the lattice cap {cap}")
-    eligible = _eligible(entries, max_order)
-    return ((entry, all_subgroups(entry.group)) for entry, _ in eligible if entry.group.is_solvable)
+    return ((entry, all_subgroups(entry.group)) for entry in _solvable(entries, max_order))
 
 
-def _verify(theorem: str, sweep: Iterator, check: Callable) -> VerificationReport:
-    """The report of one theorem over a sweep of (entry, lattice) pairs.
-    check(entry, lattice) gives a counterexample's detail or None."""
+def _is_nilpotent(g: FiniteGroup) -> bool:
+    """Every Sylow subgroup is normal: the p-elements form a subgroup for
+    each prime p."""
+    return all(sylow_p_elements_form_subgroup(g, p) is not None for p in factorize(g.order))
+
+
+def _power(rows, x: int, e: int) -> int:
+    """x^e by square and multiply over the table rows."""
+    y = 0
+    for bit in bin(e)[2:]:
+        y = rows[y][y]
+        if bit == "1":
+            y = rows[y][x]
+    return y
+
+
+def _nilpotent_maximal_count(g: FiniteGroup) -> int:
+    """m(G), the number of maximal subgroups of a nilpotent group G:
+    sum over the primes p of (|G : G'G^p| - 1)/(p - 1) (module docstring)."""
+    n, rows = g.order, g.table
+    derived = [x for x in range(n) if g.derived_mask >> x & 1]
+    count = 0
+    for p in factorize(n):
+        index = n // g.closure_mask(derived + [_power(rows, x, p) for x in range(n)]).bit_count()
+        count += (index - 1) // (p - 1)
+    return count
+
+
+def _has_elementary_index_two(g: FiniteGroup) -> bool:
+    """Whether g has an elementary abelian subgroup of index 2. Such a
+    subgroup holds n/2 - 1 involutions and makes g a 2-group. Its index-2
+    subgroups are the hyperplanes of G/Phi(G), with Phi(G) the closure of
+    the squares; each element is labelled by its coset as a vector over
+    GF(2), and a hyperplane qualifies when every element of order above 2
+    lies outside it."""
+    n, rows = g.order, g.table
+    if n & (n - 1) or 2 * (g.involution_count + 1) < n:
+        return False
+    phi = g.closure_mask(row[x] for x, row in enumerate(rows))
+    label = {x: 0 for x in range(n) if phi >> x & 1}
+    rank = 0
+    for x in range(n):
+        if x not in label:
+            # <K, x> = K u Kx for K, the labelled subgroup, which holds Phi(G)
+            label.update([(rows[y][x], v | 1 << rank) for y, v in label.items()])
+            rank += 1
+    outside = {label[x] for x, k in enumerate(g.element_orders) if k > 2}
+    return any(all((f & v).bit_count() & 1 for v in outside) for f in range(1, 1 << rank))
+
+
+def _half_witness(g: FiniteGroup) -> bool:
+    """Whether a vertex of order 2 or n/2 has degree n/2, for n >= 12: by
+    Lemma 2.1's equality case, g is in F3, F4 or F5, or has an elementary
+    abelian subgroup of index 2 (module docstring)."""
+    return bool(_central_involution_families(g)) or _has_elementary_index_two(g)
+
+
+def _degree_summary(g: FiniteGroup) -> tuple[int, bool]:
+    """(top, half) for a nontrivial solvable group: its largest vertex
+    degree, exact when it is at least (n - 1)/2 and otherwise a lower
+    bound, and whether some vertex has degree exactly n/2. A nilpotent
+    group of order 12 or more is summarized from delta(G), m(G) and the
+    Lemma 2.1 witness, with no lattice (module docstring); any other group
+    reads its lattice."""
+    n = g.order
+    if n < 12 or not _is_nilpotent(g):
+        degrees = all_subgroups(g).orbit_profile().degrees
+        return max(degrees), any(2 * d == n for d in degrees)
+    extremes = (g.delta, _nilpotent_maximal_count(g))
+    if _half_witness(g):
+        return max(*extremes, n // 2), True
+    return max(extremes), any(2 * d == n for d in extremes)
+
+
+def _verify(theorem: str, entries: Iterable[CatalogEntry], check: Callable) -> VerificationReport:
+    """The report of one theorem over a sweep of entries. check(entry)
+    gives a counterexample's detail or None."""
     counterexamples = []
     checked = 0
-    for entry, lattice in sweep:
+    for entry in entries:
         checked += 1
-        detail = check(entry, lattice)
+        detail = check(entry)
         if detail is not None:
             counterexamples.append((entry.name, detail))
     return VerificationReport(theorem, checked, tuple(counterexamples))
@@ -193,28 +316,30 @@ def _verify(theorem: str, sweep: Iterator, check: Callable) -> VerificationRepor
 def verify_theorem_1_1(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Necessary direction only: every solvable group with a vertex of
     degree above |G|/2 - 1 must land in at least one of the seven
-    families (Theorem A types restricted to I..IX)."""
+    families (Theorem A types restricted to I..IX). A group in a listed
+    family passes whatever its degrees, so it is recognized first and
+    only the others get a degree summary."""
 
-    def check(entry, lattice):
+    def check(entry):
         g = entry.group
-        if not has_large_degree_vertex(lattice):
-            return None
         rec = recognize(g)
         if rec.subtypes - {"X"} or rec.families & {
             F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12
         }:
             return None
-        top = max(lattice.orbit_profile().degrees)
+        top, _ = _degree_summary(g)
+        if 2 * (top + 1) <= g.order:
+            return None
         return f"max degree {top} exceeds |G|/2-1 but no family matched"
 
-    return _verify("theorem-1.1", lattice_sweep(entries, max_order), check)
+    return _verify("theorem-1.1", _solvable(entries, max_order), check)
 
 
 def verify_theorem_A(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: delta(G) > |G|/2 - 1 iff G has a type I..X tag.
     Lattice-free; delta comes straight from element orders."""
 
-    def check(entry, _):
+    def check(entry):
         g = entry.group
         rec = recognize(g)
         member = bool(rec.subtypes)
@@ -231,7 +356,7 @@ def verify_theorem_A(entries: Iterable[CatalogEntry], max_order: int) -> Verific
 def verify_wall(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Bidirectional: involution count above |G|/2 - 1 iff type I..IV."""
 
-    def check(entry, _):
+    def check(entry):
         g = entry.group
         rec = recognize(g)
         member = bool(rec.subtypes & WALL_SUBTYPES)
@@ -252,20 +377,23 @@ def verify_corollary_1_2(entries: Iterable[CatalogEntry], max_order: int) -> Ver
     1 < 3/2, a boundary case recorded as a note."""
     notes = []
 
-    def check(entry, lattice):
+    def check(entry):
         g = entry.group
-        top = max(lattice.orbit_profile().degrees)
+        top, _ = _degree_summary(g)
         big = 4 * top >= 3 * g.order
         elementary = g.exponent == 2
         if big and not elementary:
             return f"degree {top} >= 3|G|/4 but the group is not elementary abelian 2"
         if elementary and not big:
+            if 2 * top + 1 < g.order:
+                # a summary's top below (n - 1)/2 is only a lower bound
+                top = max(all_subgroups(g).orbit_profile().degrees)
             if g.order >= 4:
                 return f"elementary abelian 2 but max degree {top} < 3|G|/4"
             notes.append(f"{entry.name}: order-2 boundary case, top degree {top} < 3|G|/4 = 3/2")
         return None
 
-    report = _verify("cor-1.2", lattice_sweep(entries, max_order), check)
+    report = _verify("cor-1.2", _solvable(entries, max_order), check)
     return report._replace(notes=tuple(notes))
 
 
@@ -278,9 +406,9 @@ def verify_corollary_1_3(entries: Iterable[CatalogEntry], max_order: int) -> Ver
     subgroup C2^4 has degree 16), both reported in the "exists but no
     listed family matched" direction."""
 
-    def check(entry, lattice):
+    def check(entry):
         g = entry.group
-        exists = any(2 * d == g.order for d in lattice.orbit_profile().degrees)
+        _, exists = _degree_summary(g)
         rec = recognize(g)
         member = "VII" in rec.subtypes or bool(rec.families & {F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL})
         if exists == member:
@@ -289,4 +417,4 @@ def verify_corollary_1_3(entries: Iterable[CatalogEntry], max_order: int) -> Ver
             return f"vertex of degree |G|/2 = {g.order // 2} exists but no listed family matched"
         return "listed family matched but no vertex of degree |G|/2 exists"
 
-    return _verify("cor-1.3", lattice_sweep(entries, max_order), check)
+    return _verify("cor-1.3", _solvable(entries, max_order), check)

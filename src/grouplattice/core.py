@@ -543,9 +543,12 @@ _FILE_KEYS = ("name", "order", "table")
 
 def dumps_group(g: FiniteGroup) -> str:
     """Canonical text form: fixed key order, compact separators, one
-    trailing newline."""
-    payload = {"name": g.name, "order": g.order, "table": [list(row) for row in g.table]}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    trailing newline; the bytes of json.dumps with separators (",", ":").
+    Each row is joined from one decimal string per element, made once; the
+    name goes through json.dumps, which escapes non-ASCII."""
+    digits = [str(x) for x in range(g.order)]
+    rows = "],[".join(",".join(map(digits.__getitem__, row)) for row in g.table)
+    return f'{{"name":{json.dumps(g.name)},"order":{g.order},"table":[[{rows}]]}}\n'
 
 
 def loads_group(text: str) -> FiniteGroup:

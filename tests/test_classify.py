@@ -6,6 +6,7 @@ search for an outside involution inverting every element. recognize() must
 agree with it on every catalog group.
 """
 
+import os
 import random
 
 import pytest
@@ -24,7 +25,11 @@ from grouplattice.classify import (
     WALL_I_IV,
     WALL_SUBTYPES,
     Recognition,
+    _degree_summary,
+    _half_witness,
     _is_generalized_extraspecial,
+    _is_nilpotent,
+    _nilpotent_maximal_count,
     has_large_degree_vertex,
     lattice_sweep,
     recognize,
@@ -461,6 +466,101 @@ def test_a_sweep_to_the_lattice_cap_builds_each_lattice(monkeypatch):
     monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
     swept = [(entry.name, len(lattice)) for entry, lattice in lattice_sweep(_fresh_entries(), 8)]
     assert swept == [("S3", 6), ("D8", 10), ("C2^3", 16)]
+
+
+# ---------------------------------------------------------------------------
+# the Lemma 2.1 reduction of the degree verifiers
+
+slow = pytest.mark.skipif(os.environ.get("GROUPLATTICE_SLOW") != "1", reason="set GROUPLATTICE_SLOW=1 to run")
+LISTED_1_1 = {F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12}
+
+
+def lattice_nilpotent(lat):
+    # a finite group is nilpotent iff each of its maximal subgroups is normal
+    return all(h.is_normal for h in lat.maximal_subgroups())
+
+
+def lattice_builds(g, lat):
+    """Whether verify_theorem_1_1 and whether the two corollaries build a
+    lattice of the nontrivial solvable group g: the corollaries for a group
+    of order below 12 or one that is not nilpotent, theorem-1.1 for such a
+    group in no listed family."""
+    rec = recognize(g)
+    unlisted = not (rec.subtypes - {"X"} or rec.families & LISTED_1_1)
+    reads = g.order < 12 or not lattice_nilpotent(lat)
+    return unlisted and reads, reads
+
+
+def _check_reduction_against_lattices(pairs):
+    nilpotent = 0
+    for entry, lat in pairs:
+        g = entry.group
+        n = g.order
+        if n == 1 or not g.is_solvable:
+            continue
+        prof = lat.orbit_profile()
+        top = max(prof.degrees)
+        half = any(2 * d == n for d in prof.degrees)
+        got_top, got_half = _degree_summary(g)
+        # the three verdicts: theorem-1.1's large vertex, cor-1.2's 3n/4, cor-1.3's n/2
+        assert (2 * (got_top + 1) > n, 4 * got_top >= 3 * n, got_half) == (2 * (top + 1) > n, 4 * top >= 3 * n, half), entry.name
+        assert got_top <= top, entry.name
+        if 2 * top + 1 >= n:
+            assert got_top == top, entry.name
+        assert _is_nilpotent(g) == lattice_nilpotent(lat), entry.name
+        if lattice_nilpotent(lat):
+            nilpotent += 1
+            assert _nilpotent_maximal_count(g) == len(lat.maximal_subgroups()), entry.name
+            rim = {2, n / 2}
+            witness = any(2 * d == n for d, k in zip(prof.degrees, prof.orders) if k in rim)
+            assert _half_witness(g) == witness, entry.name
+    return nilpotent
+
+
+def test_degree_summary_matches_the_lattice_to_order_64(catalog64, lattices64):
+    # every solvable catalog(64) group: the summary's verdicts, its top degree
+    # where that is at least (n - 1)/2, and its n/2 answer equal the full
+    # lattice's; for the nilpotent ones m(G) and the Lemma 2.1 witness too
+    assert _check_reduction_against_lattices(zip(catalog64, lattices64)) == 62
+
+
+@slow
+def test_degree_summary_matches_the_lattice_to_order_256():
+    pairs = ((entry, all_subgroups(entry.group)) for entry in gl.catalog(256))
+    assert _check_reduction_against_lattices(pairs) == 124
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (2, 5), (2, 7), (3, 1), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)])
+def test_maximal_count_of_an_elementary_abelian_group_is_its_hyperplane_count(p, k):
+    assert _nilpotent_maximal_count(gl.elementary_abelian(p, k)) == (p**k - 1) // (p - 1)
+
+
+def test_maximal_count_of_c2_8_is_255():
+    assert _nilpotent_maximal_count(gl.elementary_abelian(2, 8)) == 255
+
+
+@pytest.mark.parametrize("n", [12, 30, 64, 200, 210, 256])
+def test_maximal_count_of_a_cyclic_group_is_its_prime_count(n):
+    assert _nilpotent_maximal_count(gl.cyclic(n)) == len(factorize(n))
+
+
+def test_degree_verifiers_build_a_lattice_only_where_the_rule_says(monkeypatch, catalog64, lattices64):
+    built = []
+    walk = all_subgroups
+    monkeypatch.setattr("grouplattice.classify.all_subgroups", lambda g: built.append(g.name) or walk(g))
+    expected = {verify_theorem_1_1: [], verify_corollary_1_2: [], verify_corollary_1_3: []}
+    for entry, lat in zip(catalog64, lattices64):
+        if entry.group.order > 1 and entry.group.is_solvable:
+            theorem, corollary = lattice_builds(entry.group, lat)
+            expected[verify_theorem_1_1] += [entry.name] * theorem
+            expected[verify_corollary_1_2] += [entry.name] * corollary
+            expected[verify_corollary_1_3] += [entry.name] * corollary
+    assert expected[verify_theorem_1_1] == ["C5", "C7", "C8", "C9", "C11", "Dic3"]
+    assert [len(names) for names in expected.values()] == [6, 60, 60]
+    for verify, names in expected.items():
+        built.clear()
+        verify(catalog64, 64)
+        assert built == names, verify.__name__
 
 
 def test_verify_corollary_1_2_passes_with_boundary_note(catalog36):

@@ -743,6 +743,28 @@ def test_dumps_group_canonical_bytes():
     assert text == '{"name":"C2","order":2,"table":[[0,1],[1,0]]}\n'
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (gl.trivial, "1"),
+        (lambda: gl.dihedral(6), "D\u2081\u2082 \u00e9t\u00e9 \U0001d53e"),
+        (lambda: gl.symmetric(4), 'S4 "quoted" \\ tab\t'),
+        (lambda: gl.elementary_abelian(2, 8), "C2^8"),
+        (lambda: gl.cyclic(300), "C300"),
+        (lambda: gl.dihedral(150), "\u0414300"),
+    ],
+    ids=["trivial", "non-ascii", "escapes", "C2^8", "C300", "D300"],
+)
+def test_dumps_group_writes_the_json_dumps_bytes(build, name):
+    # the joined writer gives the bytes of json.dumps on the same object:
+    # bytes rows up to 256, uint16 rows above, non-ASCII names escaped
+    g = core.FiniteGroup(build().table, name=name)
+    payload = {"name": g.name, "order": g.order, "table": [list(row) for row in g.table]}
+    expected = json.dumps(payload, separators=(",", ":")) + "\n"
+    assert gl.dumps_group(g) == expected
+    assert expected.isascii()
+
+
 def test_dumps_loads_roundtrip(d8):
     g = gl.loads_group(gl.dumps_group(d8))
     assert g.name == d8.name

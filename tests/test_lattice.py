@@ -33,6 +33,7 @@ from grouplattice.lattice import DEFAULT_LATTICE_CAP, _bits, _movers, _orbit, al
 
 from oracle_lattice import naive_covers, naive_degrees, naive_subgroups
 from oracle_pgroup import check_lattice, frobenius_counts, prime_factors
+from test_classify import lattice_builds
 from test_core import relabel
 from test_iso import OUTER as OUTER_AUT
 
@@ -636,7 +637,9 @@ def test_report_degree_sweeps_and_bounds_leave_the_vertex_view_unbuilt(monkeypat
     entries = gl.catalog(24)
     for verify in (verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3):
         verify(entries, 24)
-    assert len(built) == 3 * sum(1 for e in entries if e.group.order > 1 and e.group.is_solvable)
+    # each verifier builds the lattices its verdicts read (lattice_builds)
+    rule = [lattice_builds(e.group, all_subgroups(e.group)) for e in entries if e.group.order > 1 and e.group.is_solvable]
+    assert len(built) == sum(theorem + 2 * corollary for theorem, corollary in rule) == 66
     for entry in entries:
         g = entry.group
         lat = all_subgroups(g)
