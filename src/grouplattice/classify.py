@@ -8,8 +8,8 @@ The three degree verifiers (theorem-1.1, cor-1.2, cor-1.3) read two
 facts of a group of order n: its top vertex degree, where it is at
 least (n - 1)/2, and whether some vertex has degree exactly n/2.
 verify_theorem_1_1 recognizes first and asks only for a group in no
-listed family. _degree_summary gives both facts, and builds a lattice
-only for a group of order below 12 or one that is not nilpotent.
+family. _degree_summary gives both facts, and builds a lattice only for
+a group of order below 12 or one that is not nilpotent.
 
 The reduction rests on Lemma 2.1 (bounds.lemma_2_1, checked on every
 vertex by `verify lemma21`): a subgroup of order d has degree at most
@@ -209,21 +209,14 @@ def _eligible(entries: Iterable[CatalogEntry], max_order: int) -> Iterator[Catal
     return (entry for entry in entries if 1 < entry.group.order <= max_order)
 
 
-def _solvable(entries: Iterable[CatalogEntry], max_order: int) -> Iterator[CatalogEntry]:
+def solvable_entries(entries: Iterable[CatalogEntry], max_order: int) -> Iterator[CatalogEntry]:
     """Each solvable group of order 2..max_order: the sweep of the degree
-    verifiers and of lattice_sweep. A max_order over the lattice cap
-    raises GroupTooLarge at the call, before any lattice is built."""
+    verifiers and of cli's lattice sweeps. A max_order over the lattice
+    cap raises GroupTooLarge at the call, before any lattice is built."""
     cap = _lattice.DEFAULT_LATTICE_CAP
     if max_order > cap:
         raise GroupTooLarge(f"a sweep to order {max_order} exceeds the lattice cap {cap}")
     return (entry for entry in _eligible(entries, max_order) if entry.group.is_solvable)
-
-
-def lattice_sweep(entries: Iterable[CatalogEntry], max_order: int):
-    """(entry, lattice) for each solvable group of order 2..max_order, each
-    lattice built as the sweep reaches it. A max_order over the lattice cap
-    raises GroupTooLarge at the call, before any lattice is built."""
-    return ((entry, all_subgroups(entry.group)) for entry in _solvable(entries, max_order))
 
 
 def _is_nilpotent(g: FiniteGroup) -> bool:
@@ -276,28 +269,22 @@ def _has_elementary_index_two(g: FiniteGroup) -> bool:
     return any(all((f & v).bit_count() & 1 for v in outside) for f in range(1, 1 << rank))
 
 
-def _half_witness(g: FiniteGroup) -> bool:
-    """Whether a vertex of order 2 or n/2 has degree n/2, for n >= 12: by
-    Lemma 2.1's equality case, g is in F3, F4 or F5, or has an elementary
-    abelian subgroup of index 2 (module docstring)."""
-    return bool(_central_involution_families(g)) or _has_elementary_index_two(g)
-
-
 def _degree_summary(g: FiniteGroup) -> tuple[int, bool]:
     """(top, half) for a nontrivial solvable group: its largest vertex
     degree, exact when it is at least (n - 1)/2 and otherwise a lower
-    bound, and whether some vertex has degree exactly n/2. A nilpotent
-    group of order 12 or more is summarized from delta(G), m(G) and the
-    Lemma 2.1 witness, with no lattice (module docstring); any other group
-    reads its lattice."""
+    bound, and whether some vertex has degree exactly n/2, read off the
+    candidate degrees: the orbit degrees of a group of order below 12 or
+    one that is not nilpotent; otherwise, with no lattice, delta(G), m(G)
+    and, when g is in F3, F4 or F5 or has an elementary abelian subgroup
+    of index 2, n/2 (Lemma 2.1's equality case, module docstring)."""
     n = g.order
     if n < 12 or not _is_nilpotent(g):
         degrees = all_subgroups(g).orbit_profile().degrees
-        return max(degrees), any(2 * d == n for d in degrees)
-    extremes = (g.delta, _nilpotent_maximal_count(g))
-    if _half_witness(g):
-        return max(*extremes, n // 2), True
-    return max(extremes), any(2 * d == n for d in extremes)
+    else:
+        degrees = (g.delta, _nilpotent_maximal_count(g))
+        if _central_involution_families(g) or _has_elementary_index_two(g):
+            degrees += (n // 2,)
+    return max(degrees), any(2 * d == n for d in degrees)
 
 
 def _verify(theorem: str, entries: Iterable[CatalogEntry], check: Callable) -> VerificationReport:
@@ -316,23 +303,21 @@ def _verify(theorem: str, entries: Iterable[CatalogEntry], check: Callable) -> V
 def verify_theorem_1_1(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
     """Necessary direction only: every solvable group with a vertex of
     degree above |G|/2 - 1 must land in at least one of the seven
-    families (Theorem A types restricted to I..IX). A group in a listed
-    family passes whatever its degrees, so it is recognized first and
-    only the others get a degree summary."""
+    families (Theorem A types restricted to I..IX). A group in one passes
+    whatever its degrees, so it is recognized first, and for solvable g
+    that is any family: WALL_I_IV comes only with F2_THEOREM_A, which
+    comes with a type, and type X is A5, which is not solvable."""
 
     def check(entry):
         g = entry.group
-        rec = recognize(g)
-        if rec.subtypes - {"X"} or rec.families & {
-            F1_SMALL, F3_ELEM_AB_2, F4_C2s_C4, F5_GEN_EXTRASPECIAL, F6_CPN_C2, F7_D12
-        }:
+        if recognize(g).families:
             return None
         top, _ = _degree_summary(g)
         if 2 * (top + 1) <= g.order:
             return None
         return f"max degree {top} exceeds |G|/2-1 but no family matched"
 
-    return _verify("theorem-1.1", _solvable(entries, max_order), check)
+    return _verify("theorem-1.1", solvable_entries(entries, max_order), check)
 
 
 def verify_theorem_A(entries: Iterable[CatalogEntry], max_order: int) -> VerificationReport:
@@ -374,7 +359,9 @@ def verify_corollary_1_2(entries: Iterable[CatalogEntry], max_order: int) -> Ver
     """Bidirectional: a vertex of degree >= 3|G|/4 exists iff G is an
     elementary abelian 2-group, in integer form 4D >= 3n. The reverse
     direction starts at order 4: C2's single edge gives top degree
-    1 < 3/2, a boundary case recorded as a note."""
+    1 < 3/2, a boundary case recorded as a note. C2^k of order n >= 4
+    has delta = n - 1 >= 3n/4, so only C2, below order 12 where the
+    summary's top is exact, can be elementary abelian but not big."""
     notes = []
 
     def check(entry):
@@ -385,15 +372,12 @@ def verify_corollary_1_2(entries: Iterable[CatalogEntry], max_order: int) -> Ver
         if big and not elementary:
             return f"degree {top} >= 3|G|/4 but the group is not elementary abelian 2"
         if elementary and not big:
-            if 2 * top + 1 < g.order:
-                # a summary's top below (n - 1)/2 is only a lower bound
-                top = max(all_subgroups(g).orbit_profile().degrees)
             if g.order >= 4:
                 return f"elementary abelian 2 but max degree {top} < 3|G|/4"
             notes.append(f"{entry.name}: order-2 boundary case, top degree {top} < 3|G|/4 = 3/2")
         return None
 
-    report = _verify("cor-1.2", _solvable(entries, max_order), check)
+    report = _verify("cor-1.2", solvable_entries(entries, max_order), check)
     return report._replace(notes=tuple(notes))
 
 
@@ -417,4 +401,4 @@ def verify_corollary_1_3(entries: Iterable[CatalogEntry], max_order: int) -> Ver
             return f"vertex of degree |G|/2 = {g.order // 2} exists but no listed family matched"
         return "listed family matched but no vertex of degree |G|/2 exists"
 
-    return _verify("cor-1.3", _solvable(entries, max_order), check)
+    return _verify("cor-1.3", solvable_entries(entries, max_order), check)

@@ -13,7 +13,7 @@ import json
 import sys
 from contextlib import contextmanager
 from importlib import import_module
-from itertools import chain, islice, takewhile
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 from . import _EXPORTS, _HOME
@@ -286,24 +286,20 @@ def _bounds_records(out, entry, lattice) -> bool:
 
 
 def _lemma21_records(out, entry, lattice) -> bool:
-    """One lemma_2_1 call per orbit, on its representative, in the order
-    of the orbits' first vertices: the report is invariant under
-    automorphisms (lattice module docstring). The line of each vertex is
-    its orbit's, and the group's lines go out in one writelines call,
-    which joins none of them (C2^8 has 417,199): all of them, or, when a
-    call raises, those of the vertices before that orbit's first vertex."""
-    vertex_orbit = lattice.vertex_orbit
+    """One lemma_2_1 call per orbit, on its representative, at the orbit's
+    first vertex: the report is invariant under automorphisms (lattice
+    module docstring). Each vertex's line, its orbit's, is written as the
+    walk reaches it, so a call that raises leaves the lines before it."""
     lines: dict[int, str] = {}
     holds = True
-    try:
-        for orbit in dict.fromkeys(vertex_orbit):
+    for orbit in lattice.vertex_orbit:
+        if orbit not in lines:
             h = lattice.representative(orbit)
             # lemma_2_1 raises CheckFailed when equality and its condition differ
             rep = lemma_2_1(lattice, h)
             lines[orbit] = _bound_line(entry.name, entry.group.order, rep, subgroup_order=h.order) + "\n"
             holds = holds and rep.holds
-    finally:
-        out.writelines(map(lines.__getitem__, takewhile(lines.__contains__, vertex_orbit)))
+        out.write(lines[orbit])
     return holds
 
 
@@ -311,16 +307,16 @@ def _sweep(records_of, args) -> bool:
     """Write the records of a per-group bound target, one JSON record a
     line, a group at a time, and give whether every record holds.
     records_of(out, entry, lattice) writes a group's lines and gives
-    whether they all hold. lattice_sweep is called before the output is
-    opened, so that a sweep past the lattice cap writes nothing and
+    whether they all hold. solvable_entries is called before the output
+    is opened, so that a sweep past the lattice cap writes nothing and
     creates no -o file."""
-    from .classify import lattice_sweep
+    from .classify import solvable_entries
 
-    sweep = lattice_sweep(_catalog(args.max_order), args.max_order)
+    entries = solvable_entries(_catalog(args.max_order), args.max_order)
     passed = True
     with _output(args.output) as out:
-        for entry, lattice in sweep:
-            passed = records_of(out, entry, lattice) and passed
+        for entry in entries:
+            passed = records_of(out, entry, all_subgroups(entry.group)) and passed
     return passed
 
 
@@ -369,7 +365,7 @@ def _run_orders(args) -> bool:
 # The lambdas read the verifier and bound names when the target runs, so a
 # wrapper bound before then (perfbench/traced_op.py) is the one called.
 _REPORT_LAYERS = ("classify", "families")
-_SWEEP_LAYERS = ("bounds", "classify", "families")
+_SWEEP_LAYERS = ("bounds", "classify", "families", "lattice")
 _TARGETS = {
     "theorem-1.1": (_REPORT_LAYERS, {"max_order": 24}, lambda args: _report(verify_theorem_1_1, args)),
     "theorem-a": (_REPORT_LAYERS, {"max_order": 24}, lambda args: _report(verify_theorem_A, args)),

@@ -302,11 +302,7 @@ class FiniteGroup:
 
     def closure_mask(self, seed: Iterable[int]) -> int:
         """Bitmask of the smallest subgroup containing the seed elements."""
-        seed = list(seed)
-        for x in seed:
-            if not 0 <= x < self.order:
-                raise GroupError(f"element {x} outside 0..{self.order - 1}")
-        return self._normal_closure(seed, ())[0]
+        return self._normal_closure(_screen_elements(seed, self.order), ())[0]
 
     def _normal_closure(self, seed: Iterable[int], by: Sequence[int]) -> tuple[int, tuple[int, ...]]:
         """Mask and generators of the smallest subgroup N that contains the
@@ -340,7 +336,7 @@ class FiniteGroup:
 
     def subgroup(self, members: Iterable[int]) -> "Subgroup":
         mask = 0
-        for x in members:
+        for x in _screen_elements(members, self.order, NotSubgroup):
             mask |= 1 << x
         return Subgroup(self, mask)
 
@@ -399,6 +395,15 @@ def _screen_table(table) -> tuple:
     return rows
 
 
+def _screen_elements(values: Iterable, n: int, error: type[GroupError] = GroupError) -> list:
+    """The values as a list, each an int (not a bool) in 0..n-1; else error names the first that is not."""
+    values = list(values)
+    for x in values:
+        if type(x) is not int or not 0 <= x < n:
+            raise error(f"element {x!r:.40} is not an int in 0..{n - 1}")
+    return values
+
+
 def _mask_elements(mask: int) -> list[int]:
     out = []
     i = 0
@@ -431,8 +436,8 @@ class Subgroup:
     def _check(self) -> None:
         mask = self.mask
         n = self.parent.order
-        if not mask & 1:
-            raise NotSubgroup("identity (element 0) missing from member set")
+        if type(mask) is not int or not mask & 1:
+            raise NotSubgroup(f"member mask {mask!r:.40} is not an int holding the identity (element 0)")
         if mask >> n:
             raise NotSubgroup(f"member bit beyond element range 0..{n - 1}")
         elems = _mask_elements(mask)

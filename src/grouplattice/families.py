@@ -136,6 +136,7 @@ def _semidirect_rows(rows: Sequence, action: Sequence[int], m: int) -> list:
     """Rows of A : C_m from the rows of A, after checking the action."""
     require_int(m, "cyclic factor order", 1)
     na = len(rows)
+    check_cap(na * m)
     action = list(action)
     bad = next((i for i, v in enumerate(action) if type(v) is not int), None)
     if bad is not None:
@@ -152,7 +153,6 @@ def _semidirect_rows(rows: Sequence, action: Sequence[int], m: int) -> list:
         powers.append(compose_rows(act, powers[-1]))
     if compose_rows(act, powers[-1]) != powers[0]:
         raise ActionOrderMismatch(f"action to the power {m} is not the identity")
-    check_cap(na * m)
     # (x, c)(y, d) = (x * act^c(y), c + d), indexed c*na + x
     pack = row_type(na * m)
     ref = pack(range(na * m))

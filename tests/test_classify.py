@@ -25,14 +25,15 @@ from grouplattice.classify import (
     WALL_I_IV,
     WALL_SUBTYPES,
     Recognition,
+    _central_involution_families,
     _degree_summary,
-    _half_witness,
+    _has_elementary_index_two,
     _is_generalized_extraspecial,
     _is_nilpotent,
     _nilpotent_maximal_count,
     has_large_degree_vertex,
-    lattice_sweep,
     recognize,
+    solvable_entries,
     verify_corollary_1_2,
     verify_corollary_1_3,
     verify_theorem_1_1,
@@ -449,7 +450,7 @@ def _fresh_entries():
 
 
 @pytest.mark.parametrize(
-    "sweep", [lattice_sweep, verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3], ids=lambda f: f.__name__
+    "sweep", [solvable_entries, verify_theorem_1_1, verify_corollary_1_2, verify_corollary_1_3], ids=lambda f: f.__name__
 )
 def test_a_sweep_over_the_lattice_cap_is_refused_at_the_call(monkeypatch, sweep):
     # the cap is read when the sweep is called; lowered to 8, a sweep to
@@ -464,7 +465,7 @@ def test_a_sweep_over_the_lattice_cap_is_refused_at_the_call(monkeypatch, sweep)
 
 def test_a_sweep_to_the_lattice_cap_builds_each_lattice(monkeypatch):
     monkeypatch.setattr("grouplattice.lattice.DEFAULT_LATTICE_CAP", 8)
-    swept = [(entry.name, len(lattice)) for entry, lattice in lattice_sweep(_fresh_entries(), 8)]
+    swept = [(entry.name, len(all_subgroups(entry.group))) for entry in solvable_entries(_fresh_entries(), 8)]
     assert swept == [("S3", 6), ("D8", 10), ("C2^3", 16)]
 
 
@@ -513,7 +514,7 @@ def _check_reduction_against_lattices(pairs):
             assert _nilpotent_maximal_count(g) == len(lat.maximal_subgroups()), entry.name
             rim = {2, n / 2}
             witness = any(2 * d == n for d, k in zip(prof.degrees, prof.orders) if k in rim)
-            assert _half_witness(g) == witness, entry.name
+            assert bool(_central_involution_families(g) or _has_elementary_index_two(g)) == witness, entry.name
     return nilpotent
 
 
@@ -528,6 +529,37 @@ def test_degree_summary_matches_the_lattice_to_order_64(catalog64, lattices64):
 def test_degree_summary_matches_the_lattice_to_order_256():
     pairs = ((entry, all_subgroups(entry.group)) for entry in gl.catalog(256))
     assert _check_reduction_against_lattices(pairs) == 124
+
+
+def _check_any_family_is_theorem_1_1s_membership(entries):
+    # on a solvable group, "a type but X, or a family of F1 and F3..F7"
+    # means "some family": X is A5, and F2 and WALL_I_IV come with a type
+    solvable = 0
+    for entry in entries:
+        g = entry.group
+        if g.order > 1 and g.is_solvable:
+            solvable += 1
+            rec = recognize(g)
+            assert "X" not in rec.subtypes, entry.name
+            assert bool(rec.subtypes - {"X"} or rec.families & LISTED_1_1) == bool(rec.families), entry.name
+    return solvable
+
+
+def test_any_family_is_theorem_1_1s_membership_to_order_64(catalog64):
+    assert _check_any_family_is_theorem_1_1s_membership(catalog64) == 106
+
+
+@slow
+def test_any_family_is_theorem_1_1s_membership_to_order_256():
+    assert _check_any_family_is_theorem_1_1s_membership(gl.catalog(256)) == 339
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_an_elementary_abelian_2_group_of_order_4_or_more_is_big(k):
+    # delta(C2^k) = 2^k - 1 >= 3 * 2^k / 4, so cor-1.2 never needs a
+    # top degree past the summary's
+    top, _ = _degree_summary(gl.elementary_abelian(2, k))
+    assert 4 * top >= 3 * 2**k
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (2, 2), (2, 5), (2, 7), (3, 1), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)])

@@ -639,6 +639,28 @@ def test_subgroup_membership_validation(s3):
         gl.Subgroup(s3, 0b10)  # misses the identity
 
 
+@pytest.mark.parametrize(
+    "build, error, witness",
+    [
+        (lambda g: g.subgroup([-1]), NotSubgroup, "element -1 is not an int in 0..5"),
+        (lambda g: g.subgroup([0, 1.0]), NotSubgroup, "element 1.0 is not an int in 0..5"),
+        # 1 << 10**10 would take 1.25 GB before the range check
+        (lambda g: g.subgroup([0, 10**10]), NotSubgroup, "element 10000000000 is not an int in 0..5"),
+        (lambda g: g.subgroup([0, True]), NotSubgroup, "element True is not an int in 0..5"),
+        (lambda g: g.closure([1.5]), GroupError, "element 1.5 is not an int in 0..5"),
+        (lambda g: g.closure_mask([0, 6]), GroupError, "element 6 is not an int in 0..5"),
+        (lambda g: gl.Subgroup(g, 1.5), NotSubgroup, "member mask 1.5 is not an int"),
+        (lambda g: gl.Subgroup(g, True), NotSubgroup, "member mask True is not an int"),
+    ],
+    ids=["negative", "float", "huge", "bool", "closure-float", "closure-mask-range", "mask-float", "mask-bool"],
+)
+def test_element_arguments_raise_a_group_error_naming_the_first_bad_one(build, error, witness):
+    # an element is an int, not a bool, in 0..n-1; a NotSubgroup where a
+    # Subgroup is being checked
+    with pytest.raises(error, match=re.escape(witness)):
+        build(gl.cyclic(6))
+
+
 def test_subgroup_check_accepts_exactly_the_lattice_masks():
     # the identity, range and product-closure tests alone decide: over all
     # 2^n masks of every catalog(12) group, Subgroup(g, mask) succeeds iff

@@ -151,6 +151,16 @@ def test_semidirect_rejects_wrong_action_order():
         gl.semidirect(c5, inversion, 3)
 
 
+def test_semidirect_checks_the_cap_before_building_the_action_powers(monkeypatch):
+    # the m powers of the action come after the cap check: m = 10^5 would
+    # otherwise make about 10^5 compose_rows calls before the refusal
+    calls = []
+    monkeypatch.setattr("grouplattice.families.compose_rows", lambda *rows: calls.append(rows))
+    with pytest.raises(GroupTooLarge, match=r"^200000 elements exceed the construction cap"):
+        gl.semidirect(gl.cyclic(2), [0, 1], 10**5)
+    assert calls == []
+
+
 def test_products_and_extensions_above_256_build_uint16_rows():
     # orders above 256 take the array('H') branch of core.compose_rows
     c4x80 = gl.abelian([4, 80])
