@@ -336,22 +336,19 @@ def _run_orders(args) -> bool:
     if args.max_order > ORDERS_MAX_ORDER:
         raise GroupTooLarge(f"verify orders to {args.max_order} is over the budget of {ORDERS_MAX_ORDER}")
     violations = []
-    for n in range(1, 12):
-        if not candidate_orders(n).small_case:
-            violations.append([n, "expected small-case branch"])
     divisors_of = divisor_lists(args.max_order)
-    for n in range(12, args.max_order + 1):
+    for n in range(1, args.max_order + 1):
         try:
-            result = candidate_orders(n, divisors_of[n])
+            small_case = candidate_orders(n, divisors_of[n]).small_case
         except CheckFailed as exc:
             violations.append([n, str(exc)])
             continue
-        if result.small_case:
-            violations.append([n, "unexpected small-case branch"])
+        if small_case != (n <= 11):
+            violations.append([n, "expected small-case branch" if n <= 11 else "unexpected small-case branch"])
     payload = {
         "target": args.target,
-        "small_case_range": [1, 11],
-        "scanned_range": [12, args.max_order],
+        "small_case_range": [1, min(args.max_order, 11)],
+        "scanned_range": [12, args.max_order] if args.max_order >= 12 else None,
         "violations": violations,
         "passed": not violations,
     }

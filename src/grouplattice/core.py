@@ -212,12 +212,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv_of(self, a: int) -> int:
-        return self.inverses[a]
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
         """One power walk per cyclic subgroup: if x has order m, x^k has
@@ -235,9 +229,6 @@ class FiniteGroup:
             for k, y in enumerate(powers, 1):
                 out[y] = m // math.gcd(k, m)
         return tuple(out)
-
-    def element_order(self, x: int) -> int:
-        return self.element_orders[x]
 
     @cached_property
     def _order_counts(self) -> Counter:
@@ -460,8 +451,9 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def __contains__(self, x: int) -> bool:
-        return bool(self.mask >> x & 1)
+    def __contains__(self, x) -> bool:
+        """Membership; anything but an int element (a bool included) is no member."""
+        return type(x) is int and x >= 0 and bool(self.mask >> x & 1)
 
     def __len__(self) -> int:
         return self.order
@@ -517,9 +509,10 @@ def from_cayley_table(table, name: str = "G") -> FiniteGroup:
     return FiniteGroup(table, name=name)
 
 
-def quotient_group(g: FiniteGroup, h: Subgroup, name: Optional[str] = None) -> FiniteGroup:
-    """Coset multiplication table of G/H, the cosets Ha numbered in the
-    order of their least members; requires H normal."""
+def quotient_group(h: Subgroup, name: Optional[str] = None) -> FiniteGroup:
+    """Coset multiplication table of G/H for G = h.parent, the cosets Ha
+    numbered in the order of their least members; requires H normal."""
+    g = h.parent
     if not h.is_normal:
         raise NotNormal(f"subgroup of order {h.order} is not normal in {g.name}")
     if name is None:

@@ -44,6 +44,7 @@ from grouplattice.errors import GroupTooLarge, TrivialGroup
 from grouplattice.families import theorem_a_group
 from grouplattice.lattice import all_subgroups
 
+from oracle_lattice import naive_covers, naive_degrees, naive_subgroups
 from test_core import relabel
 
 
@@ -325,7 +326,7 @@ def generalized_dihedral_oracle(lattice):
         for t in range(g.order):
             if t in a or g.element_orders[t] != 2:
                 continue
-            if all(g.mul(g.mul(t, y), t) == g.inv_of(y) for y in a.elements):
+            if all(g.table[g.table[t][y]][t] == g.inverses[y] for y in a.elements):
                 return True
     return False
 
@@ -614,6 +615,50 @@ def test_verify_corollary_1_3_finds_degree_half_outliers(catalog36):
     assert names == {"D12", "S(2)"}
     for _, detail in report.counterexamples:
         assert "no listed family matched" in detail
+
+
+def _index_two_elementary_table(k: int, z: int) -> list[list[int]]:
+    """E = C2^k (bit vectors under XOR) and c outside E, where c swaps
+    basis vectors 0 and 1 of E by conjugation and c^2 = z, a vector the
+    swap fixes; element eps * 2^k + e stands for e c^eps."""
+    m = 1 << k
+    swap = [e & ~3 | (e & 1) << 1 | e >> 1 & 1 for e in range(m)]
+    table = []
+    for a in range(2 * m):
+        ca, ea = divmod(a, m)
+        row = []
+        for b in range(2 * m):
+            cb, eb = divmod(b, m)
+            e = ea ^ (swap[eb] if ca else eb) ^ (z if ca and cb else 0)
+            row.append((ca ^ cb) * m + e)
+        table.append(row)
+    return table
+
+
+@pytest.mark.parametrize("k", [3, 4], ids=["order-16", "order-32"])
+def test_an_elementary_abelian_index_two_group_refutes_theorem_1_1_and_corollary_1_3(k):
+    # (k, j, z) = (k, 1, 4): a group with an elementary abelian subgroup of
+    # index 2 has a vertex of degree n/2 (Lemma 2.1's equality case), and
+    # this one lies in no listed family and in no catalog group
+    table = _index_two_elementary_table(k, 4)
+    g = gl.from_cayley_table(table, name=f"E{k}")
+    n = g.order
+    subgroups = naive_subgroups(table)
+    assert max(naive_degrees(subgroups, naive_covers(subgroups))) == n // 2
+    rows = g.table
+    assert (g.exponent, g.is_abelian, g.involution_count) == (4, False, n // 2 - 1)
+    assert 2 * (g.delta + 1) <= n  # no Theorem A type
+    assert g.derived_subgroup().order == 2
+    assert any(not g.derived_mask >> rows[a][a] & 1 for a in range(n))
+    assert recognize(g).families == frozenset()
+    entries = [gl.CatalogEntry(name=g.name, group=g, known_tags=frozenset())]
+    assert verify_theorem_1_1(entries, n).counterexamples == (
+        (g.name, f"max degree {n // 2} exceeds |G|/2-1 but no family matched"),
+    )
+    assert verify_corollary_1_3(entries, n).counterexamples == (
+        (g.name, f"vertex of degree |G|/2 = {n // 2} exists but no listed family matched"),
+    )
+    assert all(gl.is_isomorphic(entry.group, g) is None for entry in gl.catalog(n, n))
 
 
 @pytest.mark.parametrize("key, param, edim", [("II", 0, 2), ("III", 1, 3), ("V", 1, 1), ("VII", 0, 2), (F7_D12, 6, 0)])

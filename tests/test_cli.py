@@ -742,6 +742,29 @@ def test_verify_orders_scans_to_10000_by_default(capsys):
     assert json.loads(out)["scanned_range"] == [12, 10000]
 
 
+@pytest.mark.parametrize("max_order, small, scanned", [(1, [1, 1], None), (11, [1, 11], None), (12, [1, 11], [12, 12])])
+def test_verify_orders_reports_only_the_ranges_it_checked(capsys, max_order, small, scanned):
+    code, out, _ = run(capsys, "verify", "orders", "--max-order", str(max_order))
+    payload = json.loads(out)
+    assert (code, payload["passed"], payload["violations"]) == (0, True, [])
+    assert (payload["small_case_range"], payload["scanned_range"]) == (small, scanned)
+
+
+def test_verify_orders_flags_a_branch_on_the_wrong_side_of_11(capsys, monkeypatch):
+    # the scan reads small_case from each n's analysis; here it is flipped
+    def flipped(n, divisors_of_n):
+        return gl.candidate_orders(n, divisors_of_n)._replace(small_case=n > 11)
+
+    monkeypatch.setattr("grouplattice.cli.candidate_orders", flipped, raising=False)
+    code, out, _ = run(capsys, "verify", "orders", "--max-order", "13")
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        *([n, "expected small-case branch"] for n in range(1, 12)),
+        [12, "unexpected small-case branch"],
+        [13, "unexpected small-case branch"],
+    ]
+
+
 def test_verify_theorem_a_defaults_to_max_order_24(capsys):
     assert run(capsys, "verify", "theorem-a") == run(capsys, "verify", "theorem-a", "--max-order", "24")
 

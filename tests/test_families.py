@@ -79,9 +79,9 @@ def test_generalized_dihedral_law():
         g = gl.generalized_dihedral(a)
         assert g.order == 2 * m
         for t in range(m, 2 * m):
-            assert g.element_order(t) == 2
+            assert g.element_orders[t] == 2
             for y in range(m):
-                assert g.mul(g.mul(t, y), g.inv_of(t)) == g.inv_of(y)
+                assert g.table[g.table[t][y]][g.inverses[t]] == g.inverses[y]
 
 
 def test_generalized_dihedral_rejects_nonabelian():
@@ -100,8 +100,7 @@ def test_generalized_dihedral_of_klein_group():
 
 def test_semidirect_inversion_gives_dihedral():
     c5 = gl.cyclic(5)
-    inversion = [c5.inv_of(x) for x in range(5)]
-    g = gl.semidirect(c5, inversion, 2)
+    g = gl.semidirect(c5, c5.inverses, 2)
     assert is_isomorphic(g, gl.dihedral(5)) is not None
 
 
@@ -144,11 +143,17 @@ def test_semidirect_refuses_non_int_action_entries(action, witness):
         gl.semidirect(gl.elementary_abelian(2, 2), action, 2)
 
 
+def test_generalized_dihedral_reads_the_uint16_rows_of_a_validated_group():
+    # above order 256 a validated table's rows are read-only uint16 memoryviews
+    g = gl.generalized_dihedral(gl.abelian([300]))
+    assert g.order == 600
+    assert g.table == gl.dihedral(300).table
+
+
 def test_semidirect_rejects_wrong_action_order():
     c5 = gl.cyclic(5)
-    inversion = [c5.inv_of(x) for x in range(5)]
     with pytest.raises(ActionOrderMismatch):
-        gl.semidirect(c5, inversion, 3)
+        gl.semidirect(c5, c5.inverses, 3)
 
 
 def test_semidirect_checks_the_cap_before_building_the_action_powers(monkeypatch):
@@ -168,7 +173,7 @@ def test_products_and_extensions_above_256_build_uint16_rows():
     assert is_isomorphic(c4x80, gl.abelian([16, 20])) is not None
     assert is_isomorphic(c4x80, gl.abelian([2, 160])) is None
     c129 = gl.cyclic(129)
-    d258 = gl.semidirect(c129, [c129.inv_of(x) for x in range(129)], 2)
+    d258 = gl.semidirect(c129, c129.inverses, 2)
     assert is_isomorphic(d258, gl.dihedral(129)) is not None
     assert gl.dihedral(129).involution_count == 129
     a5xs3 = gl.direct_product(gl.alternating(5), gl.symmetric(3))
@@ -291,7 +296,7 @@ def test_central_product_is_the_quotient_of_the_direct_product(g1, g2, z1, z2):
     n2 = g2.order
 
     def mul(x, y):
-        return g1.mul(x // n2, y // n2) * n2 + g2.mul(x % n2, y % n2)
+        return g1.table[x // n2][y // n2] * n2 + g2.table[x % n2][y % n2]
 
     cosets = sorted({min(x, mul(x, z1 * n2 + z2)) for x in range(g1.order * n2)})
     label = {x: i for i, x in enumerate(cosets)}

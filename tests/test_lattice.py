@@ -51,7 +51,7 @@ def sl_2_3():
 def c3_c8():
     """C3 : C8 with the C8 generator inverting C3."""
     c3 = gl.cyclic(3)
-    return gl.semidirect(c3, [c3.inv_of(x) for x in range(3)], 8)
+    return gl.semidirect(c3, c3.inverses, 8)
 
 
 # name -> (constructor, subgroup count, edge count) frozen from the oracle
